@@ -37,7 +37,6 @@ from .hypocoercivity import (
 )
 from .samplers import (
     EventRecord,
-    PhasePoint,
     Segment,
     ThinningBoundError,
     Trajectory,

@@ -61,6 +61,22 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+_RULES = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0,
+          ">= 2": lambda x: x >= 2, "in (0, 1)": lambda x: 0 < x < 1}
+
+
+def _in_range(name: str, raw, rule: str, cast=float):
+    """``raw`` as a number, or a ConfigError naming field ``name`` when it
+    breaks ``rule`` (a key of _RULES) and the library would reject it."""
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field '{name}' must be a number, got {raw!r}") from None
+    if not _RULES[rule](value):
+        raise ConfigError(f"config field '{name}' must be {rule}, got {raw!r}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -161,21 +177,23 @@ def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
         target=target,
         observable=observable,
         hypo=hypo,
-        T=float(_require(cfg, "T")),
-        delta=float(cfg.get("delta", 0.1)),
-        replicas=int(cfg.get("replicas", 200)),
+        T=_in_range("T", _require(cfg, "T"), "> 0"),
+        delta=_in_range("delta", cfg.get("delta", 0.1), "in (0, 1)"),
+        replicas=_in_range("replicas", cfg.get("replicas", 200), ">= 2", cast=int),
         seed=seed,
-        refresh_rate=float(sampler.get("refresh_rate", 1.0)),
-        mass=float(sampler.get("mass", 1.0)),
-        gamma=float(sampler.get("gamma", 1.0)),
-        step=float(sampler.get("step", 0.01)),
+        # hhmc resamples its momentum at refresh_rate, which must then be > 0
+        refresh_rate=_in_range("sampler.refresh_rate", sampler.get("refresh_rate", 1.0),
+                               "> 0" if name == "hhmc" else ">= 0"),
+        mass=_in_range("sampler.mass", sampler.get("mass", 1.0), "> 0"),
+        gamma=_in_range("sampler.gamma", sampler.get("gamma", 1.0), "> 0"),
+        step=_in_range("sampler.step", sampler.get("step", 0.01), "> 0"),
         reflection_factor=float(sampler.get("reflection_factor", 2.0)),
         initial=initial,
     )
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -218,8 +236,9 @@ def cmd_ci(args) -> int:
     stats = _stats_from_config(cfg)
     dmu_norm = float(cfg.get("dmu_norm", 1.0))
     pair, N, _ = bernstein_from_hypo(hypo, stats, dmu_norm)
-    report = confidence_report(pair, pair, N, float(_require(cfg, "delta")),
-                               float(_require(cfg, "T")))
+    report = confidence_report(pair, pair, N,
+                               _in_range("delta", _require(cfg, "delta"), "in (0, 1)"),
+                               _in_range("T", _require(cfg, "T"), "> 0"))
     payload = _base_payload(cfg, seed)
     payload["report"] = report.to_dict()
     payload["vacuous"] = bool(min(report.r_minus, report.r_plus) >= 2.0 * stats.sup_norm)
@@ -320,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="root seed (overrides config and HYPOGUARD_SEED)")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="maximum worker count (replicas are independent)")
 
     p = sub.add_parser("constants", help="derived hypocoercivity + Bernstein constants")
     common(p)
@@ -335,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="simulate one trajectory")
     common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("validate", help="certification experiments")

@@ -9,7 +9,7 @@ closed-form composition of the Bernstein algebra; nothing is estimated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bernstein import BernsteinPair, psi_star, psi_star_inv
 from .hypocoercivity import DerivedConstants

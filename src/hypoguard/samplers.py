@@ -7,10 +7,14 @@ noise) through counter-based ``SeedSequence`` keys, so adding a clock never
 perturbs an existing stream and identical (config, seed) pairs give
 bit-identical trajectories.
 
-For quadratic potentials every event clock is inverted in closed form; for
-general potentials the inhomogeneous clocks are simulated by thinning
-against a caller-certified rate bound on a sliding window.  A violated
-bound is a hard error, never a silent acceptance.
+The zig-zag sampler and the bouncy particle sampler (BPS) share one event
+clock and one flight loop.  Along the flight q + s v every jump clock has
+rate beta [u . grad V(q + s v)]^+: u = v for the single BPS bounce clock,
+and u = v_i e_i for the zig-zag flip clock of component i.  For quadratic
+potentials the rate is affine in s and inverted in closed form; for
+general potentials the clocks are simulated by thinning against a
+caller-certified rate bound on a sliding window.  A violated bound is a
+hard error, never a silent acceptance.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from .targets import MomentumModel, TargetModel
 
 __all__ = [
-    "PhasePoint",
     "Segment",
     "EventRecord",
     "Trajectory",
@@ -62,13 +65,6 @@ def replica_seed(root_seed: int, replica: int) -> int:
 class ThinningBoundError(RuntimeError):
     """The caller-supplied thinning bound was violated; the simulation is not
     exact and must be aborted."""
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    q: np.ndarray
-    p: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
@@ -142,15 +138,6 @@ class Trajectory:
     times: Optional[np.ndarray] = None
     qs: Optional[np.ndarray] = None
     ps: Optional[np.ndarray] = None
-
-    def state_at(self, seg_index: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """State s time units into segment ``seg_index``."""
-        seg = self.segments[seg_index]
-        if seg.kind == "linear":
-            return seg.q0 + (s / self.mass) * seg.p0, seg.p0
-        if seg.kind == "hamiltonian":
-            return self.flow(seg.q0, seg.p0, s)
-        raise ValueError(f"no interior state for segment kind '{seg.kind}'")
 
 
 # ---------------------------------------------------------------------------
@@ -265,35 +252,84 @@ def _initial_state(
     return np.array(q0, dtype=float), np.array(p0, dtype=float)
 
 
-def _bps_bounce_time(
-    target: TargetModel,
-    q: np.ndarray,
-    v: np.ndarray,
-    rng: np.random.Generator,
-    horizon: float,
-    window: float,
-) -> float:
-    """Bounce clock along the linear flight q + s v, rate beta [v . grad V]^+."""
+def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndarray,
+                grad: np.ndarray, rng: np.random.Generator, horizon: float,
+                window: float) -> tuple[float, int]:
+    """First arrival among the jump clocks along the flight q + s v.
+
+    Clock i has rate beta [u_i . grad V(q + s v)]^+, where ``slopes(v, w)``
+    lists u_i . w over the clock directions u_i and ``grad`` is grad V(q).
+    Returns (time, i); the time is inf if no clock fires.  Quadratic
+    potentials give affine rates, inverted in closed form; otherwise each
+    clock is thinned against |d/ds u_i . grad V| <= |u_i| |v| sup |Hess V|.
+    """
     beta = target.beta
     if target.is_quadratic:
-        a = beta * float(np.dot(v, target.gradient(q)))
-        slope = beta * float(v @ target.hessian @ v)
-        return invert_affine_rate(a, slope, rng.exponential())
-    if target.hessian_bound is None:
-        raise ValueError(
-            f"target '{target.name}' needs a hessian_bound for thinning"
-        )
-    speed2 = float(np.dot(v, v))
-    speed = math.sqrt(speed2)
+        taus = [invert_affine_rate(beta * a, beta * b, rng.exponential())
+                for a, b in zip(slopes(v, grad), slopes(v, target.hessian @ v))]
+    else:
+        if target.hessian_bound is None:
+            raise ValueError(f"target '{target.name}' needs a hessian_bound for thinning")
+        speed2 = float(np.dot(v, v))
+        speed = math.sqrt(speed2)
+        taus = []
+        # |u_i|^2 = slopes(v, v)_i for both direction maps
+        for i, u2 in enumerate(slopes(v, v)):
+            reach = beta * math.sqrt(u2 * speed2)
 
-    def rate(s: float) -> float:
-        return beta * max(0.0, float(np.dot(v, target.gradient(q + s * v))))
+            def rate(s: float) -> float:
+                return beta * max(0.0, slopes(v, target.gradient(q + s * v))[i])
 
-    def bound(t: float, w: float) -> float:
-        hb = target.hessian_bound(q + t * v, speed * w)
-        return rate(t) + beta * speed2 * hb * w
+            def bound(t: float, w: float) -> float:
+                return rate(t) + reach * target.hessian_bound(q + t * v, speed * w) * w
 
-    return sample_by_thinning(rate, bound, window, rng, horizon)
+            taus.append(sample_by_thinning(rate, bound, window, rng, horizon))
+    tau = min(taus)
+    return tau, taus.index(tau)
+
+
+def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
+                   target: TargetModel, momentum: MomentumModel, refresh_rate: float,
+                   T: float, seed: int, q0, p0, window: float) -> Trajectory:
+    """Linear flight between refreshes and the jumps of the ``clock`` stream.
+
+    ``slopes(v, w)`` lists u_i . w over the jump clocks' directions u_i (see
+    :func:`_first_jump`).  grad V is evaluated once per event point and
+    shared by the next clocks and the jump.  ``jump(p, grad, i)`` returns
+    the momentum after clock i fires and the event's component, or None
+    where the jump is undefined, in which case the momentum is refreshed.
+    """
+    if T <= 0.0 or refresh_rate < 0.0:
+        raise ValueError("need T > 0 and refresh_rate >= 0")
+    rng_init = stream_rng(seed, "init")
+    rng_clock = stream_rng(seed, clock)
+    rng_refresh = stream_rng(seed, "refresh")
+    q, p = _initial_state(target, momentum, rng_init, q0, p0)
+    m = momentum.mass
+    traj = Trajectory(sampler=sampler, horizon=T, seed=seed, mass=m)
+    grad = target.gradient(q)
+    t = 0.0
+    while t < T:
+        v = p / m
+        tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, T - t, window)
+        tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
+        tau = min(tau_c, tau_r, T - t)
+        traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p, kind="linear"))
+        q = q + tau * v
+        t += tau
+        if t >= T:
+            break
+        grad = target.gradient(q)
+        jumped = jump(p, grad, i) if tau_c <= tau_r else None
+        if jumped is None:
+            kind, p_new, component = "refresh", momentum.sample(rng_refresh, target.dim), -1
+        else:
+            kind, (p_new, component) = clock, jumped
+        traj.events.append(EventRecord(time=t, kind=kind, component=component,
+                                       p_before=p, p_after=p_new))
+        p = p_new
+    traj.final_q, traj.final_p = q, p
+    return traj
 
 
 def simulate_bps(
@@ -313,71 +349,13 @@ def simulate_bps(
     and reflect the momentum elastically in the gradient direction;
     refreshes arrive at rate ``refresh_rate`` and redraw p from rho*.
     """
-    if T <= 0.0 or refresh_rate < 0.0:
-        raise ValueError("need T > 0 and refresh_rate >= 0")
-    rng_init = stream_rng(seed, "init")
-    rng_bounce = stream_rng(seed, "bounce")
-    rng_refresh = stream_rng(seed, "refresh")
-    q, p = _initial_state(target, momentum, rng_init, q0, p0)
-    m = momentum.mass
-    traj = Trajectory(sampler="bps", horizon=T, seed=seed, mass=m)
-    t = 0.0
-    while t < T:
-        v = p / m
-        tau_b = _bps_bounce_time(target, q, v, rng_bounce, T - t, thinning_window)
-        tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
-        tau = min(tau_b, tau_r, T - t)
-        traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p, kind="linear"))
-        q = q + tau * v
-        t += tau
-        if t >= T:
-            break
-        if tau_b <= tau_r:
-            grad = target.gradient(q)
-            if not np.any(grad):
-                p_new = momentum.sample(rng_refresh, target.dim)
-                kind = "refresh"
-            else:
-                p_new = reflect(p, grad, factor=reflection_factor)
-                kind = "bounce"
-        else:
-            p_new = momentum.sample(rng_refresh, target.dim)
-            kind = "refresh"
-        traj.events.append(EventRecord(time=t, kind=kind, component=-1,
-                                       p_before=p, p_after=p_new))
-        p = p_new
-    traj.final_q, traj.final_p = q, p
-    return traj
+    def bounce(p, grad, i):
+        # reflection is undefined at a critical point of V
+        return (reflect(p, grad, factor=reflection_factor), -1) if np.any(grad) else None
 
-
-def _zigzag_flip_time(
-    target: TargetModel,
-    q: np.ndarray,
-    v: np.ndarray,
-    i: int,
-    rng: np.random.Generator,
-    horizon: float,
-    window: float,
-) -> float:
-    """Component-i flip clock along q + s v, rate beta [v_i d_i V]^+."""
-    beta = target.beta
-    if target.is_quadratic:
-        H = target.hessian
-        a = beta * v[i] * float(target.gradient(q)[i])
-        slope = beta * v[i] * float(H[i] @ v)
-        return invert_affine_rate(a, slope, rng.exponential())
-    if target.hessian_bound is None:
-        raise ValueError(f"target '{target.name}' needs a hessian_bound for thinning")
-    speed = math.sqrt(float(np.dot(v, v)))
-
-    def rate(s: float) -> float:
-        return beta * max(0.0, v[i] * float(target.gradient(q + s * v)[i]))
-
-    def bound(t: float, w: float) -> float:
-        hb = target.hessian_bound(q + t * v, speed * w)
-        return rate(t) + beta * speed * hb * w
-
-    return sample_by_thinning(rate, bound, window, rng, horizon)
+    # one bounce clock, direction u = v
+    return _simulate_pdmp("bps", "bounce", lambda v, w: [float(np.dot(v, w))], bounce,
+                          target, momentum, refresh_rate, T, seed, q0, p0, thinning_window)
 
 
 def simulate_zigzag(
@@ -394,42 +372,13 @@ def simulate_zigzag(
     Component i flips at rate beta [v_i d_i V(q)]^+; an optional refresh
     clock (off by default) redraws v uniformly on {-1, +1}^d.
     """
-    if T <= 0.0 or refresh_rate < 0.0:
-        raise ValueError("need T > 0 and refresh_rate >= 0")
-    momentum = MomentumModel(kind="rademacher", beta=target.beta)
-    rng_init = stream_rng(seed, "init")
-    rng_flip = stream_rng(seed, "flip")
-    rng_refresh = stream_rng(seed, "refresh")
-    q, v = _initial_state(target, momentum, rng_init, q0, v0)
-    if not np.all(np.abs(v) == 1.0):
+    if v0 is not None and not np.all(np.abs(np.asarray(v0, dtype=float)) == 1.0):
         raise ValueError("zig-zag velocity components must be +-1")
-    d = target.dim
-    traj = Trajectory(sampler="zigzag", horizon=T, seed=seed, mass=1.0)
-    t = 0.0
-    while t < T:
-        taus = [
-            _zigzag_flip_time(target, q, v, i, rng_flip, T - t, thinning_window)
-            for i in range(d)
-        ]
-        tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
-        i_min = int(np.argmin(taus))
-        tau = min(taus[i_min], tau_r, T - t)
-        traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=v, kind="linear"))
-        q = q + tau * v
-        t += tau
-        if t >= T:
-            break
-        if taus[i_min] <= tau_r:
-            v_new = flip(v, i_min)
-            traj.events.append(EventRecord(time=t, kind="flip", component=i_min,
-                                           p_before=v, p_after=v_new))
-        else:
-            v_new = momentum.sample(rng_refresh, d)
-            traj.events.append(EventRecord(time=t, kind="refresh", component=-1,
-                                           p_before=v, p_after=v_new))
-        v = v_new
-    traj.final_q, traj.final_p = q, v
-    return traj
+    momentum = MomentumModel(kind="rademacher", beta=target.beta)
+    # one flip clock per component i, direction u_i = v_i e_i
+    return _simulate_pdmp("zigzag", "flip", lambda v, w: (v * w).tolist(),
+                          lambda p, grad, i: (flip(p, i), i), target, momentum,
+                          refresh_rate, T, seed, q0, v0, thinning_window)
 
 
 def simulate_hhmc(
@@ -571,31 +520,25 @@ def time_average(traj: Trajectory, f, order: int = 5) -> float:
     nodes01 = 0.5 * (nodes + 1.0)
     w01 = 0.5 * weights
 
-    def subdivide(segments, max_len=0.5):
-        """Split each segment into panels of length <= max_len so the
-        fixed-order rule stays accurate on long flights."""
-        q0 = np.array([s.q0 for s in segments])
-        p0 = np.array([s.p0 for s in segments])
-        dur = np.array([s.duration for s in segments])
-        k = np.maximum(np.ceil(dur / max_len).astype(int), 1)
-        sub = np.repeat(dur / k, k)
-        start = np.concatenate([d / n * np.arange(n) for d, n in zip(dur, k)])
-        return np.repeat(q0, k, axis=0), np.repeat(p0, k, axis=0), start, sub
+    # split each segment into panels of length <= 0.5 so the fixed-order
+    # rule stays accurate on long flights
+    q0 = np.array([s.q0 for s in traj.segments])
+    p0 = np.array([s.p0 for s in traj.segments])
+    dur = np.array([s.duration for s in traj.segments])
+    k = np.maximum(np.ceil(dur / 0.5).astype(int), 1)
+    sub = np.repeat(dur / k, k)
+    start = np.concatenate([d / n * np.arange(n) for d, n in zip(dur, k)])
+    q0, p0 = np.repeat(q0, k, axis=0), np.repeat(p0, k, axis=0)
+    if traj.flow is None:
+        v = p0 / traj.mass
+        position = lambda s: q0 + s[:, None] * v
+    else:
+        position = lambda s: traj.flow(q0, p0, s)[0]
 
     total = 0.0
-    linear = [s for s in traj.segments if s.kind == "linear"]
-    if linear:
-        q0, p0, start, sub = subdivide(linear)
-        v = p0 / traj.mass
-        for x, w in zip(nodes01, w01):
-            q = q0 + (start + x * sub)[:, None] * v
-            total += w * float(np.dot(sub, np.asarray(func(q), dtype=float)))
-    ham = [s for s in traj.segments if s.kind == "hamiltonian"]
-    if ham:
-        q0, p0, start, sub = subdivide(ham)
-        for x, w in zip(nodes01, w01):
-            q, _ = traj.flow(q0, p0, start + x * sub)
-            total += w * float(np.dot(sub, np.asarray(func(q), dtype=float)))
+    for x, w in zip(nodes01, w01):
+        q = position(start + x * sub)
+        total += w * float(np.dot(sub, np.asarray(func(q), dtype=float)))
     return total / T
 
 

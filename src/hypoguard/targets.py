@@ -10,7 +10,7 @@ otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -400,8 +400,9 @@ def estimate_poincare_1d(
 
     Discretizes the Dirichlet form int |g'|^2 dnu* against int g^2 dnu* on a
     uniform grid and returns the second-smallest generalized eigenvalue (the
-    smallest is 0 for constants).  This is an estimate, not a certified
-    bound.
+    smallest is 0 for constants): the spectral gap, the convention of
+    ``TargetModel.poincare_const`` (beta h for ``gaussian_iso``).  This is an
+    estimate, not a certified bound.
     """
     if target.dim != 1:
         raise ValueError("estimator is 1-D only")
@@ -420,5 +421,4 @@ def estimate_poincare_1d(
     from scipy.linalg import eigh
 
     vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, 1])
-    # Var(f) <= C int |f'|^2 dnu*, so C is the reciprocal spectral gap
-    return 1.0 / float(vals[1])
+    return float(vals[1])

@@ -13,7 +13,7 @@ boundedness of the observable never counts as a pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, config validation, output."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -141,3 +142,57 @@ def test_validate_uq(config_path, tmp_path):
 def test_unknown_subcommand_fails():
     res = run_cli("frobnicate")
     assert res.returncode != 0
+
+
+def run_inprocess(argv, cfg, tmp_path):
+    from hypoguard.cli import main
+
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return main([*argv, "--config", str(p)])
+
+
+@pytest.mark.parametrize("command,sampler,field,value", [
+    ("validate", "zigzag", "T", -5.0),
+    ("ci", "zigzag", "T", 0.0),
+    ("validate", "zigzag", "delta", 1.5),
+    ("ci", "zigzag", "delta", 0.0),
+    ("validate", "langevin", "gamma", 0.0),
+    ("validate", "langevin", "step", -0.01),
+    ("validate", "zigzag", "refresh_rate", -1.0),
+    ("validate", "hhmc", "refresh_rate", 0.0),
+    ("validate", "bps", "mass", 0.0),
+    ("validate", "zigzag", "T", "long"),
+])
+def test_out_of_range_value_exits_2(tmp_path, capsys, command, sampler, field, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["sampler"]["name"] = sampler
+    if field in ("T", "delta"):
+        cfg[field] = value
+    else:
+        cfg["sampler"][field] = value
+        field = f"sampler.{field}"
+    argv = ["validate", "coverage"] if command == "validate" else [command]
+    assert run_inprocess(argv, cfg, tmp_path) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_single_replica_rejected_and_output_strict_json(tmp_path, capsys):
+    from hypoguard.cli import _emit
+
+    for replicas in (1, float("inf")):
+        cfg = dict(BASE_CONFIG, replicas=replicas)
+        assert run_inprocess(["validate", "coverage"], cfg, tmp_path) == 2
+        assert "config field 'replicas'" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        _emit({"std_error": float("nan")}, argparse.Namespace(out=None))
+
+
+@pytest.mark.parametrize("argv", [["ci", "--threads", "2"], ["ci", "--format", "csv"],
+                                  ["validate", "coverage", "--format", "json"]])
+def test_removed_flags_are_usage_errors(argv):
+    from hypoguard.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -190,12 +190,12 @@ class TestHamiltonianFlow:
         )
 
 
-def stationary_moment_check(sample_avgs, expected, label):
+def stationary_moment_check(sample_avgs, expected, label, z=3.0):
     m = len(sample_avgs)
     mean = float(np.mean(sample_avgs))
     se = float(np.std(sample_avgs, ddof=1)) / math.sqrt(m)
-    assert abs(mean - expected) <= 3.0 * se, (
-        f"{label}: {mean} vs {expected} (3se = {3 * se})"
+    assert abs(mean - expected) <= z * se, (
+        f"{label}: {mean} vs {expected} ({z:.2f}se = {z * se})"
     )
 
 
@@ -236,6 +236,37 @@ class TestStationaryMoments:
             lambda s: simulate_langevin(
                 self.TARGET, mom, gamma=1.0, T=self.T, step=0.01, seed=s
             )
+        )
+
+
+class TestStationaryMomentsTridiagonal:
+    """E[q_j] and E[q_j^2] for every coordinate of a 3-d tridiagonal Gaussian
+    under the two PDMPs: six 3-sigma tests per sampler, Bonferroni-corrected
+    so the family keeps the false-alarm rate of one 3-sigma test."""
+
+    H = np.array([[1.5, 0.4, 0.0], [0.4, 1.0, -0.3], [0.0, -0.3, 2.0]])
+    TARGET = builtin_target("gaussian_aniso", H=H, beta=1.0)
+    COV = np.linalg.inv(H)
+    M, T = 40, 100.0
+    Z = float(sps.norm.isf(sps.norm.sf(3.0) / 6))
+
+    def _check(self, sim):
+        avgs = {(j, k): [] for j in range(3) for k in (1, 2)}
+        for i in range(self.M):
+            traj = sim(replica_seed(13, i))
+            for j, k in avgs:
+                avgs[j, k].append(time_average(traj, lambda q: q[..., j] ** k))
+        for (j, k), data in avgs.items():
+            expected = 0.0 if k == 1 else self.COV[j, j]
+            stationary_moment_check(data, expected, f"E[q{j}^{k}]", z=self.Z)
+
+    def test_zigzag(self):
+        self._check(lambda s: simulate_zigzag(self.TARGET, T=self.T, seed=s, refresh_rate=1.0))
+
+    def test_bps(self):
+        mom = MomentumModel(kind="gaussian", mass=1.0, beta=1.0)
+        self._check(
+            lambda s: simulate_bps(self.TARGET, mom, refresh_rate=1.0, T=self.T, seed=s)
         )
 
 

