@@ -273,7 +273,7 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
         speed2 = float(np.dot(v, v))
         speed = math.sqrt(speed2)
         taus = []
-        # |u_i|^2 = slopes(v, v)_i for both direction maps
+        # |u_i|^2 = slopes(v, v)_i for both direction maps, so reach = beta |u_i| |v|
         for i, u2 in enumerate(slopes(v, v)):
             reach = beta * math.sqrt(u2 * speed2)
 

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from hypoguard.cli import _emit, main
+
 BASE_CONFIG = {
     "hypo": {"lambda_p": 1.0, "lambda_q": 0.5, "R0": 1.0, "eps": "auto"},
     "target": {"name": "gaussian_iso", "dim": 1, "h": 1.0, "beta": 1.0},
@@ -145,8 +147,6 @@ def test_unknown_subcommand_fails():
 
 
 def run_inprocess(argv, cfg, tmp_path):
-    from hypoguard.cli import main
-
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     return main([*argv, "--config", str(p)])
@@ -178,8 +178,6 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, command, sampler, field, v
 
 
 def test_single_replica_rejected_and_output_strict_json(tmp_path, capsys):
-    from hypoguard.cli import _emit
-
     for replicas in (1, float("inf")):
         cfg = dict(BASE_CONFIG, replicas=replicas)
         assert run_inprocess(["validate", "coverage"], cfg, tmp_path) == 2
@@ -191,8 +189,6 @@ def test_single_replica_rejected_and_output_strict_json(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["ci", "--threads", "2"], ["ci", "--format", "csv"],
                                   ["validate", "coverage", "--format", "json"]])
 def test_removed_flags_are_usage_errors(argv):
-    from hypoguard.cli import main
-
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
