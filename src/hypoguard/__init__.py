@@ -36,8 +36,6 @@ from .hypocoercivity import (
     optimal_eps,
 )
 from .samplers import (
-    EventRecord,
-    Segment,
     ThinningBoundError,
     Trajectory,
     flip,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -55,141 +56,171 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required config field '{key}'")
-    return cfg[key]
-
-
-_RULES = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0,
-          ">= 2": lambda x: x >= 2, "in (0, 1)": lambda x: 0 < x < 1}
-
-
-def _in_range(name: str, raw, rule: str, cast=float):
-    """``raw`` as a number, or a ConfigError naming field ``name`` when it
-    breaks ``rule`` (a key of _RULES) and the library would reject it."""
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field '{name}' must be a number, got {raw!r}") from None
-    if not _RULES[rule](value):
-        raise ConfigError(f"config field '{name}' must be {rule}, got {raw!r}")
+def _number(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
     return value
+
+
+def _grid(raw) -> np.ndarray:
+    grid = np.asarray(raw, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise ValueError(f"{raw!r} is not a list of finite numbers")
+    return grid
+
+
+_KINDS = {_number: "a finite number", int: "an integer", _grid: "a list of finite numbers"}
+_RULES = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1,
+          ">= 2": lambda x: x >= 2, "in (0, 1)": lambda x: 0 < x < 1}
+_REQUIRED = object()
+
+
+def _one_of(*names: str) -> tuple:
+    return "one of " + " | ".join(names), names.__contains__
+
+
+def _field(cfg: dict, path: str, rule=None, default=_REQUIRED, cast=_number):
+    """The value at the dotted ``path`` of ``cfg``, passed through ``cast``.
+
+    Every value on the way must be a JSON object.  A missing field is an
+    error unless a ``default`` is given, which is returned as is.  ``rule``
+    is a key of _RULES or a (description, predicate) pair that the value,
+    or every element of a grid, must meet.  Any breach is a ConfigError
+    naming ``path``.
+    """
+    keys = path.split(".")
+    node = cfg
+    for depth, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise ConfigError(f"config field '{'.'.join(keys[:depth])}' must be a JSON object")
+        if key not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required config field '{path}'")
+            return default
+        node = node[key]
+    try:
+        value = cast(node)
+        if cast is int and value != float(node):  # int() would truncate 2.5 to 2
+            raise ValueError(node)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field '{path}' must be {_KINDS[cast]}, got {node!r}") from None
+    text, meets = (rule, _RULES[rule]) if isinstance(rule, str) else rule or ("", None)
+    if meets is not None and not np.all(meets(value)):
+        raise ConfigError(f"config field '{path}' must be {text}, got {node!r}")
+    return value
+
+
+def _checked(block: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a library constructor fed from config
+    block ``block``: the errors it raises for bad parameters become a
+    ConfigError naming the block."""
+    try:
+        return build(*args, **kwargs)
+    except AdmissibilityError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {block}: {exc}") from exc
+
+
+def _reject_nonfinite(node, path: str) -> None:
+    """The strict-JSON echo of the config cannot hold NaN, Infinity or a
+    number that overflows to inf (1e999), read or not: reject them."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config field '{path}' must be a finite number, got {node!r}")
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            _reject_nonfinite(child, f"{path}.{key}" if path else key)
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_nonfinite(cfg, "")
     return cfg
 
 
 def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("HYPOGUARD_SEED")
-    return int(env) if env is not None else 0
+        return _field({"--seed": args.seed}, "--seed", ">= 0", cast=int)
+    source, path = (cfg, "seed") if "seed" in cfg else (dict(os.environ), "HYPOGUARD_SEED")
+    return _field(source, path, ">= 0", 0, int)
 
 
 def _hypo_from_config(cfg: dict, eps_flag: str | None = None) -> HypoParams:
-    hypo = _require(cfg, "hypo")
-    for key in ("lambda_p", "R0"):
-        if key not in hypo:
-            raise ConfigError(f"missing required config field 'hypo.{key}'")
-    if "lambda_q" in hypo:
-        lambda_q = float(hypo["lambda_q"])
-    elif "lambda_q_from" in hypo:
-        src = hypo["lambda_q_from"]
-        lambda_q = lambda_q_from_target(float(src["C_nu"]), float(src["kappa_p"]))
+    lambda_p, R0 = _field(cfg, "hypo.lambda_p"), _field(cfg, "hypo.R0")
+    if "lambda_q" in cfg["hypo"] or "lambda_q_from" not in cfg["hypo"]:
+        lambda_q = _field(cfg, "hypo.lambda_q")
     else:
-        raise ConfigError("missing required config field 'hypo.lambda_q' (or 'hypo.lambda_q_from')")
-    lambda_p, R0 = float(hypo["lambda_p"]), float(hypo["R0"])
-    eps_raw = eps_flag if eps_flag is not None else hypo.get("eps")
-    if eps_raw is None:
-        raise ConfigError("missing required config field 'hypo.eps' (value or \"auto\")")
-    if eps_raw == "auto":
+        lambda_q = _checked("hypo.lambda_q_from", lambda_q_from_target,
+                            _field(cfg, "hypo.lambda_q_from.C_nu"),
+                            _field(cfg, "hypo.lambda_q_from.kappa_p"))
+    source, path = (cfg, "hypo.eps") if eps_flag is None else ({"--eps": eps_flag}, "--eps")
+    if _field(source, path, cast=str) == "auto":
         eps = optimal_eps(lambda_q, lambda_p, R0)
     else:
-        eps = float(eps_raw)
-    try:
-        return HypoParams(lambda_p=lambda_p, lambda_q=lambda_q, R0=R0, eps=eps)
-    except ValueError as exc:
-        raise ConfigError(f"invalid hypo parameters: {exc}") from exc
+        eps = _field(source, path)
+    return _checked("hypo", HypoParams, lambda_p=lambda_p, lambda_q=lambda_q, R0=R0, eps=eps)
 
 
-def _target_from_config(cfg: dict):
-    block = dict(_require(cfg, "target"))
-    name = block.pop("name", None)
-    if name is None:
-        raise ConfigError("missing required config field 'target.name'")
-    try:
-        return builtin_target(name, **block)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid target: {exc}") from exc
+def _builtin(cfg: dict, block: str, build, *args):
+    """``build(name, *args, **params)`` from the ``name`` of config block
+    ``block`` and its other keys as parameters."""
+    name = _field(cfg, f"{block}.name", cast=str)
+    params = {key: value for key, value in cfg[block].items() if key != "name"}
+    return _checked(block, build, name, *args, **params)
 
 
-def _observable_from_config(cfg: dict, target):
-    block = dict(_require(cfg, "observable"))
-    name = block.pop("name", None)
-    if name is None:
-        raise ConfigError("missing required config field 'observable.name'")
-    try:
-        return builtin_observable(name, target, **block)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid observable: {exc}") from exc
-
-
-def _stats_from_config(cfg: dict) -> ObservableStats:
+def _bernstein(cfg: dict, eps_flag: str | None = None) -> tuple:
+    """(hypo, stats, dmu_norm, pair, N, derived constants) of the config."""
+    hypo = _hypo_from_config(cfg, eps_flag)
     if "observable_stats" in cfg:
-        s = cfg["observable_stats"]
-        for key in ("variance", "sup_norm"):
-            if key not in s:
-                raise ConfigError(f"missing required config field 'observable_stats.{key}'")
-        return ObservableStats(mean=float(s.get("mean", 0.0)),
-                               variance=float(s["variance"]),
-                               sup_norm=float(s["sup_norm"]))
-    target = _target_from_config(cfg)
-    return _observable_from_config(cfg, target).stats
+        stats = _checked("observable_stats", ObservableStats,
+                         mean=_field(cfg, "observable_stats.mean", default=0.0),
+                         variance=_field(cfg, "observable_stats.variance"),
+                         sup_norm=_field(cfg, "observable_stats.sup_norm"))
+    else:
+        stats = _builtin(cfg, "observable", builtin_observable,
+                         _builtin(cfg, "target", builtin_target)).stats
+    dmu_norm = _field(cfg, "dmu_norm", ">= 1", 1.0)
+    return (hypo, stats, dmu_norm, *bernstein_from_hypo(hypo, stats, dmu_norm))
 
 
 def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
-    target = _target_from_config(cfg)
-    observable = _observable_from_config(cfg, target)
-    hypo = _hypo_from_config(cfg)
-    sampler = dict(cfg.get("sampler", {}))
-    name = sampler.get("name")
-    if name not in ("zigzag", "bps", "hhmc", "langevin"):
-        raise ConfigError("config field 'sampler.name' must be one of "
-                          "zigzag | bps | hhmc | langevin")
+    target = _builtin(cfg, "target", builtin_target)
+    name = _field(cfg, "sampler.name", _one_of("zigzag", "bps", "hhmc", "langevin"), cast=str)
     initial = None
-    if "initial" in cfg and cfg["initial"].get("kind", "stationary") != "stationary":
-        initial = (float(cfg["initial"]["mean"]), float(cfg["initial"]["var"]))
-    return ExperimentConfig(
+    kind = _field(cfg, "initial.kind", _one_of("stationary", "gaussian"), "stationary", str)
+    if kind == "gaussian":
+        initial = (_field(cfg, "initial.mean"), _field(cfg, "initial.var", "> 0"))
+    config = ExperimentConfig(
         sampler=name,
         target=target,
-        observable=observable,
-        hypo=hypo,
-        T=_in_range("T", _require(cfg, "T"), "> 0"),
-        delta=_in_range("delta", cfg.get("delta", 0.1), "in (0, 1)"),
-        replicas=_in_range("replicas", cfg.get("replicas", 200), ">= 2", cast=int),
+        observable=_builtin(cfg, "observable", builtin_observable, target),
+        hypo=_hypo_from_config(cfg),
+        T=_field(cfg, "T", "> 0"),
+        delta=_field(cfg, "delta", "in (0, 1)", 0.1),
+        replicas=_field(cfg, "replicas", ">= 2", 200, int),
         seed=seed,
         # hhmc resamples its momentum at refresh_rate, which must then be > 0
-        refresh_rate=_in_range("sampler.refresh_rate", sampler.get("refresh_rate", 1.0),
-                               "> 0" if name == "hhmc" else ">= 0"),
-        mass=_in_range("sampler.mass", sampler.get("mass", 1.0), "> 0"),
-        gamma=_in_range("sampler.gamma", sampler.get("gamma", 1.0), "> 0"),
-        step=_in_range("sampler.step", sampler.get("step", 0.01), "> 0"),
-        reflection_factor=float(sampler.get("reflection_factor", 2.0)),
+        refresh_rate=_field(cfg, "sampler.refresh_rate", "> 0" if name == "hhmc" else ">= 0",
+                            1.0),
+        mass=_field(cfg, "sampler.mass", "> 0", 1.0),
+        gamma=_field(cfg, "sampler.gamma", "> 0", 1.0),
+        step=_field(cfg, "sampler.step", "> 0", 0.01),
+        reflection_factor=_field(cfg, "sampler.reflection_factor", default=2.0),
         initial=initial,
     )
+    # the bounds need a finite chi-square norm of the start: 1-D, var < 2 sigma^2
+    _checked("initial", config.dmu_norm)
+    return config
 
 
 def _emit(payload: dict, args) -> None:
@@ -201,66 +232,41 @@ def _emit(payload: dict, args) -> None:
         print(text)
 
 
-def _base_payload(cfg: dict, seed: int) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
-            "seed": seed, "config": cfg}
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, cfg, seed) -> (report fields or None, exit code)
 
 
-def cmd_constants(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    hypo = _hypo_from_config(cfg, eps_flag=args.eps)
-    stats = _stats_from_config(cfg)
-    dmu_norm = float(cfg.get("dmu_norm", 1.0))
-    pair, N, der = bernstein_from_hypo(hypo, stats, dmu_norm)
-    payload = _base_payload(cfg, seed)
-    payload.update({
+def cmd_constants(args, cfg: dict, seed: int) -> tuple:
+    hypo, stats, dmu_norm, pair, N, der = _bernstein(cfg, eps_flag=args.eps)
+    return {
         "eps": hypo.eps, "lambda_p": hypo.lambda_p, "lambda_q": hypo.lambda_q,
         "R0": hypo.R0, "Lambda": der.Lambda, "c": der.c, "C": der.C,
         "alpha": der.alpha, "v": pair.v, "b": pair.b, "N": N,
         "variance": stats.variance, "sup_norm": stats.sup_norm,
         "dmu_norm": dmu_norm,
-    })
-    _emit(payload, args)
-    return 0
+    }, 0
 
 
-def cmd_ci(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    hypo = _hypo_from_config(cfg)
-    stats = _stats_from_config(cfg)
-    dmu_norm = float(cfg.get("dmu_norm", 1.0))
-    pair, N, _ = bernstein_from_hypo(hypo, stats, dmu_norm)
-    report = confidence_report(pair, pair, N,
-                               _in_range("delta", _require(cfg, "delta"), "in (0, 1)"),
-                               _in_range("T", _require(cfg, "T"), "> 0"))
-    payload = _base_payload(cfg, seed)
-    payload["report"] = report.to_dict()
-    payload["vacuous"] = bool(min(report.r_minus, report.r_plus) >= 2.0 * stats.sup_norm)
-    _emit(payload, args)
-    return 0
+def cmd_ci(args, cfg: dict, seed: int) -> tuple:
+    _, stats, _, pair, N, _ = _bernstein(cfg)
+    report = confidence_report(pair, pair, N, _field(cfg, "delta", "in (0, 1)"),
+                               _field(cfg, "T", "> 0"))
+    vacuous = bool(min(report.r_minus, report.r_plus) >= 2.0 * stats.sup_norm)
+    return {"report": report.to_dict(), "vacuous": vacuous}, 0
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
+def cmd_sample(args, cfg: dict, seed: int) -> tuple:
     config = _experiment_config(cfg, seed)
+    if args.format == "csv" and not args.out:
+        raise ConfigError("--format csv requires --out PATH")
     traj = _simulate_one(config, seed)
     if args.format == "csv":
-        if not args.out:
-            raise ConfigError("--format csv requires --out PATH")
         export_csv(traj, args.out)
-        return 0
+        return None, 0
     events = {}
     for ev in traj.events:
         events[ev.kind] = events.get(ev.kind, 0) + 1
-    payload = _base_payload(cfg, seed)
-    payload.update({
+    return {
         "sampler": traj.sampler,
         "horizon": traj.horizon,
         "discretized": traj.discretized,
@@ -271,55 +277,42 @@ def cmd_sample(args) -> int:
         "q2_avg": time_average(traj, lambda q: np.asarray(q)[..., 0] ** 2),
         "final_q": [float(x) for x in traj.final_q],
         "final_p": [float(x) for x in traj.final_p],
-    })
-    _emit(payload, args)
-    return 0
+    }, 0
 
 
-def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
+def cmd_validate(args, cfg: dict, seed: int) -> tuple:
     config = _experiment_config(cfg, seed)
     if args.which == "coverage":
         report = coverage_experiment(config)
     elif args.which == "tail":
-        r_grid = cfg.get("r_grid")
-        report = tail_experiment(config, np.asarray(r_grid, dtype=float) if r_grid else None)
+        r_grid = _field(cfg, "r_grid", ">= 0", (), _grid)
+        report = tail_experiment(config, r_grid if len(r_grid) else None)
     elif args.which == "mgf":
-        lam_grid = cfg.get("lambda_grid")
-        report = mgf_experiment(config, np.asarray(lam_grid, dtype=float) if lam_grid else None)
+        b = bernstein_from_hypo(config.hypo, config.observable.stats, config.dmu_norm())[0].b
+        lam_grid = _field(cfg, "lambda_grid", (f"below 1/b for b = {b!r}", lambda x: x * b < 1),
+                          (), _grid)
+        report = mgf_experiment(config, lam_grid if len(lam_grid) else None)
     else:
-        pert = _require(cfg, "perturbation")
-        kind = pert.get("kind")
-        if kind == "linear_tilt":
-            alt = linear_tilt(config.target, float(pert["delta"]))
-        elif kind == "scale":
-            alt = scale_potential(config.target, float(pert["factor"]))
-        else:
-            raise ConfigError("perturbation.kind must be 'linear_tilt' or 'scale'")
-        report = uq_experiment(config, alt)
-    payload = _base_payload(cfg, seed)
-    payload["report"] = report.to_dict()
-    _emit(payload, args)
-    return 0 if report.passed else 1
+        kind = _field(cfg, "perturbation.kind", _one_of("linear_tilt", "scale"), cast=str)
+        build, key = ((linear_tilt, "delta") if kind == "linear_tilt"
+                      else (scale_potential, "factor"))
+        alt = _checked("perturbation", build, config.target, _field(cfg, f"perturbation.{key}"))
+        # no simulation: the entropy rate and both means are closed form or quadrature
+        report = _checked("perturbation", uq_experiment, config, alt)
+    return {"report": report.to_dict()}, 0 if report.passed else 1
 
 
-def cmd_lab(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
+def cmd_lab(args, cfg: dict, seed: int) -> tuple:
     if args.which == "perturb":
         report = verify_perturb_lemma(
-            dim=int(cfg.get("dim", 5)),
-            trials=int(cfg.get("trials", 200)),
-            lambda_grid_size=int(cfg.get("lambda_grid_size", 50)),
+            dim=_field(cfg, "dim", ">= 2", 5, int),
+            trials=_field(cfg, "trials", ">= 1", 200, int),
+            lambda_grid_size=_field(cfg, "lambda_grid_size", ">= 1", 50, int),
             seed=seed,
         )
     else:
-        report = verify_lambda_eig(trials=int(cfg.get("trials", 10_000)), seed=seed)
-    payload = _base_payload(cfg, seed)
-    payload["report"] = report.to_dict()
-    _emit(payload, args)
-    return 0 if report.passed else 1
+        report = verify_lambda_eig(trials=_field(cfg, "trials", ">= 1", 10_000, int), seed=seed)
+    return {"report": report.to_dict()}, 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args.config)
+        seed = _resolve_seed(args, cfg)
+        fields, code = args.func(args, cfg, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AdmissibilityError as exc:
         print(f"inadmissible parameters: {exc}", file=sys.stderr)
         return 2
+    if fields is not None:
+        _emit({"schema_version": SCHEMA_VERSION, "tool_version": __version__,
+               "seed": seed, "config": cfg, **fields}, args)
+    return code
 
 
 if __name__ == "__main__":

@@ -75,7 +75,6 @@ class Segment:
     duration: float
     q0: np.ndarray
     p0: np.ndarray
-    kind: str  # linear | hamiltonian | diffusive-step
 
 
 @dataclass(frozen=True)
@@ -314,7 +313,7 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
         tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, T - t, window)
         tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
         tau = min(tau_c, tau_r, T - t)
-        traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p, kind="linear"))
+        traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p))
         q = q + tau * v
         t += tau
         if t >= T:
@@ -417,7 +416,7 @@ def simulate_hhmc(
         t = 0.0
         while t < T:
             tau = min(rng_dur.exponential() / resample_rate, T - t)
-            traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p, kind="hamiltonian"))
+            traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p))
             q, p = traj.flow(q, p, tau)
             t += tau
             if t >= T:

@@ -123,6 +123,27 @@ class Observable:
 # ---------------------------------------------------------------------------
 # built-in targets
 
+# the parameter names each built-in target and observable takes
+_TARGET_PARAMS = {"gaussian_iso": {"dim", "h", "beta"}, "gaussian_aniso": {"H", "beta"},
+                  "double_well": {"beta", "poincare_const"}}
+_OBSERVABLE_PARAMS = {"sin": {"omega"}, "cos": {"omega"}, "indicator": {"a", "b"},
+                      "clipped_coord": {"L"}}
+
+
+def _check_params(kind: str, name: str, params: dict, takes: dict) -> None:
+    """Reject an unknown built-in ``name``, parameters it does not take
+    (which would otherwise be ignored in favour of their defaults) and
+    parameter values that are not finite numbers or arrays of them."""
+    if name not in takes:
+        raise ValueError(f"unknown {kind} '{name}'")
+    unknown = sorted(set(params) - takes[name])
+    if unknown:
+        raise ValueError(f"{kind} '{name}' takes no parameter {', '.join(unknown)} "
+                         f"(it takes {', '.join(sorted(takes[name]))})")
+    for key, value in params.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{kind} parameter {key} must be finite, got {value!r}")
+
 
 def builtin_target(name: str, **params) -> TargetModel:
     """Construct one of the built-in targets.
@@ -132,7 +153,11 @@ def builtin_target(name: str, **params) -> TargetModel:
     double_well(beta, poincare_const): V = (q^2-1)^2/4 in 1-D; the Poincare
         constant has no closed form and must be supplied (see
         :func:`estimate_poincare_1d` for a numerical estimate).
+
+    Unknown names and parameters, and parameter values that are not finite,
+    raise ``ValueError``.
     """
+    _check_params("target", name, params, _TARGET_PARAMS)
     if name == "gaussian_iso":
         dim = int(params.get("dim", 1))
         h = float(params.get("h", 1.0))
@@ -153,6 +178,8 @@ def builtin_target(name: str, **params) -> TargetModel:
     if name == "gaussian_aniso":
         H = np.atleast_2d(np.asarray(params["H"], dtype=float))
         beta = float(params.get("beta", 1.0))
+        if beta <= 0:
+            raise ValueError("gaussian_aniso requires beta > 0")
         if not np.allclose(H, H.T):
             raise ValueError("H must be symmetric")
         evals = np.linalg.eigvalsh(H)
@@ -176,8 +203,8 @@ def builtin_target(name: str, **params) -> TargetModel:
                 "pass poincare_const= explicitly"
             )
         C = float(params["poincare_const"])
-        if C <= 0:
-            raise ValueError("poincare_const must be > 0")
+        if C <= 0 or beta <= 0:
+            raise ValueError("double_well requires beta > 0 and poincare_const > 0")
 
         def _pot(q):
             x = np.asarray(q, dtype=float)[..., 0]
@@ -202,8 +229,6 @@ def builtin_target(name: str, **params) -> TargetModel:
             hessian_bound=_hess_bound,
         )
 
-    raise ValueError(f"unknown target '{name}'")
-
 
 # ---------------------------------------------------------------------------
 # observables
@@ -224,12 +249,18 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
     clipped_coord(L): clip(q_coord, -L, L).
 
     Raw (unclipped) coordinates are rejected; the guarantees require bounded
-    observables.
+    observables.  Unknown names and parameters, parameter values that are not
+    finite, and a ``coord`` that is not an index of the target's coordinates
+    raise ``ValueError``.
     """
     if name in ("coord", "raw_coord", "identity"):
         raise ValueError(
             "unbounded observables are not admitted; use clipped_coord(L)"
         )
+    _check_params("observable", name, params, _OBSERVABLE_PARAMS)
+    if not (isinstance(coord, (int, np.integer)) and not isinstance(coord, bool)
+            and 0 <= coord < target.dim):
+        raise ValueError(f"coord must be an integer in [0, {target.dim}), got {coord!r}")
 
     if name == "sin":
         omega = float(params.get("omega", 1.0))
@@ -285,8 +316,6 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
             f=lambda q: np.clip(np.asarray(q)[..., coord], -L, L),
             stats=ObservableStats(mean=0.0, variance=var, sup_norm=L),
         )
-
-    raise ValueError(f"unknown observable '{name}'")
 
 
 def observable_stats_quadrature(

@@ -1,6 +1,12 @@
-"""Shared fixtures: a standard 1-D Gaussian setting used across test modules."""
+"""Shared fixtures: a standard 1-D Gaussian setting used across test modules.
+
+Property tests draw the same examples on every run (``derandomize``) and
+have no per-example deadline, whose timing on a loaded host would make
+them flaky.
+"""
 
 import pytest
+from hypothesis import settings
 
 from hypoguard import (
     ExperimentConfig,
@@ -10,6 +16,9 @@ from hypoguard import (
     lambda_q_from_target,
     optimal_eps,
 )
+
+settings.register_profile("hypoguard", derandomize=True, deadline=None)
+settings.load_profile("hypoguard")
 
 
 @pytest.fixture(scope="session")

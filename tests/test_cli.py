@@ -1,11 +1,21 @@
 """Command-line interface: exit codes, determinism, config validation, output."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
+import os
+import string
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoguard.cli import _emit, main
 
@@ -192,3 +202,185 @@ def test_removed_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed configs: exit 2 with the field or its block named, no traceback
+
+SMALL = dict(BASE_CONFIG, T=20.0, replicas=10)
+DELETE = object()
+OVERFLOW = "<1e999>"  # written as the bare token 1e999, which Python reads as inf
+GAUSSIAN_START = {"kind": "gaussian", "mean": 0.5, "var": 0.5}
+TILT = {"perturbation": {"kind": "linear_tilt", "delta": 0.1}}
+
+
+def edited(cfg, edits):
+    """A deep copy of ``cfg`` with each dotted path set to its value or deleted."""
+    cfg = json.loads(json.dumps(cfg))
+    for path, value in edits.items():
+        *parents, leaf = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node.setdefault(key, {})
+        if value is DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    return cfg
+
+
+def run_config(argv, cfg, config_path, env=None):
+    """Exit code and stderr of an in-process ``main`` call on ``cfg``."""
+    config_path.write_text(json.dumps(cfg).replace(json.dumps(OVERFLOW), "1e999"))
+    stderr = io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--config", str(config_path)])
+    return code, stderr.getvalue()
+
+
+def names_field(err, path):
+    """Whether a config-error message names the dotted field or its block,
+    or an admissibility message names the parameter."""
+    block, leaf = path.split(".")[0], path.split(".")[-1]
+    if err.startswith("inadmissible parameters:"):
+        return leaf in err
+    return err.startswith("config error:") and (f"'{path}'" in err or f"invalid {block}:" in err)
+
+
+@pytest.mark.parametrize("argv,edits,env,named", [
+    pytest.param(["ci"], {"T": math.inf}, {}, "T", id="ci-T-Infinity"),
+    pytest.param(["ci"], {"T": OVERFLOW}, {}, "T", id="ci-T-1e999"),
+    pytest.param(["ci"], {"note": math.nan}, {}, "note", id="ci-unread-NaN"),
+    pytest.param(["sample"], {"T": math.inf}, {}, "T", id="sample-T-Infinity"),
+    pytest.param(["sample"], {"T": OVERFLOW}, {}, "T", id="sample-T-1e999"),
+    pytest.param(["sample"], {"note": math.nan}, {}, "note", id="sample-unread-NaN"),
+    pytest.param(["sample", "--format", "csv", "--out", "unused.csv"], {"note": math.nan}, {},
+                 "note", id="sample-csv-unread-NaN"),
+    pytest.param(["sample"], {"initial": {"kind": "gaussian", "mean": 0.5}}, {}, "initial.var",
+                 id="initial-partial"),
+    pytest.param(["sample"], {"initial": 5}, {}, "initial", id="initial-not-object"),
+    pytest.param(["sample"], {"initial": dict(GAUSSIAN_START, var=0.0)}, {}, "initial.var",
+                 id="initial-var-zero"),
+    pytest.param(["validate", "coverage"], {"initial": dict(GAUSSIAN_START, var=2.0)}, {},
+                 "initial", id="initial-var-diverges"),
+    pytest.param(["sample"], {"initial": GAUSSIAN_START, "target.dim": 2}, {}, "initial",
+                 id="initial-2d"),
+    pytest.param(["constants"], {"hypo.lambda_q": DELETE, "hypo.lambda_q_from": {"C_nu": 1.0}},
+                 {}, "hypo.lambda_q_from.kappa_p", id="lambda_q_from-partial"),
+    pytest.param(["constants"], {"hypo.lambda_p": "abc"}, {}, "hypo.lambda_p", id="lambda_p-abc"),
+    pytest.param(["constants"], {"hypo.eps": "abc"}, {}, "hypo.eps", id="eps-abc"),
+    pytest.param(["constants", "--eps", "abc"], {}, {}, "--eps", id="eps-flag-abc"),
+    pytest.param(["constants"], {"dmu_norm": 0.5}, {}, "dmu_norm", id="dmu_norm-below-1"),
+    pytest.param(["ci"], {"observable_stats": {"variance": 4.0, "sup_norm": 1.0}}, {},
+                 "observable_stats", id="stats-variance-above-sup2"),
+    pytest.param(["ci"], {"seed": "abc"}, {}, "seed", id="seed-abc"),
+    pytest.param(["ci"], {"seed": DELETE}, {"HYPOGUARD_SEED": "abc"}, "HYPOGUARD_SEED",
+                 id="env-seed-abc"),
+    pytest.param(["sample", "--seed", "-1"], {}, {}, "--seed", id="seed-flag-negative"),
+    pytest.param(["ci"], {"seed": 42.5}, {}, "seed", id="seed-fractional"),
+    pytest.param(["validate", "coverage"], {"replicas": 10.5}, {}, "replicas",
+                 id="replicas-fractional"),
+    pytest.param(["lab", "perturb"], {"trials": 0}, {}, "trials", id="lab-trials-0"),
+    pytest.param(["lab", "perturb"], {"dim": "x"}, {}, "dim", id="lab-dim-x"),
+    pytest.param(["sample"], {"sampler": "zigzag"}, {}, "sampler", id="sampler-not-object"),
+    pytest.param(["sample"], {"target": "gaussian_iso"}, {}, "target", id="target-not-object"),
+    pytest.param(["validate", "uq"], {"perturbation": {"kind": "linear_tilt"}}, {},
+                 "perturbation.delta", id="perturbation-no-delta"),
+    pytest.param(["validate", "uq"], {"perturbation": {"kind": "scale", "factor": -1}}, {},
+                 "perturbation", id="perturbation-factor-negative"),
+    pytest.param(["validate", "tail"], {"r_grid": "abc"}, {}, "r_grid", id="r_grid-abc"),
+    pytest.param(["validate", "tail"], {"r_grid": [-1]}, {}, "r_grid", id="r_grid-negative"),
+    pytest.param(["validate", "mgf"], {"lambda_grid": [100]}, {}, "lambda_grid",
+                 id="lambda_grid-above-1/b"),
+    pytest.param(["validate", "coverage"], {"sampler.reflection_factor": "x"}, {},
+                 "sampler.reflection_factor", id="reflection_factor-x"),
+    pytest.param(["validate", "uq"], {"sampler.name": "hhmc", **TILT}, {}, "perturbation",
+                 id="uq-hhmc"),
+    pytest.param(["validate", "uq"], {"target.dim": 2, **TILT}, {}, "perturbation",
+                 id="uq-2d-tilt"),
+    pytest.param(["validate", "uq"], {"target.dim": 2, "perturbation": {"kind": "scale",
+                                                                       "factor": 1.5}},
+                 {}, "perturbation", id="uq-2d-scale"),
+    pytest.param(["sample"], {"observable.coord": 3}, {}, "observable", id="coord-out-of-range"),
+    pytest.param(["ci"], {"observable.omgea": 2.0}, {}, "observable", id="misspelt-parameter"),
+])
+def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
+    code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json", env)
+    assert code == 2
+    assert names_field(err, named), err
+
+
+# One valid config per subcommand, and the leaves it reads that have no
+# default (deleting any other leaf leaves the config valid).
+VALID = {
+    "constants": (["constants"], {key: SMALL[key] for key in ("hypo", "target", "observable",
+                                                              "seed")} | {"dmu_norm": 1.0},
+                  {"hypo.lambda_p", "hypo.lambda_q", "hypo.R0", "hypo.eps", "target.name",
+                   "observable.name"}),
+    "ci": (["ci"], {"hypo": SMALL["hypo"], "T": 20.0, "delta": 0.1, "seed": 1, "dmu_norm": 1.0,
+                    "observable_stats": {"mean": 0.1, "variance": 0.2, "sup_norm": 0.9}},
+           {"hypo.lambda_p", "hypo.lambda_q", "hypo.R0", "hypo.eps", "T", "delta",
+            "observable_stats.variance", "observable_stats.sup_norm"}),
+    "sample": (["sample"], dict(SMALL, initial=GAUSSIAN_START, sampler={
+                   "name": "zigzag", "refresh_rate": 1.0, "mass": 1.0, "gamma": 1.0,
+                   "step": 0.01, "reflection_factor": 2.0}),
+               {"hypo.lambda_p", "hypo.lambda_q", "hypo.R0", "hypo.eps", "target.name",
+                "observable.name", "sampler.name", "T", "initial.mean", "initial.var"}),
+    "tail": (["validate", "tail"], dict(SMALL, r_grid=[0.1, 0.5]), {"T"}),
+    "mgf": (["validate", "mgf"], dict(SMALL, lambda_grid=[0.0, 0.01]), {"T"}),
+    "uq": (["validate", "uq"], dict(SMALL, sampler={"name": "langevin"}, **TILT),
+           {"perturbation.kind", "perturbation.delta"}),
+    "perturb": (["lab", "perturb"], {"dim": 4, "trials": 5, "lambda_grid_size": 5, "seed": 3},
+                set()),
+    "eigen": (["lab", "eigen"], {"trials": 5, "seed": 3}, set()),
+}
+# values outside the rule of a leaf
+OUT_OF_RULE = {
+    "T": [0.0, -1.0], "delta": [0.0, 1.0], "replicas": [1, 2.5], "seed": [-1, 0.5],
+    "hypo.lambda_p": [0.0, -1.0], "hypo.lambda_q": [0.0, 1.5], "hypo.R0": [-1.0],
+    "hypo.eps": [0.0, 1.0], "target.dim": [0], "target.h": [0.0], "target.beta": [-1.0],
+    "sampler.refresh_rate": [-1.0], "sampler.mass": [0.0], "sampler.gamma": [0.0],
+    "sampler.step": [0.0], "initial.var": [0.0, 2.0], "dmu_norm": [0.5],
+    "observable_stats.variance": [-1.0, 4.0], "observable_stats.sup_norm": [-1.0],
+    "r_grid": [[-1.0]], "lambda_grid": [[100.0]],
+    "dim": [1, 4.5], "trials": [0, 2.5], "lambda_grid_size": [0, 2.5],
+}
+# letter-only strings that are valid values of some leaf
+VALID_WORDS = {"auto", "cos", "sin", "indicator", "gaussian", "stationary", "zigzag", "bps",
+               "hhmc", "langevin", "scale"}
+
+
+def leaves(node, path=""):
+    if not isinstance(node, dict):
+        return [path]
+    return [leaf for key, child in node.items() for leaf in leaves(child, f"{path}{key}.")]
+
+
+words = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8).filter(
+    lambda s: s not in VALID_WORDS)
+
+
+@st.composite
+def invalid_mutations(draw):
+    """A subcommand, one leaf of its valid config and an invalid value for it."""
+    command = draw(st.sampled_from(sorted(VALID)))
+    argv, cfg, required = VALID[command]
+    path = draw(st.sampled_from(leaves(cfg))).rstrip(".")
+    values = [st.just(None), st.lists(words, min_size=1, max_size=2),
+              st.dictionaries(words, st.integers(), max_size=2), words,
+              st.sampled_from([math.nan, math.inf, -math.inf, OVERFLOW])]
+    if path in required:
+        values.append(st.just(DELETE))
+    if path in OUT_OF_RULE:
+        values.append(st.sampled_from(OUT_OF_RULE[path]))
+    return argv, edited(cfg, {path: draw(st.one_of(values))}), path
+
+
+@settings(max_examples=300)
+@given(invalid_mutations())
+def test_any_invalid_leaf_exits_2(mutation):
+    argv, cfg, path = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_config(argv, cfg, Path(tmp) / "cfg.json")
+    assert code == 2
+    assert names_field(err, path), err

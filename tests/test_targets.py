@@ -114,6 +114,36 @@ def test_unbounded_observable_rejected():
         builtin_observable("coord", t)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("gaussian_iso", {"dim": 1, "hh": 2.0}),          # misspelt h, formerly ignored
+    ("gaussian_aniso", {"H": [[1.0]], "dim": 1}),
+    ("double_well", {"poincare_const": 1.0, "omega": 1.0}),
+    ("gaussian_iso", {"h": math.inf}),
+    ("gaussian_aniso", {"H": [[1.0, 0.0], [0.0, math.inf]]}),
+    ("gaussian_aniso", {"H": [[1.0]], "beta": -1.0}),
+    ("double_well", {"poincare_const": 1.0, "beta": 0.0}),
+    ("gaussian", {}),
+])
+def test_bad_target_parameters_rejected(name, params):
+    with pytest.raises(ValueError):
+        builtin_target(name, **params)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cos", {"omgea": 2.0}),                          # misspelt omega, formerly ignored
+    ("indicator", {"a": 0.0, "b": 1.0, "L": 1.0}),
+    ("cos", {"omega": math.inf}),
+    ("cos", {"coord": 3}),                            # formerly an IndexError mid-run
+    ("sin", {"coord": -1}),
+    ("clipped_coord", {"L": 1.0, "coord": 0.0}),
+    ("square", {}),
+])
+def test_bad_observable_parameters_rejected(name, params):
+    t = builtin_target("gaussian_iso", dim=2, h=1.0, beta=1.0)
+    with pytest.raises(ValueError):
+        builtin_observable(name, t, **params)
+
+
 def test_chi_square_norm_oracle():
     rng = np.random.default_rng(21)
     for _ in range(20):
