@@ -133,6 +133,33 @@ def _reject_nonfinite(node, path: str) -> None:
             _reject_nonfinite(child, f"{path}.{key}" if path else key)
 
 
+# the keys some command reads, per config block ("" is the top level); the
+# target and observable blocks are checked by builtin_target/builtin_observable
+_KNOWN_KEYS = {
+    "": {"hypo", "target", "observable", "observable_stats", "sampler", "initial",
+         "perturbation", "T", "delta", "replicas", "seed", "dmu_norm", "r_grid", "lambda_grid",
+         "dim", "trials", "lambda_grid_size"},
+    "hypo": {"lambda_p", "lambda_q", "lambda_q_from", "R0", "eps"},
+    "hypo.lambda_q_from": {"C_nu", "kappa_p"},
+    "sampler": {"name", "refresh_rate", "mass", "gamma", "step", "reflection_factor"},
+    "initial": {"kind", "mean", "var"},
+    "perturbation": {"kind", "delta", "factor"},
+    "observable_stats": {"mean", "variance", "sup_norm"},
+}
+
+
+def _reject_unknown(cfg: dict) -> None:
+    """A key no command reads is most likely misspelt: reject it rather than
+    run with the default of the key that was meant."""
+    for block, known in _KNOWN_KEYS.items():
+        node = cfg
+        for key in filter(None, block.split(".")):
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict) and not known.issuperset(node):
+            path = ".".join(filter(None, (block, min(set(node) - known))))
+            raise ConfigError(f"unknown config field '{path}' (known: {', '.join(sorted(known))})")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -144,6 +171,7 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_nonfinite(cfg, "")
+    _reject_unknown(cfg)
     return cfg
 
 
@@ -200,6 +228,10 @@ def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
     kind = _field(cfg, "initial.kind", _one_of("stationary", "gaussian"), "stationary", str)
     if kind == "gaussian":
         initial = (_field(cfg, "initial.mean"), _field(cfg, "initial.var", "> 0"))
+    elif not cfg.get("initial", {}).keys().isdisjoint({"mean", "var"}):
+        # a stationary start would silently ignore them
+        raise ConfigError("config field 'initial.kind' must be 'gaussian' where initial.mean "
+                          "or initial.var is given")
     config = ExperimentConfig(
         sampler=name,
         target=target,

@@ -43,11 +43,15 @@ __all__ = [
     "simulate_zigzag",
     "simulate_hhmc",
     "simulate_langevin",
+    "simulate_langevin_batch",
     "time_average",
     "export_csv",
 ]
 
 _STREAMS = {"init": 0, "bounce": 1, "refresh": 2, "flip": 3, "noise": 4, "duration": 5}
+# Langevin noise is drawn this many steps at a time per replica, which keeps
+# the noise buffer small next to the stored path
+_NOISE_BLOCK = 1024
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -468,32 +472,64 @@ def simulate_langevin(
     One step is half kick, half drift, exact Ornstein-Uhlenbeck momentum
     update over the full step, half drift, half kick (second-order weak
     splitting).  The output is discretized: its O(step^2) bias is not
-    covered by the exact-process guarantees.
+    covered by the exact-process guarantees.  This is the one-replica case
+    of :func:`simulate_langevin_batch`.
+    """
+    q, p = _initial_state(target, momentum, stream_rng(seed, "init"), q0, p0)
+    return simulate_langevin_batch(target, momentum, gamma, T, step, [seed],
+                                   q[None], p[None])[0]
+
+
+def simulate_langevin_batch(
+    target: TargetModel,
+    momentum: MomentumModel,
+    gamma: float,
+    T: float,
+    step: float,
+    seeds: list[int],
+    q0: np.ndarray,
+    p0: np.ndarray,
+) -> list[Trajectory]:
+    """The splitting of :func:`simulate_langevin` for R replicas at once.
+
+    Replica r starts at (q0[r], p0[r]) (arrays of shape (R, d)) and draws its
+    noise from its own ``stream_rng(seeds[r], "noise")``, so it follows the
+    path that ``simulate_langevin`` gives for ``seeds[r]`` and that start.
+    ``target.gradient`` is called on (R, d) batches.  The path is stored as
+    one (R, n + 1, d) array; replica r's trajectory holds its contiguous
+    (n + 1, d) slice.
     """
     if T <= 0.0 or step <= 0.0 or gamma <= 0.0:
         raise ValueError("need T > 0, step > 0, gamma > 0")
-    rng_init = stream_rng(seed, "init")
-    rng_noise = stream_rng(seed, "noise")
-    q, p = _initial_state(target, momentum, rng_init, q0, p0)
+    q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
+    R, d = q.shape
+    rngs = [stream_rng(seed, "noise") for seed in seeds]
     m, beta = momentum.mass, momentum.beta
     n_steps = int(math.ceil(T / step))
     times = np.linspace(0.0, n_steps * step, n_steps + 1)
-    qs = np.empty((n_steps + 1, target.dim))
-    ps = np.empty((n_steps + 1, target.dim))
-    qs[0], ps[0] = q, p
+    qs = np.empty((R, n_steps + 1, d))
+    ps = np.empty((R, n_steps + 1, d))
+    qs[:, 0], ps[:, 0] = q, p
+    half = 0.5 * step
     c1 = math.exp(-gamma * step / m)
     c2 = math.sqrt(m / beta * (1.0 - c1 * c1))
     for k in range(n_steps):
-        p = p - 0.5 * step * target.gradient(q)
-        q = q + 0.5 * step * p / m
-        p = c1 * p + c2 * rng_noise.standard_normal(target.dim)
-        q = q + 0.5 * step * p / m
-        p = p - 0.5 * step * target.gradient(q)
-        qs[k + 1], ps[k + 1] = q, p
-    traj = Trajectory(sampler="langevin", horizon=float(times[-1]), seed=seed, mass=m,
-                      discretized=True, times=times, qs=qs, ps=ps)
-    traj.final_q, traj.final_p = q, p
-    return traj
+        j = k % _NOISE_BLOCK
+        if j == 0:
+            # a block of draws from a stream equals the same number of
+            # per-step draws, so each replica keeps its noise bit for bit
+            size = (min(_NOISE_BLOCK, n_steps - k), d)
+            noise = np.stack([rng.standard_normal(size) for rng in rngs], axis=1)
+        p = p - half * target.gradient(q)
+        q = q + half * p / m
+        p = c1 * p + c2 * noise[j]
+        q = q + half * p / m
+        p = p - half * target.gradient(q)
+        qs[:, k + 1], ps[:, k + 1] = q, p
+    return [Trajectory(sampler="langevin", horizon=float(times[-1]), seed=seed, mass=m,
+                       discretized=True, times=times, qs=qs[r], ps=ps[r],
+                       final_q=qs[r, -1], final_p=ps[r, -1])
+            for r, seed in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr  # standard normal CDF
 
 from .hypocoercivity import ObservableStats
 
@@ -37,8 +35,10 @@ __all__ = [
 class TargetModel:
     """A target nu* ~ exp(-beta V) on R^dim.
 
-    ``potential`` and ``gradient`` must accept arrays of shape (dim,) and,
-    for the potential, also batches of shape (n, dim).  ``hessian`` is the
+    ``potential`` and ``gradient`` must accept arrays of shape (dim,) and
+    batches of shape (n, dim), row by row: a batch maps to shape (n,) for the
+    potential and (n, dim) for the gradient (the Langevin engine steps
+    replicas as one batch).  ``hessian`` is the
     constant Hessian for quadratic potentials (enables exact event-time
     inversion and exact Hamiltonian flow); ``hessian_bound(center, radius)``
     returns a bound on the Hessian operator norm over the given ball and is
@@ -159,11 +159,12 @@ def builtin_target(name: str, **params) -> TargetModel:
     """
     _check_params("target", name, params, _TARGET_PARAMS)
     if name == "gaussian_iso":
-        dim = int(params.get("dim", 1))
+        dim = float(params.get("dim", 1))
         h = float(params.get("h", 1.0))
         beta = float(params.get("beta", 1.0))
-        if h <= 0 or beta <= 0 or dim < 1:
-            raise ValueError("gaussian_iso requires h > 0, beta > 0, dim >= 1")
+        if h <= 0 or beta <= 0 or dim < 1 or dim != int(dim):
+            raise ValueError("gaussian_iso requires h > 0, beta > 0 and an integer dim >= 1")
+        dim = int(dim)
         H = h * np.eye(dim)
         return TargetModel(
             name="gaussian_iso",
@@ -234,6 +235,14 @@ def builtin_target(name: str, **params) -> TargetModel:
 # observables
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF.  scipy is imported on first use, so that commands
+    that need none of it (the CLI's closed-form ones) do not load it."""
+    from scipy.special import ndtr as cdf
+
+    return cdf(x)
+
+
 def _gaussian_coord_var(target: TargetModel, coord: int) -> float:
     if not target.is_quadratic:
         raise ValueError("closed-form stats require a Gaussian target")
@@ -290,7 +299,7 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
             raise ValueError("indicator requires a < b")
         s2 = _gaussian_coord_var(target, coord)
         s = math.sqrt(s2)
-        mean = float(ndtr(b / s) - ndtr(a / s))
+        mean = float(_ndtr(b / s) - _ndtr(a / s))
         var = mean * (1.0 - mean)
         return Observable(
             name=f"indicator[{a},{b}](q{coord})",
@@ -309,8 +318,8 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
         # E[X^2 1{|X|<=L}] + L^2 P(|X|>L) for X ~ N(0, s^2)
         z = L / s
         phi = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-        inner = s2 * (2.0 * ndtr(z) - 1.0) - 2.0 * L * s * phi
-        var = inner + L * L * 2.0 * (1.0 - ndtr(z))
+        inner = s2 * (2.0 * _ndtr(z) - 1.0) - 2.0 * L * s * phi
+        var = inner + L * L * 2.0 * (1.0 - _ndtr(z))
         return Observable(
             name=f"clip(q{coord},{L})",
             f=lambda q: np.clip(np.asarray(q)[..., coord], -L, L),
@@ -326,6 +335,8 @@ def observable_stats_quadrature(
     The sup norm is estimated on a dense grid (diagnostic quality; built-in
     observables ship exact sup norms instead).
     """
+    from scipy import integrate
+
     if target.dim != 1:
         raise ValueError("quadrature stats are only available in 1-D")
     beta = target.beta
@@ -437,17 +448,17 @@ def estimate_poincare_1d(
         raise ValueError("estimator is 1-D only")
     x = np.linspace(lo, hi, n)
     dx = x[1] - x[0]
-    w = np.exp(-target.beta * np.array([float(target.potential(np.array([xi]))) for xi in x]))
+    w = np.exp(-target.beta * target.potential(x[:, None]))
     w_mid = 0.5 * (w[:-1] + w[1:])
-    # stiffness: sum w_mid (g_{k+1}-g_k)^2 / dx ; mass: sum w_k g_k^2 dx
-    K = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    K[idx, idx] += w_mid / dx
-    K[idx + 1, idx + 1] += w_mid / dx
-    K[idx, idx + 1] -= w_mid / dx
-    K[idx + 1, idx] -= w_mid / dx
-    M = np.diag(w * dx)
-    from scipy.linalg import eigh
+    # stiffness K: sum w_mid (g_{k+1}-g_k)^2 / dx, tridiagonal; mass M: sum w_k g_k^2 dx,
+    # diagonal.  K g = lambda M g is the symmetric tridiagonal problem of
+    # M^(-1/2) K M^(-1/2), solved in O(n) for its two smallest eigenvalues.
+    k_diag = np.zeros(n)
+    k_diag[:-1] += w_mid / dx
+    k_diag[1:] += w_mid / dx
+    scale = 1.0 / np.sqrt(w * dx)
+    from scipy.linalg import eigh_tridiagonal
 
-    vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, 1])
+    vals = eigh_tridiagonal(k_diag * scale * scale, -w_mid / dx * scale[:-1] * scale[1:],
+                            eigvals_only=True, select="i", select_range=(0, 1))
     return float(vals[1])

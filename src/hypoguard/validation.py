@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .bernstein import BernsteinPair, psi, psi_star_inv
 from .guarantees import concentration_bound, confidence_radius
@@ -27,6 +26,7 @@ from .samplers import (
     simulate_bps,
     simulate_hhmc,
     simulate_langevin,
+    simulate_langevin_batch,
     simulate_zigzag,
     stream_rng,
     time_average,
@@ -102,14 +102,27 @@ class ValidationReport:
 # replica engine
 
 
-def _simulate_one(config: ExperimentConfig, seed: int):
-    target = config.target
-    q0 = p0 = None
-    if config.initial is not None:
-        rng = stream_rng(seed, "init")
+# Langevin replicas stepped together; the paths held at once take
+# O(_LANGEVIN_CHUNK * steps * d) memory
+_LANGEVIN_CHUNK = 64
+
+
+def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A replica's start, drawn from its ``init`` stream: the position from
+    nu* (stationary start) or from the 1-D Gaussian ``initial``, then the
+    momentum from rho*."""
+    rng = stream_rng(seed, "init")
+    if config.initial is None:
+        q0 = config.target.sample_position(rng)
+    else:
         mu0, s2 = config.initial
         q0 = np.array([mu0 + math.sqrt(s2) * rng.standard_normal()])
-        p0 = config.momentum().sample(rng, target.dim)
+    return q0, config.momentum().sample(rng, config.target.dim)
+
+
+def _simulate_one(config: ExperimentConfig, seed: int):
+    target = config.target
+    q0, p0 = _start(config, seed)
     if config.sampler == "zigzag":
         return simulate_zigzag(target, config.T, seed, refresh_rate=config.refresh_rate,
                                q0=q0, v0=p0)
@@ -127,20 +140,33 @@ def _simulate_one(config: ExperimentConfig, seed: int):
     raise ValueError(f"unknown sampler '{config.sampler}'")
 
 
+def _chunk_averages(config: ExperimentConfig, seeds: list[int], fs) -> list[list[float]]:
+    """Time averages of each f in ``fs`` along the trajectories of the
+    replicas with these seeds, the Langevin ones stepped together.  The
+    paths are freed on return."""
+    if config.sampler == "langevin":
+        q0, p0 = zip(*(_start(config, seed) for seed in seeds))
+        trajs = simulate_langevin_batch(config.target, config.momentum(), config.gamma, config.T,
+                                        config.step, seeds, np.array(q0), np.array(p0))
+    else:
+        trajs = [_simulate_one(config, seed) for seed in seeds]
+    return [[time_average(traj, f) for f in fs] for traj in trajs]
+
+
 def run_replicas(config: ExperimentConfig) -> dict:
     """Simulate all replicas; returns per-replica ergodic averages of the
-    observable and of q, q^2 (first coordinate, used as a stationarity gate)."""
-    f = config.observable
-    q1 = lambda q: np.asarray(q)[..., 0]
-    q2 = lambda q: np.asarray(q)[..., 0] ** 2
-    F = np.empty(config.replicas)
-    A1 = np.empty(config.replicas)
-    A2 = np.empty(config.replicas)
-    for i in range(config.replicas):
-        traj = _simulate_one(config, replica_seed(config.seed, i))
-        F[i] = time_average(traj, f)
-        A1[i] = time_average(traj, q1)
-        A2[i] = time_average(traj, q2)
+    observable and of q, q^2 (first coordinate, used as a stationarity gate).
+
+    Langevin replicas are stepped together, up to _LANGEVIN_CHUNK at a time;
+    the other samplers run one replica at a time."""
+    fs = (config.observable, lambda q: np.asarray(q)[..., 0],
+          lambda q: np.asarray(q)[..., 0] ** 2)
+    seeds = [replica_seed(config.seed, i) for i in range(config.replicas)]
+    size = _LANGEVIN_CHUNK if config.sampler == "langevin" else 1
+    rows = []
+    for lo in range(0, len(seeds), size):
+        rows += _chunk_averages(config, seeds[lo:lo + size], fs)
+    F, A1, A2 = np.array(rows, dtype=float).reshape(-1, len(fs)).T.copy()
     return {"F": F, "q_avg": A1, "q2_avg": A2}
 
 
@@ -279,13 +305,20 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
 # relative entropy rates
 
 
+def _quad(f, lo: float, hi: float, **kwargs) -> float:
+    """Adaptive quadrature of f over [lo, hi]; scipy is imported on first use."""
+    from scipy import integrate
+
+    return integrate.quad(f, lo, hi, **kwargs)[0]
+
+
 def _stationary_density_1d(target: TargetModel, lim: float = 40.0):
     beta = target.beta
 
     def raw(x: float) -> float:
         return math.exp(-beta * float(target.potential(np.array([x]))))
 
-    Z, _ = integrate.quad(raw, -lim, lim)
+    Z = _quad(raw, -lim, lim)
     return lambda x: raw(x) / Z, lim
 
 
@@ -314,7 +347,7 @@ def girsanov_entropy_rate_langevin(
         d = float(alt.gradient(np.array([x]))[0] - base.gradient(np.array([x]))[0])
         return d * d * dens(x)
 
-    val, _ = integrate.quad(integrand, -lim, lim, limit=200)
+    val = _quad(integrand, -lim, lim, limit=200)
     return base.beta / (4.0 * gamma) * val
 
 
@@ -366,8 +399,7 @@ def jump_entropy_rate_zigzag(
                 contrib = rt * math.log(rt / r) - rt + r
             return contrib * dens(x)
 
-        val, _ = integrate.quad(integrand, -lim, lim, limit=400,
-                                points=[0.0])
+        val = _quad(integrand, -lim, lim, limit=400, points=[0.0])
         total += 0.5 * val
     return total
 
@@ -378,9 +410,7 @@ def jump_entropy_rate_zigzag(
 
 def _expectation_1d(f, target: TargetModel, lim: float = 40.0) -> float:
     dens, lim = _stationary_density_1d(target, lim)
-    val, _ = integrate.quad(lambda x: float(f(np.array([[x]]))[0]) * dens(x), -lim, lim,
-                            limit=200)
-    return val
+    return _quad(lambda x: float(f(np.array([[x]]))[0]) * dens(x), -lim, lim, limit=200)
 
 
 def uq_experiment(

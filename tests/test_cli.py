@@ -151,6 +151,14 @@ def test_validate_uq(config_path, tmp_path):
     assert json.loads(res.stdout)["report"]["passed"]
 
 
+def test_cli_import_loads_no_scipy():
+    # the closed-form commands (ci, constants, lab, sample) need none of scipy
+    code = "import sys, hypoguard.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_unknown_subcommand_fails():
     res = run_cli("frobnicate")
     assert res.returncode != 0
@@ -303,6 +311,26 @@ def names_field(err, path):
                  {}, "perturbation", id="uq-2d-scale"),
     pytest.param(["sample"], {"observable.coord": 3}, {}, "observable", id="coord-out-of-range"),
     pytest.param(["ci"], {"observable.omgea": 2.0}, {}, "observable", id="misspelt-parameter"),
+    pytest.param(["sample"], {"target.dim": 1.5}, {}, "target", id="target-dim-fractional"),
+    pytest.param(["sample"], {"initial": {"mean": 3.0, "var": 0.1}}, {}, "initial.kind",
+                 id="initial-no-kind"),
+    pytest.param(["sample"], {"initial": {"kind": "stationary", "mean": 3.0}}, {},
+                 "initial.kind", id="initial-stationary-with-mean"),
+    # misspelt keys, formerly ignored in favour of the default of the meant key
+    pytest.param(["sample"], {"sampler.refresh_rat": 5.0}, {}, "sampler.refresh_rat",
+                 id="unknown-sampler-key"),
+    pytest.param(["ci"], {"hypo.lambdap": 1.0}, {}, "hypo.lambdap", id="unknown-hypo-key"),
+    pytest.param(["constants"], {"hypo.lambda_q": DELETE,
+                                 "hypo.lambda_q_from": {"C_nu": 1.0, "kappa_p": 1.0, "k": 2}},
+                 {}, "hypo.lambda_q_from.k", id="unknown-lambda_q_from-key"),
+    pytest.param(["sample"], {"initial": dict(GAUSSIAN_START, variance=0.2)}, {},
+                 "initial.variance", id="unknown-initial-key"),
+    pytest.param(["validate", "uq"], {"perturbation": {"kind": "linear_tilt", "delta": 0.1,
+                                                       "factr": 2.0}}, {},
+                 "perturbation.factr", id="unknown-perturbation-key"),
+    pytest.param(["ci"], {"observable_stats": {"variance": 0.2, "sup_norm": 1.0, "maen": 0.3}},
+                 {}, "observable_stats.maen", id="unknown-observable_stats-key"),
+    pytest.param(["ci"], {"replica": 20}, {}, "replica", id="unknown-top-level-key"),
 ])
 def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json", env)
@@ -325,7 +353,8 @@ VALID = {
                    "name": "zigzag", "refresh_rate": 1.0, "mass": 1.0, "gamma": 1.0,
                    "step": 0.01, "reflection_factor": 2.0}),
                {"hypo.lambda_p", "hypo.lambda_q", "hypo.R0", "hypo.eps", "target.name",
-                "observable.name", "sampler.name", "T", "initial.mean", "initial.var"}),
+                "observable.name", "sampler.name", "T", "initial.kind", "initial.mean",
+                "initial.var"}),
     "tail": (["validate", "tail"], dict(SMALL, r_grid=[0.1, 0.5]), {"T"}),
     "mgf": (["validate", "mgf"], dict(SMALL, lambda_grid=[0.0, 0.01]), {"T"}),
     "uq": (["validate", "uq"], dict(SMALL, sampler={"name": "langevin"}, **TILT),

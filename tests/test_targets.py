@@ -44,6 +44,28 @@ def test_gradient_matches_finite_differences(make):
         )
 
 
+BASE_1D = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
+
+
+@pytest.mark.parametrize("target", [
+    builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.5),
+    builtin_target("gaussian_iso", dim=3, h=0.7, beta=1.0),
+    builtin_target("gaussian_aniso", H=[[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 1.5]]),
+    builtin_target("double_well", beta=1.0, poincare_const=2.0),
+    linear_tilt(BASE_1D, 0.3),
+    linear_tilt(builtin_target("double_well", beta=1.0, poincare_const=2.0), -0.2),
+    scale_potential(BASE_1D, 1.7),
+    scale_potential(builtin_target("gaussian_aniso", H=[[2.0, 0.5], [0.5, 1.0]]), 0.6),
+], ids=lambda t: t.name)
+def test_batched_gradient_matches_rows(target):
+    # the Langevin engine calls the gradient on (replicas, dim) batches
+    qs = np.random.default_rng(3).normal(size=(7, target.dim)) * 2.0
+    batch = target.gradient(qs)
+    assert batch.shape == qs.shape
+    for q, g in zip(qs, batch):
+        assert np.allclose(g, target.gradient(q), rtol=1e-14, atol=1e-14)
+
+
 def test_tilt_and_scale_gradients():
     base = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
     for alt in (linear_tilt(base, 0.3), scale_potential(base, 1.7)):
@@ -123,6 +145,7 @@ def test_unbounded_observable_rejected():
     ("gaussian_aniso", {"H": [[1.0]], "beta": -1.0}),
     ("double_well", {"poincare_const": 1.0, "beta": 0.0}),
     ("gaussian", {}),
+    ("gaussian_iso", {"dim": 1.5}),                   # formerly truncated to dim 1
 ])
 def test_bad_target_parameters_rejected(name, params):
     with pytest.raises(ValueError):
@@ -188,3 +211,29 @@ def test_poincare_estimate_gaussian():
     # the estimator and builtin_target share one convention: the spectral gap
     t = builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.0)
     assert estimate_poincare_1d(t) == pytest.approx(t.poincare_const, rel=1e-2)
+
+
+def dense_poincare_1d(target, lo=-6.0, hi=6.0, n=2000):
+    """The generalized dense eigenproblem K g = lambda M g that the
+    tridiagonal solve of estimate_poincare_1d replaces."""
+    from scipy.linalg import eigh
+
+    x = np.linspace(lo, hi, n)
+    dx = x[1] - x[0]
+    w = np.exp(-target.beta * np.array([float(target.potential(np.array([xi]))) for xi in x]))
+    w_mid = 0.5 * (w[:-1] + w[1:])
+    K = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    K[idx, idx] += w_mid / dx
+    K[idx + 1, idx + 1] += w_mid / dx
+    K[idx, idx + 1] -= w_mid / dx
+    K[idx + 1, idx] -= w_mid / dx
+    return float(eigh(K, np.diag(w * dx), eigvals_only=True, subset_by_index=[0, 1])[1])
+
+
+@pytest.mark.parametrize("target", [
+    builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.0),
+    builtin_target("double_well", beta=1.5, poincare_const=1.0),
+], ids=lambda t: t.name)
+def test_poincare_estimate_matches_dense_solve(target):
+    assert estimate_poincare_1d(target) == pytest.approx(dense_poincare_1d(target), rel=1e-9)
