@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .bernstein import BernsteinPair, psi, psi_star, psi_star_inv
 from .guarantees import (
     ConfidenceReport,
-    UQReport,
     concentration_bound,
     confidence_radius,
     confidence_report,
@@ -21,7 +20,6 @@ from .guarantees import (
     min_time_for_radius,
     transient_term,
     uq_bias_bound,
-    uq_report,
 )
 from .hypocoercivity import (
     AdmissibilityError,

@@ -16,14 +16,12 @@ from .hypocoercivity import DerivedConstants
 
 __all__ = [
     "ConfidenceReport",
-    "UQReport",
     "concentration_bound",
     "confidence_radius",
     "confidence_report",
     "min_time_for_radius",
     "eta_T",
     "uq_bias_bound",
-    "uq_report",
     "transient_term",
 ]
 
@@ -51,26 +49,6 @@ class ConfidenceReport:
             "b_minus": self.pair_minus.b,
             "v_plus": self.pair_plus.v,
             "b_plus": self.pair_plus.b,
-        }
-
-
-@dataclass(frozen=True)
-class UQReport:
-    """One-sided steady-state/finite-time bias bounds."""
-
-    eta: float
-    rel_entropy: float
-    transient: float
-    bound_minus: float
-    bound_plus: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "rel_entropy": self.rel_entropy,
-            "transient": self.transient,
-            "bound_minus": self.bound_minus,
-            "bound_plus": self.bound_plus,
         }
 
 
@@ -174,20 +152,6 @@ def uq_bias_bound(
     return (
         psi_star_inv(pair_minus, eta) + transient,
         psi_star_inv(pair_plus, eta) + transient,
-    )
-
-
-def uq_report(
-    pair_plus: BernsteinPair,
-    pair_minus: BernsteinPair,
-    eta: float,
-    rel_entropy: float,
-    transient: float = 0.0,
-) -> UQReport:
-    bound_minus, bound_plus = uq_bias_bound(pair_plus, pair_minus, eta, transient)
-    return UQReport(
-        eta=eta, rel_entropy=rel_entropy, transient=transient,
-        bound_minus=bound_minus, bound_plus=bound_plus,
     )
 
 

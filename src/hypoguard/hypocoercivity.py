@@ -37,6 +37,8 @@ __all__ = [
 # eps = 1 degenerates the norm equivalence (c = sqrt(1-eps) -> 0), so the
 # admissible range is capped strictly below 1.
 EPS_CAP = 0.999
+# width at which the searches for eps_max and optimal_eps stop
+_EPS_TOL = 1e-12
 
 
 class AdmissibilityError(ValueError):
@@ -109,7 +111,7 @@ def lambda_of_eps(params: HypoParams) -> float:
     return _lambda_of(params.eps, params.lambda_q, params.lambda_p, params.R0)
 
 
-def eps_max(lambda_q: float, lambda_p: float, R0: float, tol: float = 1e-12) -> float:
+def eps_max(lambda_q: float, lambda_p: float, R0: float) -> float:
     """Supremum of the eps in (0, 1) with Lambda(eps) > 0, capped at 1.
 
     Computed by bisection on Lambda; the analytic threshold
@@ -122,7 +124,7 @@ def eps_max(lambda_q: float, lambda_p: float, R0: float, tol: float = 1e-12) -> 
     hi = 1.0
     if _lambda_of(hi, lambda_q, lambda_p, R0) > 0.0:
         return 1.0
-    while hi - lo > tol:
+    while hi - lo > _EPS_TOL:
         mid = 0.5 * (lo + hi)
         if _lambda_of(mid, lambda_q, lambda_p, R0) > 0.0:
             lo = mid
@@ -131,11 +133,11 @@ def eps_max(lambda_q: float, lambda_p: float, R0: float, tol: float = 1e-12) -> 
     return 0.5 * (lo + hi)
 
 
-def optimal_eps(lambda_q: float, lambda_p: float, R0: float, tol: float = 1e-12) -> float:
+def optimal_eps(lambda_q: float, lambda_p: float, R0: float) -> float:
     """The eps in (0, eps_max) maximizing Lambda(eps), by golden-section search.
 
     Lambda is unimodal on the admissible interval (concave minus a convex
-    square root), so golden-section search is exact up to ``tol``.
+    square root), so golden-section search is exact up to 1e-12.
     """
     hi = min(eps_max(lambda_q, lambda_p, R0), EPS_CAP)
     if hi <= 0.0:
@@ -149,7 +151,7 @@ def optimal_eps(lambda_q: float, lambda_p: float, R0: float, tol: float = 1e-12)
     x2 = a + invphi * (b - a)
     f1 = _lambda_of(x1, lambda_q, lambda_p, R0)
     f2 = _lambda_of(x2, lambda_q, lambda_p, R0)
-    while b - a > tol:
+    while b - a > _EPS_TOL:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BernsteinPair, psi
-from .hypocoercivity import HypoParams, eps_max, lambda_of_eps
+from .hypocoercivity import HypoParams, lambda_of_eps
 
 __all__ = [
     "LabProblem",
@@ -30,6 +30,10 @@ __all__ = [
     "verify_perturb_lemma",
     "verify_lambda_eig",
 ]
+
+# slack of the lab's exact identities and of the perturbation bound, for
+# floating-point rounding in the eigensolvers
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,26 +46,26 @@ class LabProblem:
     alpha: float
     x0: np.ndarray
 
-    def self_audit(self, tol: float = 1e-10) -> None:
-        if abs(float(self.x0 @ self.M @ self.x0)) > tol:
+    def self_audit(self) -> None:
+        if abs(float(self.x0 @ self.M @ self.x0)) > _TOL:
             raise AssertionError("<M x0, x0> != 0")
-        if np.linalg.norm(self.A @ self.x0) > tol:
+        if np.linalg.norm(self.A @ self.x0) > _TOL:
             raise AssertionError("A x0 != 0")
         # <Ax, x> <= -alpha^{-1} |P_perp x|^2 for all x
         P = np.eye(len(self.x0)) - np.outer(self.x0, self.x0)
         gap = np.linalg.eigvalsh(0.5 * (self.A + self.A.T) + P / self.alpha)
-        if gap[-1] > tol:
+        if gap[-1] > _TOL:
             raise AssertionError("spectral-gap hypothesis violated")
 
 
-def random_lab_problem(dim: int, rng: np.random.Generator, alpha: float | None = None) -> LabProblem:
+def random_lab_problem(dim: int, rng: np.random.Generator) -> LabProblem:
     """Random problem satisfying the hypotheses exactly by construction.
 
-    An orthogonal basis containing x0 is drawn via QR; A gets eigenvalue 0 on
-    x0 and eigenvalues uniform in [-3/alpha, -1/alpha] on the complement.
+    alpha is drawn uniform in [0.5, 2]; an orthogonal basis containing x0 is
+    drawn via QR; A gets eigenvalue 0 on x0 and eigenvalues uniform in
+    [-3/alpha, -1/alpha] on the complement.
     """
-    if alpha is None:
-        alpha = float(rng.uniform(0.5, 2.0))
+    alpha = float(rng.uniform(0.5, 2.0))
     raw = rng.standard_normal((dim, dim))
     Q, _ = np.linalg.qr(raw)
     x0 = Q[:, 0]
@@ -104,13 +108,12 @@ def verify_perturb_lemma(
     trials: int = 200,
     lambda_grid_size: int = 50,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> PerturbReport:
     """Check the perturbation bound on random finite-dimensional problems.
 
     For each problem and each lam in a grid inside [0, 1/(alpha K)) the
     largest eigenvalue of sym(A + lam M) must not exceed
-    psi_{2 alpha V, alpha K}(lam) + tol, where V = |sym(M) x0|^2 and
+    psi_{2 alpha V, alpha K}(lam) + 1e-10, where V = |sym(M) x0|^2 and
     K = max(0, largest eigenvalue of sym(M)).
     """
     if dim < 2 or trials < 1:
@@ -132,7 +135,7 @@ def verify_perturb_lemma(
             rhs = psi(pair, float(lam))
             gap = rhs - lhs
             worst_gap = min(worst_gap, gap)
-            if lhs > rhs + tol:
+            if lhs > rhs + _TOL:
                 report.violations += 1
                 worst_violation = max(worst_violation, lhs - rhs)
     report.max_slack = worst_gap
@@ -172,12 +175,12 @@ def smallest_eig_2x2(lambda_q: float, lambda_p: float, R0: float, eps: float) ->
     return 0.5 * (tr - disc)
 
 
-def verify_lambda_eig(trials: int = 10_000, seed: int = 0, tolerance: float = 1e-12) -> EigReport:
+def verify_lambda_eig(trials: int = 10_000, seed: int = 0) -> EigReport:
     """Randomized identity check: closed-form Lambda(eps) vs 2x2 eigensolver."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    report = EigReport(trials=trials, seed=seed, tolerance=tolerance)
+    report = EigReport(trials=trials, seed=seed)
     worst = 0.0
     for _ in range(trials):
         lq = float(rng.uniform(1e-3, 1.0))

@@ -52,6 +52,8 @@ _STREAMS = {"init": 0, "bounce": 1, "refresh": 2, "flip": 3, "noise": 4, "durati
 # Langevin noise is drawn this many steps at a time per replica, which keeps
 # the noise buffer small next to the stored path
 _NOISE_BLOCK = 1024
+# length of the window over which a thinning bound must dominate the rate
+_THINNING_WINDOW = 0.5
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -85,18 +87,23 @@ class Segment:
 class EventRecord:
     time: float
     kind: str  # bounce | flip | refresh | hhmc-resample
-    component: int  # flipped component, -1 otherwise
     p_before: np.ndarray
     p_after: np.ndarray
 
 
 class HamiltonianFlow:
-    """Exact flow of H(q, p) = q^T H q / 2 + |p|^2 / (2m), per eigenmode."""
+    """Exact flow of H(q, p) = q^T H q / 2 + |p|^2 / (2m), per eigenmode.
+
+    H must be positive definite: a zero mode has no normalisable Gibbs
+    measure to sample.
+    """
 
     def __init__(self, hessian: np.ndarray, mass: float):
         self.mass = mass
         evals, self.U = np.linalg.eigh(hessian)
-        self.omega = np.sqrt(np.maximum(evals, 0.0) / mass)
+        if evals[0] <= 0.0:
+            raise ValueError("exact flow requires a positive definite Hessian")
+        self.omega = np.sqrt(evals / mass)
 
     def __call__(self, q0: np.ndarray, p0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         """Advance by time t; q0, p0 of shape (d,) or (n, d), t scalar or (n,)."""
@@ -106,16 +113,8 @@ class HamiltonianFlow:
         th = np.multiply.outer(t, self.omega) if t.ndim else t * self.omega
         c, s = np.cos(th), np.sin(th)
         m = self.mass
-        with np.errstate(invalid="ignore", divide="ignore"):
-            so = np.where(self.omega > 0, s / np.where(self.omega > 0, self.omega, 1.0), 0.0)
-        # omega == 0 modes are free flight
-        free = self.omega == 0
-        yt = y * c + w / m * so
+        yt = y * c + w / m * (s / self.omega)
         wt = -y * (m * self.omega) * s + w * c
-        if np.any(free):
-            tt = th[..., free] * 0 + (t[..., None] if t.ndim else t)
-            yt[..., free] = y[..., free] + (w[..., free] / m) * tt
-            wt[..., free] = w[..., free]
         return yt @ self.U.T, wt @ self.U.T
 
 
@@ -130,7 +129,6 @@ class Trajectory:
 
     sampler: str
     horizon: float
-    seed: int
     mass: float
     segments: list[Segment] = field(default_factory=list)
     events: list[EventRecord] = field(default_factory=list)
@@ -256,8 +254,7 @@ def _initial_state(
 
 
 def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndarray,
-                grad: np.ndarray, rng: np.random.Generator, horizon: float,
-                window: float) -> tuple[float, int]:
+                grad: np.ndarray, rng: np.random.Generator, horizon: float) -> tuple[float, int]:
     """First arrival among the jump clocks along the flight q + s v.
 
     Clock i has rate beta [u_i . grad V(q + s v)]^+, where ``slopes(v, w)``
@@ -286,21 +283,21 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
             def bound(t: float, w: float) -> float:
                 return rate(t) + reach * target.hessian_bound(q + t * v, speed * w) * w
 
-            taus.append(sample_by_thinning(rate, bound, window, rng, horizon))
+            taus.append(sample_by_thinning(rate, bound, _THINNING_WINDOW, rng, horizon))
     tau = min(taus)
     return tau, taus.index(tau)
 
 
 def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
                    target: TargetModel, momentum: MomentumModel, refresh_rate: float,
-                   T: float, seed: int, q0, p0, window: float) -> Trajectory:
+                   T: float, seed: int, q0, p0) -> Trajectory:
     """Linear flight between refreshes and the jumps of the ``clock`` stream.
 
     ``slopes(v, w)`` lists u_i . w over the jump clocks' directions u_i (see
     :func:`_first_jump`).  grad V is evaluated once per event point and
     shared by the next clocks and the jump.  ``jump(p, grad, i)`` returns
-    the momentum after clock i fires and the event's component, or None
-    where the jump is undefined, in which case the momentum is refreshed.
+    the momentum after clock i fires, or None where the jump is undefined,
+    in which case the momentum is refreshed.
     """
     if T <= 0.0 or refresh_rate < 0.0:
         raise ValueError("need T > 0 and refresh_rate >= 0")
@@ -309,12 +306,12 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, rng_init, q0, p0)
     m = momentum.mass
-    traj = Trajectory(sampler=sampler, horizon=T, seed=seed, mass=m)
+    traj = Trajectory(sampler=sampler, horizon=T, mass=m)
     grad = target.gradient(q)
     t = 0.0
     while t < T:
         v = p / m
-        tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, T - t, window)
+        tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, T - t)
         tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
         tau = min(tau_c, tau_r, T - t)
         traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p))
@@ -323,13 +320,11 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
         if t >= T:
             break
         grad = target.gradient(q)
-        jumped = jump(p, grad, i) if tau_c <= tau_r else None
-        if jumped is None:
-            kind, p_new, component = "refresh", momentum.sample(rng_refresh, target.dim), -1
-        else:
-            kind, (p_new, component) = clock, jumped
-        traj.events.append(EventRecord(time=t, kind=kind, component=component,
-                                       p_before=p, p_after=p_new))
+        p_new = jump(p, grad, i) if tau_c <= tau_r else None
+        kind = clock
+        if p_new is None:
+            kind, p_new = "refresh", momentum.sample(rng_refresh, target.dim)
+        traj.events.append(EventRecord(time=t, kind=kind, p_before=p, p_after=p_new))
         p = p_new
     traj.final_q, traj.final_p = q, p
     return traj
@@ -344,7 +339,6 @@ def simulate_bps(
     q0: Optional[np.ndarray] = None,
     p0: Optional[np.ndarray] = None,
     reflection_factor: float = 2.0,
-    thinning_window: float = 0.5,
 ) -> Trajectory:
     """Bouncy particle sampler: free flight, gradient bounces, refreshes.
 
@@ -354,11 +348,11 @@ def simulate_bps(
     """
     def bounce(p, grad, i):
         # reflection is undefined at a critical point of V
-        return (reflect(p, grad, factor=reflection_factor), -1) if np.any(grad) else None
+        return reflect(p, grad, factor=reflection_factor) if np.any(grad) else None
 
     # one bounce clock, direction u = v
     return _simulate_pdmp("bps", "bounce", lambda v, w: [float(np.dot(v, w))], bounce,
-                          target, momentum, refresh_rate, T, seed, q0, p0, thinning_window)
+                          target, momentum, refresh_rate, T, seed, q0, p0)
 
 
 def simulate_zigzag(
@@ -368,7 +362,6 @@ def simulate_zigzag(
     refresh_rate: float = 0.0,
     q0: Optional[np.ndarray] = None,
     v0: Optional[np.ndarray] = None,
-    thinning_window: float = 0.5,
 ) -> Trajectory:
     """Zig-zag sampler: unit-speed flight with per-component velocity flips.
 
@@ -380,8 +373,8 @@ def simulate_zigzag(
     momentum = MomentumModel(kind="rademacher", beta=target.beta)
     # one flip clock per component i, direction u_i = v_i e_i
     return _simulate_pdmp("zigzag", "flip", lambda v, w: (v * w).tolist(),
-                          lambda p, grad, i: (flip(p, i), i), target, momentum,
-                          refresh_rate, T, seed, q0, v0, thinning_window)
+                          lambda p, grad, i: flip(p, i), target, momentum,
+                          refresh_rate, T, seed, q0, v0)
 
 
 def simulate_hhmc(
@@ -390,7 +383,6 @@ def simulate_hhmc(
     resample_rate: float,
     T: float,
     seed: int,
-    integrator: str = "exact",
     step: float = 0.01,
     q0: Optional[np.ndarray] = None,
     p0: Optional[np.ndarray] = None,
@@ -404,18 +396,14 @@ def simulate_hhmc(
     """
     if T <= 0.0 or resample_rate <= 0.0:
         raise ValueError("need T > 0 and resample_rate > 0")
-    if integrator not in ("exact", "leapfrog"):
-        raise ValueError(f"unknown integrator '{integrator}'")
-    if integrator == "exact" and not target.is_quadratic:
-        raise ValueError("exact flow requires a quadratic potential")
     rng_init = stream_rng(seed, "init")
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, rng_init, q0, p0)
     m = momentum.mass
 
-    if integrator == "exact":
-        traj = Trajectory(sampler="hhmc", horizon=T, seed=seed, mass=m,
+    if target.is_quadratic:
+        traj = Trajectory(sampler="hhmc", horizon=T, mass=m,
                           flow=HamiltonianFlow(target.hessian, m))
         t = 0.0
         while t < T:
@@ -426,7 +414,7 @@ def simulate_hhmc(
             if t >= T:
                 break
             p_new = momentum.sample(rng_refresh, target.dim)
-            traj.events.append(EventRecord(time=t, kind="hhmc-resample", component=-1,
+            traj.events.append(EventRecord(time=t, kind="hhmc-resample",
                                            p_before=p, p_after=p_new))
             p = p_new
         traj.final_q, traj.final_p = q, p
@@ -443,7 +431,7 @@ def simulate_hhmc(
     for k in range(n_steps):
         if times[k] >= next_resample:
             p_new = momentum.sample(rng_refresh, target.dim)
-            events.append(EventRecord(time=times[k], kind="hhmc-resample", component=-1,
+            events.append(EventRecord(time=times[k], kind="hhmc-resample",
                                       p_before=p, p_after=p_new))
             p = p_new
             next_resample += rng_dur.exponential() / resample_rate
@@ -451,7 +439,7 @@ def simulate_hhmc(
         q = q + step * p / m
         p = p - 0.5 * step * target.gradient(q)
         qs[k + 1], ps[k + 1] = q, p
-    traj = Trajectory(sampler="hhmc", horizon=float(times[-1]), seed=seed, mass=m,
+    traj = Trajectory(sampler="hhmc", horizon=float(times[-1]), mass=m,
                       discretized=True, times=times, qs=qs, ps=ps, events=events)
     traj.final_q, traj.final_p = q, p
     return traj
@@ -526,10 +514,10 @@ def simulate_langevin_batch(
         q = q + half * p / m
         p = p - half * target.gradient(q)
         qs[:, k + 1], ps[:, k + 1] = q, p
-    return [Trajectory(sampler="langevin", horizon=float(times[-1]), seed=seed, mass=m,
+    return [Trajectory(sampler="langevin", horizon=float(times[-1]), mass=m,
                        discretized=True, times=times, qs=qs[r], ps=ps[r],
                        final_q=qs[r, -1], final_p=ps[r, -1])
-            for r, seed in enumerate(seeds)]
+            for r in range(R)]
 
 
 # ---------------------------------------------------------------------------

@@ -327,10 +327,10 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
         )
 
 
-def observable_stats_quadrature(
-    f: Callable[[float], float], target: TargetModel, lim: float = 40.0
-) -> ObservableStats:
-    """Mean/variance of a 1-D observable by adaptive quadrature against nu*.
+def observable_stats_quadrature(f: Callable[[float], float],
+                                target: TargetModel) -> ObservableStats:
+    """Mean/variance of a 1-D observable by adaptive quadrature against nu*
+    on [-40, 40].
 
     The sup norm is estimated on a dense grid (diagnostic quality; built-in
     observables ship exact sup norms instead).
@@ -340,6 +340,7 @@ def observable_stats_quadrature(
     if target.dim != 1:
         raise ValueError("quadrature stats are only available in 1-D")
     beta = target.beta
+    lim = 40.0
 
     def f1(x):
         return float(f(np.array([x])))
@@ -433,20 +434,19 @@ def gaussian_chi_square_norm(mu0: float, s2: float, sigma2: float) -> float:
 # Poincare-constant estimator (diagnostic)
 
 
-def estimate_poincare_1d(
-    target: TargetModel, lo: float = -6.0, hi: float = 6.0, n: int = 2000
-) -> float:
+def estimate_poincare_1d(target: TargetModel) -> float:
     """Numerical estimate of the Poincare constant of nu* ~ exp(-beta V) in 1-D.
 
     Discretizes the Dirichlet form int |g'|^2 dnu* against int g^2 dnu* on a
-    uniform grid and returns the second-smallest generalized eigenvalue (the
-    smallest is 0 for constants): the spectral gap, the convention of
-    ``TargetModel.poincare_const`` (beta h for ``gaussian_iso``).  This is an
-    estimate, not a certified bound.
+    uniform grid of 2000 points on [-6, 6] and returns the second-smallest
+    generalized eigenvalue (the smallest is 0 for constants): the spectral
+    gap, the convention of ``TargetModel.poincare_const`` (beta h for
+    ``gaussian_iso``).  This is an estimate, not a certified bound.
     """
     if target.dim != 1:
         raise ValueError("estimator is 1-D only")
-    x = np.linspace(lo, hi, n)
+    n = 2000
+    x = np.linspace(-6.0, 6.0, n)
     dx = x[1] - x[0]
     w = np.exp(-target.beta * target.potential(x[:, None]))
     w_mid = 0.5 * (w[:-1] + w[1:])

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bernstein import BernsteinPair, psi, psi_star_inv
+from .bernstein import psi, psi_star_inv
 from .guarantees import concentration_bound, confidence_radius
 from .hypocoercivity import HypoParams, bernstein_from_hypo
 from .samplers import (
@@ -132,8 +132,7 @@ def _simulate_one(config: ExperimentConfig, seed: int):
                             reflection_factor=config.reflection_factor)
     if config.sampler == "hhmc":
         return simulate_hhmc(target, config.momentum(), config.refresh_rate, config.T,
-                             seed, integrator="exact" if target.is_quadratic else "leapfrog",
-                             step=config.step, q0=q0, p0=p0)
+                             seed, step=config.step, q0=q0, p0=p0)
     if config.sampler == "langevin":
         return simulate_langevin(target, config.momentum(), config.gamma, config.T,
                                  config.step, seed, q0=q0, p0=p0)
@@ -198,43 +197,48 @@ def _stationarity_gate(config: ExperimentConfig, reps: dict) -> dict:
 # experiments
 
 
+def _bounds(config: ExperimentConfig):
+    """(stats, pair, N, der): the observable's statistics and the Bernstein
+    constants for the config's initial distribution."""
+    stats = config.observable.stats
+    return (stats, *bernstein_from_hypo(config.hypo, stats, config.dmu_norm()))
+
+
+def _report(kind: str, config: ExperimentConfig, reps: dict, ok: bool, vacuous: bool,
+            **details) -> ValidationReport:
+    """A check's report, with the stationarity gate of its replicas: it
+    passes when the check is ``ok``, not vacuous and the gate passes."""
+    gate = _stationarity_gate(config, reps)
+    return ValidationReport(kind=kind, passed=ok and not vacuous and gate["passed"],
+                            vacuous=vacuous, seed=config.seed,
+                            details={**details, "stationarity": gate})
+
+
 def coverage_experiment(config: ExperimentConfig) -> ValidationReport:
     """Empirical coverage of the two-sided confidence interval.
 
     Counts hits of F_T - mu*[f] in (-r_minus, r_plus) over the replicas and
     requires empirical coverage >= 1 - delta - 3 sqrt(delta(1-delta)/M).
     """
-    stats = config.observable.stats
-    pair, N, der = bernstein_from_hypo(config.hypo, stats, config.dmu_norm())
+    stats, pair, N, der = _bounds(config)
     r_minus, r_plus = confidence_radius(pair, pair, N, config.delta, config.T)
     reps = run_replicas(config)
     dev = reps["F"] - stats.mean
-    hits = np.logical_and(dev > -r_minus, dev < r_plus)
-    coverage = float(np.mean(hits))
+    coverage = float(np.mean((dev > -r_minus) & (dev < r_plus)))
     M = config.replicas
-    slack = 3.0 * math.sqrt(config.delta * (1.0 - config.delta) / M)
-    required = 1.0 - config.delta - slack
+    required = 1.0 - config.delta - 3.0 * math.sqrt(config.delta * (1.0 - config.delta) / M)
     vacuous = r_plus >= 2.0 * stats.sup_norm and r_minus >= 2.0 * stats.sup_norm
-    gate = _stationarity_gate(config, reps)
-    passed = (coverage >= required) and not vacuous and gate["passed"]
-    return ValidationReport(
-        kind="coverage", passed=passed, vacuous=vacuous, seed=config.seed,
-        details={
-            "coverage": coverage, "required": required, "delta": config.delta,
-            "replicas": M, "r_minus": r_minus, "r_plus": r_plus,
-            "N": N, "v": pair.v, "b": pair.b, "Lambda": der.Lambda,
-            "T": config.T, "sup_norm": stats.sup_norm,
-            "stationarity": gate,
-            "F_T": [float(x) for x in reps["F"]],
-        },
-    )
+    return _report("coverage", config, reps, coverage >= required, vacuous,
+                   coverage=coverage, required=required, delta=config.delta, replicas=M,
+                   r_minus=r_minus, r_plus=r_plus, N=N, v=pair.v, b=pair.b,
+                   Lambda=der.Lambda, T=config.T, sup_norm=stats.sup_norm,
+                   F_T=[float(x) for x in reps["F"]])
 
 
 def tail_experiment(config: ExperimentConfig, r_grid=None) -> ValidationReport:
     """Tail domination: empirical P(+-(F_T - mu*[f]) >= r) must stay below
     the theoretical bound plus 3 binomial standard errors at every r."""
-    stats = config.observable.stats
-    pair, N, der = bernstein_from_hypo(config.hypo, stats, config.dmu_norm())
+    stats, pair, N, der = _bounds(config)
     if r_grid is None:
         r_minus, r_plus = confidence_radius(pair, pair, N, config.delta, config.T)
         r_grid = np.linspace(0.0, max(r_plus, r_minus), 10)
@@ -242,23 +246,16 @@ def tail_experiment(config: ExperimentConfig, r_grid=None) -> ValidationReport:
     dev = reps["F"] - stats.mean
     M = config.replicas
     rows = []
-    violations = 0
     for r in r_grid:
         bound = concentration_bound(pair, der.c, config.dmu_norm(), float(r), config.T)
         for sign, data in (("+", dev), ("-", -dev)):
             emp = float(np.mean(data >= r))
             se = math.sqrt(emp * (1.0 - emp) / M)
-            ok = emp <= bound + 3.0 * se
-            violations += not ok
             rows.append({"r": float(r), "sign": sign, "empirical": emp,
-                         "bound": bound, "std_error": se, "passed": ok})
-    gate = _stationarity_gate(config, reps)
-    passed = violations == 0 and gate["passed"]
-    return ValidationReport(
-        kind="tail", passed=passed, vacuous=False, seed=config.seed,
-        details={"grid": rows, "violations": violations, "replicas": M,
-                 "v": pair.v, "b": pair.b, "stationarity": gate},
-    )
+                         "bound": bound, "std_error": se, "passed": emp <= bound + 3.0 * se})
+    violations = sum(not row["passed"] for row in rows)
+    return _report("tail", config, reps, violations == 0, False, grid=rows,
+                   violations=violations, replicas=M, v=pair.v, b=pair.b)
 
 
 def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationReport:
@@ -268,8 +265,7 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
 
     must stay below psi(lam) + (1/T) log(||dmu/dmu*|| / c) + MC slack for
     every lam in the grid (all grid points must satisfy lam b < 1)."""
-    stats = config.observable.stats
-    pair, _, der = bernstein_from_hypo(config.hypo, stats, config.dmu_norm())
+    stats, pair, _, der = _bounds(config)
     if lambda_grid is None:
         hi = 0.5 / pair.b if pair.b > 0 else 1.0
         lambda_grid = np.linspace(0.0, hi, 5)
@@ -281,28 +277,25 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
     T, M = config.T, config.replicas
     prefactor = math.log(config.dmu_norm() / der.c) / T
     rows = []
-    violations = 0
     for lam in lambda_grid:
         y = np.exp(lam * T * dev)
         mean_y = float(np.mean(y))
         se_log = float(np.std(y, ddof=1)) / math.sqrt(M) / mean_y
         empirical = math.log(mean_y) / T
         bound = psi(pair, float(lam)) + prefactor
-        ok = empirical <= bound + 3.0 * se_log / T
-        violations += not ok
         rows.append({"lambda": float(lam), "empirical": empirical, "bound": bound,
-                     "std_error_log": se_log, "passed": ok})
-    gate = _stationarity_gate(config, reps)
-    passed = violations == 0 and gate["passed"]
-    return ValidationReport(
-        kind="mgf", passed=passed, vacuous=False, seed=config.seed,
-        details={"grid": rows, "violations": violations, "replicas": M,
-                 "v": pair.v, "b": pair.b, "stationarity": gate},
-    )
+                     "std_error_log": se_log, "passed": empirical <= bound + 3.0 * se_log / T})
+    violations = sum(not row["passed"] for row in rows)
+    return _report("mgf", config, reps, violations == 0, False, grid=rows,
+                   violations=violations, replicas=M, v=pair.v, b=pair.b)
 
 
 # ---------------------------------------------------------------------------
 # relative entropy rates
+
+
+# 1-D stationary expectations integrate over [-_LIM, _LIM]
+_LIM = 40.0
 
 
 def _quad(f, lo: float, hi: float, **kwargs) -> float:
@@ -312,19 +305,17 @@ def _quad(f, lo: float, hi: float, **kwargs) -> float:
     return integrate.quad(f, lo, hi, **kwargs)[0]
 
 
-def _stationary_density_1d(target: TargetModel, lim: float = 40.0):
+def _stationary_density_1d(target: TargetModel):
     beta = target.beta
 
     def raw(x: float) -> float:
         return math.exp(-beta * float(target.potential(np.array([x]))))
 
-    Z = _quad(raw, -lim, lim)
-    return lambda x: raw(x) / Z, lim
+    Z = _quad(raw, -_LIM, _LIM)
+    return lambda x: raw(x) / Z
 
 
-def girsanov_entropy_rate_langevin(
-    base: TargetModel, alt: TargetModel, gamma: float, lim: float = 40.0
-) -> float:
+def girsanov_entropy_rate_langevin(base: TargetModel, alt: TargetModel, gamma: float) -> float:
     """Relative entropy rate between the Langevin path measures driven by
     the alternative and baseline potentials, the alternative started in its
     own steady state:
@@ -341,19 +332,17 @@ def girsanov_entropy_rate_langevin(
         raise ValueError("baseline and alternative must share beta")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    dens, lim = _stationary_density_1d(alt, lim)
+    dens = _stationary_density_1d(alt)
 
     def integrand(x: float) -> float:
         d = float(alt.gradient(np.array([x]))[0] - base.gradient(np.array([x]))[0])
         return d * d * dens(x)
 
-    val = _quad(integrand, -lim, lim, limit=200)
+    val = _quad(integrand, -_LIM, _LIM, limit=200)
     return base.beta / (4.0 * gamma) * val
 
 
-def jump_entropy_rate_zigzag(
-    base: TargetModel, alt: TargetModel, lim: float = 40.0
-) -> float:
+def jump_entropy_rate_zigzag(base: TargetModel, alt: TargetModel) -> float:
     """Relative entropy rate between 1-D zig-zag path measures with flip
     rates r = beta [v V']^+ (baseline) and r_alt (alternative), alternative
     started in its own steady state:
@@ -369,7 +358,7 @@ def jump_entropy_rate_zigzag(
     if base.beta != alt.beta:
         raise ValueError("baseline and alternative must share beta")
     beta = base.beta
-    dens, lim = _stationary_density_1d(alt, lim)
+    dens = _stationary_density_1d(alt)
 
     def rates(x: float, v: float) -> tuple[float, float]:
         r = beta * max(0.0, v * float(base.gradient(np.array([x]))[0]))
@@ -377,7 +366,7 @@ def jump_entropy_rate_zigzag(
         return r, rt
 
     # absolute-continuity scan: r = 0 while r_alt > 0 on a set of positive mass
-    grid = np.linspace(-lim, lim, 40001)
+    grid = np.linspace(-_LIM, _LIM, 40001)
     for v in (-1.0, 1.0):
         gb = beta * np.maximum(0.0, v * base.gradient(grid[:, None]).ravel())
         ga = beta * np.maximum(0.0, v * alt.gradient(grid[:, None]).ravel())
@@ -399,7 +388,7 @@ def jump_entropy_rate_zigzag(
                 contrib = rt * math.log(rt / r) - rt + r
             return contrib * dens(x)
 
-        val = _quad(integrand, -lim, lim, limit=400, points=[0.0])
+        val = _quad(integrand, -_LIM, _LIM, limit=400, points=[0.0])
         total += 0.5 * val
     return total
 
@@ -408,16 +397,12 @@ def jump_entropy_rate_zigzag(
 # UQ experiment
 
 
-def _expectation_1d(f, target: TargetModel, lim: float = 40.0) -> float:
-    dens, lim = _stationary_density_1d(target, lim)
-    return _quad(lambda x: float(f(np.array([[x]]))[0]) * dens(x), -lim, lim, limit=200)
+def _expectation_1d(f, target: TargetModel) -> float:
+    dens = _stationary_density_1d(target)
+    return _quad(lambda x: float(f(np.array([[x]]))[0]) * dens(x), -_LIM, _LIM, limit=200)
 
 
-def uq_experiment(
-    config: ExperimentConfig,
-    alt_target: TargetModel,
-    entropy_rate: Optional[float] = None,
-) -> ValidationReport:
+def uq_experiment(config: ExperimentConfig, alt_target: TargetModel) -> ValidationReport:
     """Steady-state bias bound check against an exactly computable bias.
 
     The baseline starts at mu* (so the chi-square prefactor is 1); the
@@ -428,15 +413,12 @@ def uq_experiment(
     """
     stats = config.observable.stats
     pair, _, _ = bernstein_from_hypo(config.hypo, stats, dmu_norm=1.0)
-    if entropy_rate is None:
-        if config.sampler == "zigzag":
-            entropy_rate = jump_entropy_rate_zigzag(config.target, alt_target)
-        elif config.sampler == "langevin":
-            entropy_rate = girsanov_entropy_rate_langevin(
-                config.target, alt_target, config.gamma)
-        else:
-            raise ValueError(
-                f"no entropy-rate formula for sampler '{config.sampler}'")
+    if config.sampler == "zigzag":
+        entropy_rate = jump_entropy_rate_zigzag(config.target, alt_target)
+    elif config.sampler == "langevin":
+        entropy_rate = girsanov_entropy_rate_langevin(config.target, alt_target, config.gamma)
+    else:
+        raise ValueError(f"no entropy-rate formula for sampler '{config.sampler}'")
     alt_mean = _expectation_1d(config.observable.f, alt_target)
     bias = abs(alt_mean - stats.mean)
     if math.isinf(entropy_rate):

@@ -18,7 +18,6 @@ from hypoguard import (
     psi_star,
     transient_term,
     uq_bias_bound,
-    uq_report,
 )
 
 PAIR = BernsteinPair(v=22.5, b=18.0)
@@ -100,13 +99,6 @@ def test_uq_bias_bound_formula():
 
 def test_uq_bias_bound_infinite_eta():
     assert uq_bias_bound(PAIR, PAIR, math.inf) == (math.inf, math.inf)
-
-
-def test_uq_report_dict():
-    rep = uq_report(PAIR, PAIR, 0.01, rel_entropy=1.0, transient=0.0)
-    d = rep.to_dict()
-    assert d["bound_plus"] == rep.bound_plus
-    assert rep.bound_plus == uq_bias_bound(PAIR, PAIR, 0.01)[1]
 
 
 def test_transient_term_limits():

@@ -189,6 +189,25 @@ class TestHamiltonianFlow:
             -q0 * m * w * math.sin(w * t) + p0 * math.cos(w * t), rel=1e-12
         )
 
+    @pytest.mark.parametrize("H", [np.zeros((1, 1)), np.diag([1.0, 0.0]),
+                                   np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_hessian_not_positive_definite_rejected(self, H):
+        # a zero or negative mode has no normalisable Gibbs measure
+        with pytest.raises(ValueError, match="positive definite"):
+            HamiltonianFlow(H, mass=1.0)
+
+
+class TestHHMCIntegrator:
+    def test_non_quadratic_target_runs_leapfrog(self):
+        t = builtin_target("double_well", beta=1.0, poincare_const=1.0)
+        mom = MomentumModel(kind="gaussian", mass=1.0, beta=1.0)
+        T, step = 5.0, 0.03
+        traj = simulate_hhmc(t, mom, resample_rate=1.0, T=T, seed=3, step=step,
+                             q0=np.array([1.0]))
+        assert traj.discretized and traj.flow is None
+        assert len(traj.times) == math.ceil(T / step) + 1
+        assert np.all(np.isfinite(traj.final_q)) and np.all(np.isfinite(traj.final_p))
+
 
 def stationary_moment_check(sample_avgs, expected, label, z=3.0):
     m = len(sample_avgs)
