@@ -5,8 +5,9 @@ Subcommands:
     constants                 derived constants + Bernstein pair + prefactor N
     ci                        confidence radii for (T, delta)
     sample                    run one trajectory, print summary (or CSV export)
-    validate {coverage|tail|mgf|uq}
-                              run a certification experiment; exit 0 iff pass
+    validate {coverage|tail|mgf|uq|all}
+                              run a certification experiment, or coverage, tail
+                              and mgf on one replica pass; exit 0 iff all pass
     lab {perturb|eigen}       randomized operator checks
 
 Configuration comes from a JSON file (--config); command-line flags override
@@ -314,24 +315,33 @@ def cmd_sample(args, cfg: dict, seed: int) -> tuple:
 
 def cmd_validate(args, cfg: dict, seed: int) -> tuple:
     config = _experiment_config(cfg, seed)
-    if args.which == "coverage":
-        report = coverage_experiment(config)
-    elif args.which == "tail":
-        r_grid = _field(cfg, "r_grid", ">= 0", (), _grid)
-        report = tail_experiment(config, r_grid if len(r_grid) else None)
-    elif args.which == "mgf":
-        b = bernstein_from_hypo(config.hypo, config.observable.stats, config.dmu_norm())[0].b
-        lam_grid = _field(cfg, "lambda_grid", (f"below 1/b for b = {b!r}", lambda x: x * b < 1),
-                          (), _grid)
-        report = mgf_experiment(config, lam_grid if len(lam_grid) else None)
-    else:
+    if args.which == "uq":
         kind = _field(cfg, "perturbation.kind", _one_of("linear_tilt", "scale"), cast=str)
         build, key = ((linear_tilt, "delta") if kind == "linear_tilt"
                       else (scale_potential, "factor"))
         alt = _checked("perturbation", build, config.target, _field(cfg, f"perturbation.{key}"))
         # no simulation: the entropy rate and both means are closed form or quadrature
         report = _checked("perturbation", uq_experiment, config, alt)
-    return {"report": report.to_dict()}, 0 if report.passed else 1
+        return {"report": report.to_dict()}, 0 if report.passed else 1
+    which = ("coverage", "tail", "mgf") if args.which == "all" else (args.which,)
+    # every grid is read before the replicas are simulated
+    checks = {}
+    if "coverage" in which:
+        checks["coverage"] = lambda: coverage_experiment(config)
+    if "tail" in which:
+        r_grid = _field(cfg, "r_grid", ">= 0", (), _grid)
+        checks["tail"] = lambda: tail_experiment(config, r_grid if len(r_grid) else None)
+    if "mgf" in which:
+        b = bernstein_from_hypo(config.hypo, config.observable.stats, config.dmu_norm())[0].b
+        lam_grid = _field(cfg, "lambda_grid", (f"below 1/b for b = {b!r}", lambda x: x * b < 1),
+                          (), _grid)
+        checks["mgf"] = lambda: mgf_experiment(config, lam_grid if len(lam_grid) else None)
+    # the checks share one replica pass, config.averages
+    reports = {kind: check().to_dict() for kind, check in checks.items()}
+    code = 0 if all(report["passed"] for report in reports.values()) else 1
+    if args.which == "all":
+        return {"reports": reports}, code
+    return {"report": reports[args.which]}, code
 
 
 def cmd_lab(args, cfg: dict, seed: int) -> tuple:
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("validate", help="certification experiments")
-    p.add_argument("which", choices=["coverage", "tail", "mgf", "uq"])
+    p.add_argument("which", choices=["coverage", "tail", "mgf", "uq", "all"])
     common(p)
     p.set_defaults(func=cmd_validate)
 

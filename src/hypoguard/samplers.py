@@ -550,7 +550,8 @@ def time_average(traj: Trajectory, f, order: int = 5) -> float:
     dur = np.array([s.duration for s in traj.segments])
     k = np.maximum(np.ceil(dur / 0.5).astype(int), 1)
     sub = np.repeat(dur / k, k)
-    start = np.concatenate([d / n * np.arange(n) for d, n in zip(dur, k)])
+    # panel j of a segment starts at (d / n) * j, j counted within the segment
+    start = sub * (np.arange(sub.size) - np.repeat(np.cumsum(k) - k, k))
     q0, p0 = np.repeat(q0, k, axis=0), np.repeat(p0, k, axis=0)
     if traj.flow is None:
         v = p0 / traj.mass

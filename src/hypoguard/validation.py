@@ -12,6 +12,7 @@ boundedness of the observable never counts as a pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,9 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to replay a validation experiment."""
+    """Everything needed to replay a validation experiment.
+
+    Frozen, so that the checks on one config share its replica pass
+    (``averages``); ``dataclasses.replace`` builds a new config, which
+    simulates its own replicas.
+    """
 
     sampler: str  # zigzag | bps | hhmc | langevin
     target: TargetModel
@@ -74,10 +80,17 @@ class ExperimentConfig:
     def dmu_norm(self) -> float:
         if self.initial is None:
             return 1.0
-        if self.target.dim != 1:
-            raise ValueError("non-stationary starts are supported in 1-D only")
-        mu0, s2 = self.initial
+        mu0, s2 = _gaussian_initial(self)
         return gaussian_chi_square_norm(mu0, s2, self.target.marginal_var(0))
+
+    @functools.cached_property
+    def averages(self) -> dict:
+        """The replicas' time averages from one ``run_replicas`` pass, made
+        on first use and shared, read-only, by every check on this config."""
+        reps = run_replicas(self)
+        for arr in reps.values():
+            arr.flags.writeable = False
+        return reps
 
 
 @dataclass
@@ -107,6 +120,13 @@ class ValidationReport:
 _LANGEVIN_CHUNK = 64
 
 
+def _gaussian_initial(config: ExperimentConfig) -> tuple[float, float]:
+    """The (mean, var) of the config's Gaussian start, which is 1-D."""
+    if config.target.dim != 1:
+        raise ValueError("non-stationary starts are supported in 1-D only")
+    return config.initial
+
+
 def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A replica's start, drawn from its ``init`` stream: the position from
     nu* (stationary start) or from the 1-D Gaussian ``initial``, then the
@@ -115,7 +135,7 @@ def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
     if config.initial is None:
         q0 = config.target.sample_position(rng)
     else:
-        mu0, s2 = config.initial
+        mu0, s2 = _gaussian_initial(config)
         q0 = np.array([mu0 + math.sqrt(s2) * rng.standard_normal()])
     return q0, config.momentum().sample(rng, config.target.dim)
 
@@ -156,8 +176,10 @@ def run_replicas(config: ExperimentConfig) -> dict:
     """Simulate all replicas; returns per-replica ergodic averages of the
     observable and of q, q^2 (first coordinate, used as a stationarity gate).
 
-    Langevin replicas are stepped together, up to _LANGEVIN_CHUNK at a time;
-    the other samplers run one replica at a time."""
+    Every call simulates afresh; the experiments read one call's result
+    through ``config.averages``.  Langevin replicas are stepped together, up
+    to _LANGEVIN_CHUNK at a time; the other samplers run one replica at a
+    time."""
     fs = (config.observable, lambda q: np.asarray(q)[..., 0],
           lambda q: np.asarray(q)[..., 0] ** 2)
     seeds = [replica_seed(config.seed, i) for i in range(config.replicas)]
@@ -219,10 +241,11 @@ def coverage_experiment(config: ExperimentConfig) -> ValidationReport:
 
     Counts hits of F_T - mu*[f] in (-r_minus, r_plus) over the replicas and
     requires empirical coverage >= 1 - delta - 3 sqrt(delta(1-delta)/M).
+    The replicas are the config's shared pass, ``config.averages``.
     """
     stats, pair, N, der = _bounds(config)
     r_minus, r_plus = confidence_radius(pair, pair, N, config.delta, config.T)
-    reps = run_replicas(config)
+    reps = config.averages
     dev = reps["F"] - stats.mean
     coverage = float(np.mean((dev > -r_minus) & (dev < r_plus)))
     M = config.replicas
@@ -237,12 +260,13 @@ def coverage_experiment(config: ExperimentConfig) -> ValidationReport:
 
 def tail_experiment(config: ExperimentConfig, r_grid=None) -> ValidationReport:
     """Tail domination: empirical P(+-(F_T - mu*[f]) >= r) must stay below
-    the theoretical bound plus 3 binomial standard errors at every r."""
+    the theoretical bound plus 3 binomial standard errors at every r, over
+    the config's shared replica pass, ``config.averages``."""
     stats, pair, N, der = _bounds(config)
     if r_grid is None:
         r_minus, r_plus = confidence_radius(pair, pair, N, config.delta, config.T)
         r_grid = np.linspace(0.0, max(r_plus, r_minus), 10)
-    reps = run_replicas(config)
+    reps = config.averages
     dev = reps["F"] - stats.mean
     M = config.replicas
     rows = []
@@ -264,7 +288,8 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
         (1/T) log E[exp(lam T (F_T - mu*[f]))]
 
     must stay below psi(lam) + (1/T) log(||dmu/dmu*|| / c) + MC slack for
-    every lam in the grid (all grid points must satisfy lam b < 1)."""
+    every lam in the grid (all grid points must satisfy lam b < 1), over
+    the config's shared replica pass, ``config.averages``."""
     stats, pair, _, der = _bounds(config)
     if lambda_grid is None:
         hi = 0.5 / pair.b if pair.b > 0 else 1.0
@@ -272,7 +297,7 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
     for lam in lambda_grid:
         if pair.b > 0 and lam * pair.b >= 1.0:
             raise ValueError(f"grid point lambda={lam} violates lambda*b < 1")
-    reps = run_replicas(config)
+    reps = config.averages
     dev = reps["F"] - stats.mean
     T, M = config.T, config.replicas
     prefactor = math.log(config.dmu_norm() / der.c) / T

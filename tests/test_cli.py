@@ -331,11 +331,33 @@ def names_field(err, path):
     pytest.param(["ci"], {"observable_stats": {"variance": 0.2, "sup_norm": 1.0, "maen": 0.3}},
                  {}, "observable_stats.maen", id="unknown-observable_stats-key"),
     pytest.param(["ci"], {"replica": 20}, {}, "replica", id="unknown-top-level-key"),
+    pytest.param(["validate", "all"], {"r_grid": [-1]}, {}, "r_grid", id="all-r_grid-negative"),
+    pytest.param(["validate", "all"], {"lambda_grid": [100]}, {}, "lambda_grid",
+                 id="all-lambda_grid-above-1/b"),
 ])
 def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json", env)
     assert code == 2
     assert names_field(err, named), err
+
+
+@pytest.mark.parametrize("cfg,code", [
+    (dict(BASE_CONFIG, r_grid=[0.1, 0.5], lambda_grid=[0.0, 0.01]), 0),
+    (dict(BASE_CONFIG, sampler={"name": "bps", "refresh_rate": 1.0, "reflection_factor": 1.0}),
+     1),
+], ids=["passing", "faulty-bps"])
+def test_validate_all_equals_separate_checks(tmp_path, capsys, cfg, code):
+    assert run_inprocess(["validate", "all"], cfg, tmp_path) == code
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert sorted(reports) == ["coverage", "mgf", "tail"]
+    for kind, report in reports.items():
+        assert run_inprocess(["validate", kind], cfg, tmp_path) == (0 if report["passed"] else 1)
+        assert json.loads(capsys.readouterr().out)["report"] == report
+
+
+def test_validate_all_reads_every_grid_before_simulating(tmp_path):
+    with mock.patch("hypoguard.validation.run_replicas", side_effect=AssertionError):
+        assert run_inprocess(["validate", "all"], dict(SMALL, lambda_grid=[100.0]), tmp_path) == 2
 
 
 # One valid config per subcommand, and the leaves it reads that have no

@@ -20,7 +20,14 @@ from hypoguard import (
     simulate_zigzag,
     time_average,
 )
-from hypoguard.samplers import HamiltonianFlow, export_csv, replica_seed, stream_rng
+from hypoguard.samplers import (
+    HamiltonianFlow,
+    Segment,
+    Trajectory,
+    export_csv,
+    replica_seed,
+    stream_rng,
+)
 
 
 def integrated_rate(a, b, tau, n=200_001):
@@ -344,6 +351,53 @@ class TestTimeAveraging:
             qs = seg.q0[0] + seg.p0[0] * s
             num += np.trapezoid(qs, s)
         assert avg == pytest.approx(num / traj.horizon, abs=1e-10)
+
+
+def per_segment_time_average(traj, f, order=5):
+    """The former flow-segment path of time_average, which built the panel
+    start times segment by segment: the reference the array form must equal
+    bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes01, w01 = 0.5 * (nodes + 1.0), 0.5 * weights
+    q0 = np.array([s.q0 for s in traj.segments])
+    p0 = np.array([s.p0 for s in traj.segments])
+    dur = np.array([s.duration for s in traj.segments])
+    k = np.maximum(np.ceil(dur / 0.5).astype(int), 1)
+    sub = np.repeat(dur / k, k)
+    start = np.concatenate([d / n * np.arange(n) for d, n in zip(dur, k)])
+    q0, p0 = np.repeat(q0, k, axis=0), np.repeat(p0, k, axis=0)
+    if traj.flow is None:
+        position = lambda s: q0 + s[:, None] * (p0 / traj.mass)
+    else:
+        position = lambda s: traj.flow(q0, p0, s)[0]
+    total = 0.0
+    for x, w in zip(nodes01, w01):
+        total += w * float(np.dot(sub, np.asarray(f(position(start + x * sub)), dtype=float)))
+    return total / traj.horizon
+
+
+def hand_made_trajectory(flow):
+    # zero-length, one-panel and multi-panel (duration > 0.5) segments
+    durations = [0.0, 0.3, 0.5, 1.7, 0.0, 2.25, 0.5000001, 3.1]
+    rng = np.random.default_rng(4)
+    t0 = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
+    segments = [Segment(t, d, rng.standard_normal(2), rng.standard_normal(2))
+                for t, d in zip(t0, durations)]
+    return Trajectory(sampler="hhmc" if flow else "bps", horizon=float(sum(durations)),
+                      mass=1.3, segments=segments, flow=flow)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hand_made_trajectory(None),
+    lambda: hand_made_trajectory(HamiltonianFlow(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.3)),
+    lambda: simulate_zigzag(builtin_target("gaussian_iso", dim=1), T=50.0, seed=2),
+    lambda: simulate_hhmc(builtin_target("gaussian_iso", dim=1),
+                          MomentumModel(kind="gaussian"), resample_rate=0.3, T=50.0, seed=2),
+], ids=["linear", "flow", "zigzag", "hhmc"])
+def test_time_average_matches_per_segment_panels(make):
+    traj = make()
+    for f in (lambda q: np.cos(q[..., 0]), lambda q: q[..., -1] ** 2):
+        assert time_average(traj, f) == per_segment_time_average(traj, f)
 
 
 class TestDoubleWellThinning:

@@ -3,11 +3,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
 from hypoguard import (
     ExperimentConfig,
+    builtin_observable,
+    builtin_target,
     coverage_experiment,
     girsanov_entropy_rate_langevin,
     jump_entropy_rate_zigzag,
@@ -17,6 +20,7 @@ from hypoguard import (
     tail_experiment,
     uq_experiment,
 )
+from hypoguard import validation
 
 
 def small(config, **kw):
@@ -123,6 +127,57 @@ class TestMGF:
     def test_rejects_lambda_outside_domain(self, std_config):
         with pytest.raises(ValueError):
             mgf_experiment(small(std_config, replicas=5), lambda_grid=[1e9])
+
+
+class TestSharedReplicaPass:
+    CHECKS = (coverage_experiment, tail_experiment, mgf_experiment)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The configs run_replicas was called on, in order."""
+        calls, run = [], validation.run_replicas
+
+        def spy(config):
+            calls.append(config)
+            return run(config)
+
+        monkeypatch.setattr(validation, "run_replicas", spy)
+        return calls
+
+    def test_checks_on_one_config_share_one_pass(self, std_config, passes):
+        cfg = small(std_config, T=20.0, replicas=10)
+        shared = [check(cfg).to_dict() for check in self.CHECKS]
+        assert len(passes) == 1 and passes[0] is cfg
+        fresh = [check(small(cfg)).to_dict() for check in self.CHECKS]
+        assert len(passes) == 4
+        assert shared == fresh
+
+    def test_replace_makes_a_new_pass(self, std_config, passes):
+        cfg = small(std_config, T=20.0, replicas=10)
+        coverage_experiment(cfg)
+        other = dataclasses.replace(cfg, seed=cfg.seed + 1)
+        coverage_experiment(other)
+        assert [c.seed for c in passes] == [cfg.seed, cfg.seed + 1]
+        assert not np.array_equal(cfg.averages["F"], other.averages["F"])
+
+    def test_config_and_shared_arrays_are_read_only(self, std_config):
+        cfg = small(std_config, T=20.0, replicas=10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+        for arr in cfg.averages.values():
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_gaussian_start_beyond_1d_rejected_before_simulating(std_config, monkeypatch):
+    target = builtin_target("gaussian_iso", dim=2)
+    cfg = small(std_config, target=target, observable=builtin_observable("cos", target),
+                initial=(0.5, 0.7), T=20.0, replicas=3)
+    simulated = []
+    monkeypatch.setattr(validation, "simulate_zigzag", lambda *a, **k: simulated.append(a))
+    with pytest.raises(ValueError, match="1-D only"):
+        validation.run_replicas(cfg)
+    assert simulated == []
 
 
 class TestUQ:
