@@ -7,7 +7,8 @@ is discretized with a controlled step.  Time averages of q and q^2 are
 compared against the closed-form stationary moments.
 """
 
-import numpy as np
+import tempfile
+from pathlib import Path
 
 from hypoguard import (
     MomentumModel,
@@ -18,6 +19,7 @@ from hypoguard import (
     simulate_zigzag,
     time_average,
 )
+from hypoguard.samplers import export_csv
 
 BETA = 2.0
 target = builtin_target("gaussian_iso", dim=1, h=1.0, beta=BETA)
@@ -36,14 +38,15 @@ print(f"target: Gaussian, stationary Var[q] = {target.marginal_var(0)}")
 print(f"horizon T = {T}\n")
 print(f"{'sampler':<22} {'events':>7} {'avg q':>9} {'avg q^2':>9}")
 for name, traj in runs.items():
-    q1 = time_average(traj, lambda q: q[..., 0])
-    q2 = time_average(traj, lambda q: q[..., 0] ** 2)
+    # one pass along the path averages both functions
+    q1, q2 = time_average(traj, (lambda q: q[..., 0], lambda q: q[..., 0] ** 2))
     print(f"{name:<22} {len(traj.events):>7} {q1:>9.4f} {q2:>9.4f}")
 
 print("\nexpected:                           0.0000    0.5000")
 
 # the event skeleton is exportable for plotting
-from hypoguard.samplers import export_csv
-
-export_csv(runs["zig-zag"], "/tmp/zigzag_skeleton.csv")
-print("\nzig-zag event skeleton written to /tmp/zigzag_skeleton.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "zigzag_skeleton.csv"
+    export_csv(runs["zig-zag"], path)
+    rows = path.read_text().splitlines()
+print(f"\nzig-zag event skeleton: {len(rows) - 1} CSV rows, header {rows[0]}")

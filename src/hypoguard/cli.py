@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .validation import (
     mgf_experiment,
     tail_experiment,
     uq_experiment,
-    _simulate_one,
+    _simulate,
 )
 
 SCHEMA_VERSION = 1
@@ -292,22 +293,19 @@ def cmd_sample(args, cfg: dict, seed: int) -> tuple:
     config = _experiment_config(cfg, seed)
     if args.format == "csv" and not args.out:
         raise ConfigError("--format csv requires --out PATH")
-    traj = _simulate_one(config, seed)
+    traj = _simulate(config, [seed])[0]
     if args.format == "csv":
         export_csv(traj, args.out)
         return None, 0
-    events = {}
-    for ev in traj.events:
-        events[ev.kind] = events.get(ev.kind, 0) + 1
+    events = Counter(ev.kind for ev in traj.events)
+    F_T, q_avg, q2_avg = time_average(traj, config.averaged_functions)
     return {
         "sampler": traj.sampler,
         "horizon": traj.horizon,
         "discretized": traj.discretized,
         "segments": len(traj.segments) if not traj.discretized else int(len(traj.times) - 1),
         "events": events,
-        "F_T": time_average(traj, config.observable),
-        "q_avg": time_average(traj, lambda q: np.asarray(q)[..., 0]),
-        "q2_avg": time_average(traj, lambda q: np.asarray(q)[..., 0] ** 2),
+        "F_T": F_T, "q_avg": q_avg, "q2_avg": q2_avg,
         "final_q": [float(x) for x in traj.final_q],
         "final_p": [float(x) for x in traj.final_p],
     }, 0
@@ -333,8 +331,8 @@ def cmd_validate(args, cfg: dict, seed: int) -> tuple:
         checks["tail"] = lambda: tail_experiment(config, r_grid if len(r_grid) else None)
     if "mgf" in which:
         b = bernstein_from_hypo(config.hypo, config.observable.stats, config.dmu_norm())[0].b
-        lam_grid = _field(cfg, "lambda_grid", (f"below 1/b for b = {b!r}", lambda x: x * b < 1),
-                          (), _grid)
+        lam_grid = _field(cfg, "lambda_grid", (f"in [0, 1/b) for b = {b!r}",
+                                               lambda x: (x >= 0) & (x * b < 1)), (), _grid)
         checks["mgf"] = lambda: mgf_experiment(config, lam_grid if len(lam_grid) else None)
     # the checks share one replica pass, config.averages
     reports = {kind: check().to_dict() for kind, check in checks.items()}

@@ -524,19 +524,22 @@ def simulate_langevin_batch(
 # time averaging
 
 
-def time_average(traj: Trajectory, f, order: int = 5) -> float:
+def time_average(traj: Trajectory, f, order: int = 5):
     """Time average (1/T) int_0^T f(Q_t) dt.
 
     Flow segments are integrated with fixed-order Gauss-Legendre quadrature
     (exact for polynomial f along linear flight up to degree 2*order-1);
     discretized trajectories use the trapezoid rule on the step grid.  ``f``
-    must map position arrays of shape (n, d) to shape (n,).
+    (a function or an ``Observable``) maps position arrays of shape (n, d)
+    to shape (n,), and the average is a float.  A tuple of such functions
+    gives a tuple of their averages from one pass over the path, each equal
+    bit for bit to the average of that function alone.
     """
-    func = f.f if hasattr(f, "f") else f
-    T = traj.horizon
+    funcs = [g.f if hasattr(g, "f") else g for g in (f if isinstance(f, tuple) else (f,))]
     if traj.discretized:
-        vals = np.asarray(func(traj.qs), dtype=float)
-        return float(np.trapezoid(vals, traj.times) / traj.times[-1])
+        avgs = [float(np.trapezoid(np.asarray(func(traj.qs), dtype=float), traj.times)
+                      / traj.times[-1]) for func in funcs]
+        return tuple(avgs) if isinstance(f, tuple) else avgs[0]
 
     nodes, weights = np.polynomial.legendre.leggauss(order)
     # map from [-1, 1] to [0, 1]
@@ -559,11 +562,14 @@ def time_average(traj: Trajectory, f, order: int = 5) -> float:
     else:
         position = lambda s: traj.flow(q0, p0, s)[0]
 
-    total = 0.0
+    # each function's node sums, in the order a call with it alone makes them
+    totals = [0.0] * len(funcs)
     for x, w in zip(nodes01, w01):
         q = position(start + x * sub)
-        total += w * float(np.dot(sub, np.asarray(func(q), dtype=float)))
-    return total / T
+        for j, func in enumerate(funcs):
+            totals[j] += w * float(np.dot(sub, np.asarray(func(q), dtype=float)))
+    avgs = [total / traj.horizon for total in totals]
+    return tuple(avgs) if isinstance(f, tuple) else avgs[0]
 
 
 def export_csv(traj: Trajectory, path) -> None:
@@ -575,23 +581,16 @@ def export_csv(traj: Trajectory, path) -> None:
     def fmt(x):
         return repr(float(x))
 
+    if traj.discretized:
+        rows = list(zip(traj.times, traj.qs, traj.ps))
+    else:
+        rows = [(seg.t0, seg.q0, seg.p0) for seg in traj.segments]
+        rows.append((traj.horizon, traj.final_q, traj.final_p))
+    d = len(rows[0][1])
+    ev_by_time = {e.time: e.kind for e in traj.events}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if traj.discretized:
-            d = traj.qs.shape[1]
-            writer.writerow(["t", *[f"q{i}" for i in range(d)],
-                             *[f"p{i}" for i in range(d)], "event"])
-            ev_by_time = {e.time: e.kind for e in traj.events}
-            for t, q, p in zip(traj.times, traj.qs, traj.ps):
-                writer.writerow([fmt(t), *map(fmt, q), *map(fmt, p),
-                                 ev_by_time.get(float(t), "")])
-            return
-        d = len(traj.segments[0].q0)
-        writer.writerow(["t", *[f"q{i}" for i in range(d)],
-                         *[f"p{i}" for i in range(d)], "event"])
-        ev_by_time = {e.time: e.kind for e in traj.events}
-        for seg in traj.segments:
-            writer.writerow([fmt(seg.t0), *map(fmt, seg.q0), *map(fmt, seg.p0),
-                             ev_by_time.get(seg.t0, "")])
-        writer.writerow([fmt(traj.horizon), *map(fmt, traj.final_q),
-                         *map(fmt, traj.final_p), ""])
+        writer.writerow(["t", *[f"q{i}" for i in range(d)], *[f"p{i}" for i in range(d)],
+                         "event"])
+        for t, q, p in rows:
+            writer.writerow([fmt(t), *map(fmt, q), *map(fmt, p), ev_by_time.get(float(t), "")])

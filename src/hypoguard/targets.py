@@ -327,10 +327,10 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
         )
 
 
-def observable_stats_quadrature(f: Callable[[float], float],
+def observable_stats_quadrature(f: Callable[[np.ndarray], np.ndarray],
                                 target: TargetModel) -> ObservableStats:
     """Mean/variance of a 1-D observable by adaptive quadrature against nu*
-    on [-40, 40].
+    on [-40, 40]; ``f`` maps one position, of shape (1,), to one value.
 
     The sup norm is estimated on a dense grid (diagnostic quality; built-in
     observables ship exact sup norms instead).

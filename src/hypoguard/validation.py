@@ -23,10 +23,11 @@ from .bernstein import psi, psi_star_inv
 from .guarantees import concentration_bound, confidence_radius
 from .hypocoercivity import HypoParams, bernstein_from_hypo
 from .samplers import (
+    Trajectory,
     replica_seed,
     simulate_bps,
     simulate_hhmc,
-    simulate_langevin,
+    simulate_langevin,  # unused here; kept so perfbench's tracer can wrap it at this name
     simulate_langevin_batch,
     simulate_zigzag,
     stream_rng,
@@ -82,6 +83,14 @@ class ExperimentConfig:
             return 1.0
         mu0, s2 = _gaussian_initial(self)
         return gaussian_chi_square_norm(mu0, s2, self.target.marginal_var(0))
+
+    @functools.cached_property
+    def averaged_functions(self) -> tuple:
+        """The functions averaged along every replica, in one ``time_average``
+        call: the observable, then q and q^2 (first coordinate) for the
+        stationarity gate."""
+        return (self.observable, lambda q: np.asarray(q)[..., 0],
+                lambda q: np.asarray(q)[..., 0] ** 2)
 
     @functools.cached_property
     def averages(self) -> dict:
@@ -140,53 +149,44 @@ def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
     return q0, config.momentum().sample(rng, config.target.dim)
 
 
-def _simulate_one(config: ExperimentConfig, seed: int):
-    target = config.target
-    q0, p0 = _start(config, seed)
-    if config.sampler == "zigzag":
-        return simulate_zigzag(target, config.T, seed, refresh_rate=config.refresh_rate,
-                               q0=q0, v0=p0)
-    if config.sampler == "bps":
-        return simulate_bps(target, config.momentum(), config.refresh_rate, config.T,
-                            seed, q0=q0, p0=p0,
-                            reflection_factor=config.reflection_factor)
-    if config.sampler == "hhmc":
-        return simulate_hhmc(target, config.momentum(), config.refresh_rate, config.T,
-                             seed, step=config.step, q0=q0, p0=p0)
-    if config.sampler == "langevin":
-        return simulate_langevin(target, config.momentum(), config.gamma, config.T,
-                                 config.step, seed, q0=q0, p0=p0)
-    raise ValueError(f"unknown sampler '{config.sampler}'")
-
-
-def _chunk_averages(config: ExperimentConfig, seeds: list[int], fs) -> list[list[float]]:
-    """Time averages of each f in ``fs`` along the trajectories of the
-    replicas with these seeds, the Langevin ones stepped together.  The
-    paths are freed on return."""
-    if config.sampler == "langevin":
-        q0, p0 = zip(*(_start(config, seed) for seed in seeds))
-        trajs = simulate_langevin_batch(config.target, config.momentum(), config.gamma, config.T,
-                                        config.step, seeds, np.array(q0), np.array(p0))
-    else:
-        trajs = [_simulate_one(config, seed) for seed in seeds]
-    return [[time_average(traj, f) for f in fs] for traj in trajs]
+def _simulate(config: ExperimentConfig, seeds: list[int]) -> list[Trajectory]:
+    """The trajectories of the replicas with these root seeds, each from its
+    own start: the one place a sampler name maps to its simulation.
+    Langevin replicas are stepped together."""
+    c = config
+    starts = [_start(c, seed) for seed in seeds]
+    if c.sampler == "langevin":
+        q0, p0 = zip(*starts)
+        return simulate_langevin_batch(c.target, c.momentum(), c.gamma, c.T, c.step, seeds,
+                                       np.array(q0), np.array(p0))
+    if c.sampler == "zigzag":
+        return [simulate_zigzag(c.target, c.T, seed, refresh_rate=c.refresh_rate, q0=q0, v0=p0)
+                for seed, (q0, p0) in zip(seeds, starts)]
+    if c.sampler == "bps":
+        return [simulate_bps(c.target, c.momentum(), c.refresh_rate, c.T, seed, q0=q0, p0=p0,
+                             reflection_factor=c.reflection_factor)
+                for seed, (q0, p0) in zip(seeds, starts)]
+    if c.sampler == "hhmc":
+        return [simulate_hhmc(c.target, c.momentum(), c.refresh_rate, c.T, seed, step=c.step,
+                              q0=q0, p0=p0) for seed, (q0, p0) in zip(seeds, starts)]
+    raise ValueError(f"unknown sampler '{c.sampler}'")
 
 
 def run_replicas(config: ExperimentConfig) -> dict:
     """Simulate all replicas; returns per-replica ergodic averages of the
-    observable and of q, q^2 (first coordinate, used as a stationarity gate).
+    observable and of q, q^2 (first coordinate, used as a stationarity gate),
+    one ``time_average`` call per replica over ``config.averaged_functions``.
 
     Every call simulates afresh; the experiments read one call's result
     through ``config.averages``.  Langevin replicas are stepped together, up
     to _LANGEVIN_CHUNK at a time; the other samplers run one replica at a
     time."""
-    fs = (config.observable, lambda q: np.asarray(q)[..., 0],
-          lambda q: np.asarray(q)[..., 0] ** 2)
+    fs = config.averaged_functions
     seeds = [replica_seed(config.seed, i) for i in range(config.replicas)]
     size = _LANGEVIN_CHUNK if config.sampler == "langevin" else 1
     rows = []
     for lo in range(0, len(seeds), size):
-        rows += _chunk_averages(config, seeds[lo:lo + size], fs)
+        rows += [time_average(traj, fs) for traj in _simulate(config, seeds[lo:lo + size])]
     F, A1, A2 = np.array(rows, dtype=float).reshape(-1, len(fs)).T.copy()
     return {"F": F, "q_avg": A1, "q2_avg": A2}
 
@@ -288,13 +288,15 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
         (1/T) log E[exp(lam T (F_T - mu*[f]))]
 
     must stay below psi(lam) + (1/T) log(||dmu/dmu*|| / c) + MC slack for
-    every lam in the grid (all grid points must satisfy lam b < 1), over
+    every lam in the grid (all grid points must satisfy 0 <= lam < 1/b), over
     the config's shared replica pass, ``config.averages``."""
     stats, pair, _, der = _bounds(config)
     if lambda_grid is None:
         hi = 0.5 / pair.b if pair.b > 0 else 1.0
         lambda_grid = np.linspace(0.0, hi, 5)
     for lam in lambda_grid:
+        if lam < 0.0:
+            raise ValueError(f"grid point lambda={lam} is negative")
         if pair.b > 0 and lam * pair.b >= 1.0:
             raise ValueError(f"grid point lambda={lam} violates lambda*b < 1")
     reps = config.averages

@@ -8,6 +8,7 @@ of these reads fails here in about a second, not only in the benchmark's
 own five-minute test run.
 """
 
+import ast
 import importlib.util
 import inspect
 import sys
@@ -17,6 +18,7 @@ from hypoguard import MomentumModel, builtin_observable, builtin_target
 from hypoguard import cli, guarantees, hypocoercivity, samplers, targets, validation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hypoguard"
 MODULES = (cli, guarantees, hypocoercivity, samplers, targets, validation)
 
 
@@ -79,3 +81,28 @@ def test_traced_replicas_pass_the_workload_checks():
     assert c[("clock_events", "zigzag")] == sum(e.kind == "flip" for e in zz.events)
     assert c[("steps", "langevin")] == 200
     assert c[("replicas", "bps")] == c[("replicas", "hhmc")] == 1
+
+
+def _unused_imports(path: Path) -> set:
+    """The names a module imports at its top level but never references."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_dead_imports():
+    # ``__init__`` imports to re-export; a name the tracer wraps on a module
+    # is kept there for the benchmark even where the module no longer calls it
+    tr = tracer.Tracer()
+    tracer.install(tr)
+    try:
+        patched = {(owner.__name__.rsplit(".", 1)[-1], attr) for owner, attr, _ in tr._patches}
+    finally:
+        tr.remove()
+    dead = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py") if path.stem != "__init__"
+            for name in _unused_imports(path) if (path.stem, name) not in patched}
+    assert dead == set()

@@ -334,6 +334,10 @@ def names_field(err, path):
     pytest.param(["validate", "all"], {"r_grid": [-1]}, {}, "r_grid", id="all-r_grid-negative"),
     pytest.param(["validate", "all"], {"lambda_grid": [100]}, {}, "lambda_grid",
                  id="all-lambda_grid-above-1/b"),
+    pytest.param(["validate", "mgf"], {"lambda_grid": [-0.001]}, {}, "lambda_grid",
+                 id="lambda_grid-negative"),
+    pytest.param(["validate", "all"], {"lambda_grid": [-0.001]}, {}, "lambda_grid",
+                 id="all-lambda_grid-negative"),
 ])
 def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json", env)
@@ -393,7 +397,7 @@ OUT_OF_RULE = {
     "sampler.refresh_rate": [-1.0], "sampler.mass": [0.0], "sampler.gamma": [0.0],
     "sampler.step": [0.0], "initial.var": [0.0, 2.0], "dmu_norm": [0.5],
     "observable_stats.variance": [-1.0, 4.0], "observable_stats.sup_norm": [-1.0],
-    "r_grid": [[-1.0]], "lambda_grid": [[100.0]],
+    "r_grid": [[-1.0]], "lambda_grid": [[100.0], [-0.001]],
     "dim": [1, 4.5], "trials": [0, 2.5], "lambda_grid_size": [0, 2.5],
 }
 # letter-only strings that are valid values of some leaf

@@ -393,11 +393,21 @@ def hand_made_trajectory(flow):
     lambda: simulate_zigzag(builtin_target("gaussian_iso", dim=1), T=50.0, seed=2),
     lambda: simulate_hhmc(builtin_target("gaussian_iso", dim=1),
                           MomentumModel(kind="gaussian"), resample_rate=0.3, T=50.0, seed=2),
-], ids=["linear", "flow", "zigzag", "hhmc"])
+    lambda: simulate_hhmc(builtin_target("double_well", poincare_const=2.0),
+                          MomentumModel(kind="gaussian"), resample_rate=1.0, T=10.0, seed=2,
+                          q0=np.array([1.0])),
+    lambda: simulate_langevin(builtin_target("gaussian_iso", dim=2),
+                              MomentumModel(kind="gaussian"), 1.0, 10.0, 0.01, 2),
+], ids=["linear", "flow", "zigzag", "hhmc", "leapfrog-hhmc-double-well", "langevin"])
 def test_time_average_matches_per_segment_panels(make):
     traj = make()
-    for f in (lambda q: np.cos(q[..., 0]), lambda q: q[..., -1] ** 2):
-        assert time_average(traj, f) == per_segment_time_average(traj, f)
+    fs = (lambda q: np.cos(q[..., 0]), lambda q: q[..., -1] ** 2)
+    scalar = [time_average(traj, f) for f in fs]
+    assert all(isinstance(x, float) for x in scalar)
+    # the tuple form reads the path once and equals every scalar call bit for bit
+    assert time_average(traj, fs) == tuple(scalar)
+    if not traj.discretized:
+        assert scalar == [per_segment_time_average(traj, f) for f in fs]
 
 
 class TestDoubleWellThinning:

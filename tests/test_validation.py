@@ -128,6 +128,12 @@ class TestMGF:
         with pytest.raises(ValueError):
             mgf_experiment(small(std_config, replicas=5), lambda_grid=[1e9])
 
+    def test_rejects_negative_lambda_before_simulating(self, std_config):
+        cfg = small(std_config, replicas=5)
+        with pytest.raises(ValueError, match="negative"):
+            mgf_experiment(cfg, lambda_grid=[0.0, -0.001])
+        assert "averages" not in vars(cfg)
+
 
 class TestSharedReplicaPass:
     CHECKS = (coverage_experiment, tail_experiment, mgf_experiment)
@@ -167,6 +173,21 @@ class TestSharedReplicaPass:
         for arr in cfg.averages.values():
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "langevin"])
+def test_run_replicas_averages_each_replica_in_one_pass(std_config, monkeypatch, sampler):
+    calls, average = [], validation.time_average
+
+    def spy(traj, f):
+        calls.append(f)
+        return average(traj, f)
+
+    monkeypatch.setattr(validation, "time_average", spy)
+    cfg = small(std_config, sampler=sampler, T=5.0, replicas=4)
+    reps = validation.run_replicas(cfg)
+    assert len(calls) == cfg.replicas == len(reps["F"])
+    assert all(f == cfg.averaged_functions for f in calls)
 
 
 def test_gaussian_start_beyond_1d_rejected_before_simulating(std_config, monkeypatch):
