@@ -12,9 +12,10 @@ clock and one flight loop.  Along the flight q + s v every jump clock has
 rate beta [u . grad V(q + s v)]^+: u = v for the single BPS bounce clock,
 and u = v_i e_i for the zig-zag flip clock of component i.  For quadratic
 potentials the rate is affine in s and inverted in closed form; for
-general potentials the clocks are simulated by thinning against a
-caller-certified rate bound on a sliding window.  A violated bound is a
-hard error, never a silent acceptance.
+general potentials the clocks are simulated by thinning against an affine
+envelope of the rate, certified by the target's Hessian bound on a sliding
+window, up to the next refresh.  A violated envelope is a hard error, never
+a silent acceptance.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _STREAMS = {"init": 0, "bounce": 1, "refresh": 2, "flip": 3, "noise": 4, "durati
 # Langevin noise is drawn this many steps at a time per replica, which keeps
 # the noise buffer small next to the stored path
 _NOISE_BLOCK = 1024
-# length of the window over which a thinning bound must dominate the rate
+# length of the window on which a thinning clock's affine envelope must hold
 _THINNING_WINDOW = 0.5
 
 
@@ -197,41 +198,48 @@ def invert_affine_rate(a: float, b: float, e: float) -> float:
 
 
 def sample_by_thinning(
-    rate: Callable[[float], float],
-    bound: Callable[[float, float], float],
+    slope: Callable[[float], float],
+    lipschitz: Callable[[float, float], float],
     window: float,
     rng: np.random.Generator,
     horizon: float,
 ) -> float:
-    """First arrival of the clock with intensity ``rate`` by thinning.
+    """First arrival of the clock with intensity [slope(t)]^+ by thinning.
 
-    ``bound(t, w)`` must dominate the rate on [t, t + w]; a proposal at which
-    the actual rate exceeds the bound raises :class:`ThinningBoundError`
+    ``lipschitz(t, w)`` must bound the growth of the signed slope on
+    [t, t + w]: slope(t + s) <= slope(t) + L s for 0 <= s <= w.  Each window
+    proposes from the affine envelope [slope(t) + L s]^+, inverted exactly
+    by :func:`invert_affine_rate`, and accepts a proposal with probability
+    [slope]^+ / envelope; a window whose envelope stays <= 0 is crossed
+    without a draw.  The slope at a rejected proposal or at a window's end
+    starts the next window, so each proposal or window costs one slope
+    evaluation.  A proposal at which [slope]^+ exceeds the envelope by more
+    than 1e-9 of the envelope's terms raises :class:`ThinningBoundError`
     (exactness is certified, never assumed).  Returns inf if no event occurs
     before ``horizon``.
     """
     if window <= 0.0:
         raise ValueError("thinning window must be > 0")
-    t = 0.0
+    t, g = 0.0, slope(0.0)
     while t < horizon:
-        m = bound(t, window)
-        if m < 0.0:
-            raise ValueError("thinning bound must be >= 0")
-        if m == 0.0:
-            t += window
-            continue
-        s = rng.exponential() / m
-        if s > window:
-            t += window
-            continue
-        t += s
-        r = rate(t)
-        if r > m * (1.0 + 1e-9):
-            raise ThinningBoundError(
-                f"rate {r} exceeds certified bound {m} at t = {t}"
-            )
-        if rng.random() * m < r:
-            return t
+        lip = lipschitz(t, window)
+        if lip < 0.0:
+            raise ValueError("thinning Lipschitz constant must be >= 0")
+        s = invert_affine_rate(g, lip, rng.exponential()) if g + lip * window > 0.0 else math.inf
+        t_next = t + min(s, window)
+        if t_next >= horizon:
+            break
+        g_next = slope(t_next)
+        if s <= window:
+            envelope = g + lip * s
+            r = max(g_next, 0.0)
+            if r - envelope > 1e-9 * (abs(g) + lip * s):
+                raise ThinningBoundError(
+                    f"rate {r} exceeds certified envelope {envelope} at t = {t_next}"
+                )
+            if rng.random() * envelope < r:
+                return t_next
+        t, g = t_next, g_next
     return math.inf
 
 
@@ -259,9 +267,13 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
 
     Clock i has rate beta [u_i . grad V(q + s v)]^+, where ``slopes(v, w)``
     lists u_i . w over the clock directions u_i and ``grad`` is grad V(q).
-    Returns (time, i); the time is inf if no clock fires.  Quadratic
-    potentials give affine rates, inverted in closed form; otherwise each
-    clock is thinned against |d/ds u_i . grad V| <= |u_i| |v| sup |Hess V|.
+    Returns (time, i); the time is inf if no clock fires before
+    ``horizon``.  Quadratic potentials give affine rates, inverted in closed
+    form.  Otherwise each clock is thinned (:func:`sample_by_thinning`)
+    against the affine envelope of its slope g(s) = beta u_i . grad V(q + s v)
+    on windows of length w: |g'| <= beta |u_i| |v| sup |Hess V| over the ball
+    of radius |v| w around the window's start, which ``hessian_bound``
+    certifies.  The slope at s = 0 comes from ``grad``.
     """
     beta = target.beta
     if target.is_quadratic:
@@ -277,13 +289,13 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
         for i, u2 in enumerate(slopes(v, v)):
             reach = beta * math.sqrt(u2 * speed2)
 
-            def rate(s: float) -> float:
-                return beta * max(0.0, slopes(v, target.gradient(q + s * v))[i])
+            def slope(s: float) -> float:
+                return beta * slopes(v, grad if s == 0.0 else target.gradient(q + s * v))[i]
 
-            def bound(t: float, w: float) -> float:
-                return rate(t) + reach * target.hessian_bound(q + t * v, speed * w) * w
+            def lipschitz(t: float, w: float) -> float:
+                return reach * target.hessian_bound(q + t * v, speed * w)
 
-            taus.append(sample_by_thinning(rate, bound, _THINNING_WINDOW, rng, horizon))
+            taus.append(sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng, horizon))
     tau = min(taus)
     return tau, taus.index(tau)
 
@@ -295,9 +307,11 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
 
     ``slopes(v, w)`` lists u_i . w over the jump clocks' directions u_i (see
     :func:`_first_jump`).  grad V is evaluated once per event point and
-    shared by the next clocks and the jump.  ``jump(p, grad, i)`` returns
-    the momentum after clock i fires, or None where the jump is undefined,
-    in which case the momentum is refreshed.
+    shared by the next clocks and the jump.  The refresh time is drawn
+    first and ends the clocks' horizon; the two streams are separate, so the
+    order of the draws changes no quadratic-target path.  ``jump(p, grad,
+    i)`` returns the momentum after clock i fires, or None where the jump is
+    undefined, in which case the momentum is refreshed.
     """
     if T <= 0.0 or refresh_rate < 0.0:
         raise ValueError("need T > 0 and refresh_rate >= 0")
@@ -311,8 +325,9 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     t = 0.0
     while t < T:
         v = p / m
-        tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, T - t)
+        # a jump after the refresh is never used, so the clocks stop there
         tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
+        tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, min(tau_r, T - t))
         tau = min(tau_c, tau_r, T - t)
         traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p))
         q = q + tau * v

@@ -151,7 +151,7 @@ def test_criterion_4_sampler_exactness():
     # (a) thinning vs exact inversion for rate 1 + t
     rng1 = np.random.default_rng(100)
     thin = np.array([
-        sample_by_thinning(lambda s: 1.0 + s, lambda t, w: 1.0 + t + w,
+        sample_by_thinning(lambda s: 1.0 + s, lambda t, w: 1.0,
                            window=0.5, rng=rng1, horizon=50.0)
         for _ in range(10_000)
     ])

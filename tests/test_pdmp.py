@@ -2,20 +2,25 @@
 output to reference runs and their gradient cost per event.
 
 ``data/pdmp_golden.json`` holds F_T, the final state and the event count of
-fixed-seed runs made with the per-sampler clocks that the shared clock
-replaced.  At d = 1 the arithmetic is the same, so the runs must match bit
-for bit; at d = 50 one matrix-vector product per event sums u.(Hv) in
-another order than the former row products, so agreement is to 1e-11.
-Regenerate the file only for a deliberate change of the seed contract:
-``PYTHONPATH=src python tests/test_pdmp.py``.
+fixed-seed runs.  The runs on quadratic targets were made with the
+per-sampler clocks that the shared clock replaced.  At d = 1 the arithmetic
+is the same, so the runs must match bit for bit; at d = 50 one
+matrix-vector product per event sums u.(Hv) in another order than the
+former row products, so agreement is to 1e-11.  The thinned ``*/well`` runs
+are pinned, bit for bit, to the affine-envelope clock that stops at the
+next refresh.  Regenerate the file only for a deliberate change of the seed
+contract: ``PYTHONPATH=src python tests/test_pdmp.py`` rewrites the d = 1
+entries and keeps the recorded d = 50 references.
 """
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from hypoguard import (
     MomentumModel,
@@ -26,6 +31,7 @@ from hypoguard import (
     simulate_zigzag,
     time_average,
 )
+from hypoguard.samplers import _first_jump
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "pdmp_golden.json"
 SEEDS = (11, 12)
@@ -95,15 +101,20 @@ def test_golden_d50_within_1e11(golden, name, seed):
     np.testing.assert_allclose(rec["p"], ref["p"], rtol=0, atol=1e-11)
 
 
-@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
-def test_one_gradient_call_per_event(sampler):
+def counting(target):
+    """``target`` with a gradient that appends to the returned list."""
     calls = []
 
     def gradient(q):
         calls.append(1)
-        return ANISO.gradient(q)
+        return target.gradient(q)
 
-    target = dataclasses.replace(ANISO, gradient=gradient)
+    return dataclasses.replace(target, gradient=gradient), calls
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_one_gradient_call_per_event(sampler):
+    target, calls = counting(ANISO)
     if sampler == "zigzag":
         traj = simulate_zigzag(target, T=5.0, seed=3, refresh_rate=1.0)
     else:
@@ -112,10 +123,49 @@ def test_one_gradient_call_per_event(sampler):
     assert len(calls) <= len(traj.events) + 1
 
 
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_thinning_gradient_calls_per_event(sampler):
+    # one call per envelope proposal or window, and none past the refresh
+    target, calls = counting(WELL)
+    if sampler == "zigzag":
+        traj = simulate_zigzag(target, T=100.0, seed=11, refresh_rate=0.5, q0=START)
+    else:
+        traj = simulate_bps(target, MOM_WELL, refresh_rate=1.0, T=100.0, seed=11, q0=START)
+    assert len(traj.events) > 50
+    assert len(calls) <= 8 * len(traj.events)
+
+
+def well_hazard(q, v, s):
+    """Cumulative rate of the jump clock along q + u v, 0 <= u <= s.
+
+    The slope beta v V'(q + u v) is beta d/du V, so the hazard is beta times
+    the positive variation of V; V is monotone between its critical points
+    -1, 0 and 1.
+    """
+    knots = sorted(t for t in ((c - q) / v for c in (-1.0, 0.0, 1.0)) if t > 0.0)
+    times = [np.zeros_like(s)] + [np.minimum(t, s) for t in knots] + [s]
+    V = [WELL.potential((q + t * v)[..., None]) for t in times]
+    return WELL.beta * sum(np.maximum(b - a, 0.0) for a, b in zip(V, V[1:]))
+
+
+@pytest.mark.parametrize("q, v", [(-1.5, 1.0), (1.6, -1.3)])
+def test_thinned_clock_has_exact_hazard(q, v):
+    # the flight crosses all three critical points of the double well
+    qv, vv = np.array([q]), np.array([v])
+    grad = WELL.gradient(qv)
+    rng = np.random.default_rng(5)
+    arrivals = [_first_jump(WELL, lambda v, w: (v * w).tolist(), qv, vv, grad, rng,
+                            math.inf)[0] for _ in range(5000)]
+    cdf = lambda s: 1.0 - np.exp(-well_hazard(q, v, np.asarray(s, dtype=float)))
+    assert sps.kstest(arrivals, cdf).pvalue > 1e-3
+
+
 if __name__ == "__main__":
-    out = {}
+    out = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     for name in RUNS:
         for seed in SEEDS:
-            rec = record(name, seed)
-            out[f"{name}/seed={seed}"] = as_hex(rec) if name in D1 else rec
+            key = f"{name}/seed={seed}"
+            if name in D1 or key not in out:
+                rec = record(name, seed)
+                out[key] = as_hex(rec) if name in D1 else rec
     GOLDEN_PATH.write_text(json.dumps(out, indent=1) + "\n")

@@ -12,6 +12,7 @@ from hypoguard import (
     builtin_target,
     flip,
     invert_affine_rate,
+    observable_stats_quadrature,
     reflect,
     sample_by_thinning,
     simulate_bps,
@@ -120,7 +121,7 @@ class TestThinning:
         thin = np.array([
             sample_by_thinning(
                 lambda s: 1.0 + s,
-                lambda t, w: 1.0 + t + w,
+                lambda t, w: 1.0,  # slope of the rate 1 + t
                 window=0.5,
                 rng=rng1,
                 horizon=50.0,
@@ -138,8 +139,8 @@ class TestThinning:
         rng = np.random.default_rng(0)
         with pytest.raises(ThinningBoundError):
             sample_by_thinning(
-                lambda s: 2.0,
-                lambda t, w: 1.0,  # lies about the bound
+                lambda s: 2.0 + 3.0 * s,
+                lambda t, w: 1.0,  # lies: the slope grows at rate 3
                 window=0.5,
                 rng=rng,
                 horizon=10.0,
@@ -150,6 +151,15 @@ class TestThinning:
         assert sample_by_thinning(
             lambda s: 0.0, lambda t, w: 0.1, window=0.5, rng=rng, horizon=5.0
         ) == math.inf
+
+    def test_negative_envelope_skips_windows_without_draws(self):
+        # -1 + 0.1 * 0.5 < 0: no window can hold an arrival, so none draws
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert sample_by_thinning(
+            lambda s: -1.0, lambda t, w: 0.1, window=0.5, rng=rng, horizon=5.0
+        ) == math.inf
+        assert rng.bit_generator.state == state
 
 
 class TestStreams:
@@ -411,6 +421,9 @@ def test_time_average_matches_per_segment_panels(make):
 
 
 class TestDoubleWellThinning:
+    WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+    M, T = 16, 1000.0
+
     def test_runs_and_certifies_bounds(self):
         t = builtin_target("double_well", beta=1.0, poincare_const=2.0)
         traj = simulate_zigzag(t, T=200.0, seed=1, q0=np.array([1.0]))
@@ -418,6 +431,26 @@ class TestDoubleWellThinning:
         # both wells visited
         q2 = time_average(traj, lambda q: q[..., 0] ** 2)
         assert 0.3 < q2 < 3.0
+
+    @pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+    def test_stationary_moments(self, sampler):
+        # cos q and q^2 against quadrature of the Gibbs law, starting in
+        # alternate wells
+        mom = MomentumModel(kind="gaussian", mass=1.0, beta=self.WELL.beta)
+        funcs = (lambda q: np.cos(q[..., 0]), lambda q: q[..., 0] ** 2)
+        avgs = []
+        for i in range(self.M):
+            q0 = np.array([(-1.0) ** i])
+            if sampler == "zigzag":
+                traj = simulate_zigzag(self.WELL, T=self.T, seed=replica_seed(8, i),
+                                       refresh_rate=1.0, q0=q0)
+            else:
+                traj = simulate_bps(self.WELL, mom, refresh_rate=1.0, T=self.T,
+                                    seed=replica_seed(8, i), q0=q0)
+            avgs.append(time_average(traj, funcs))
+        for j, (func, label) in enumerate(zip(funcs, ("E[cos q]", "E[q^2]"))):
+            expected = observable_stats_quadrature(func, self.WELL).mean
+            stationary_moment_check([a[j] for a in avgs], expected, f"{sampler} {label}")
 
 
 class TestLangevin:
