@@ -74,7 +74,8 @@ def _grid(raw) -> np.ndarray:
 
 _KINDS = {_number: "a finite number", int: "an integer", _grid: "a list of finite numbers"}
 _RULES = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1,
-          ">= 2": lambda x: x >= 2, "in (0, 1)": lambda x: 0 < x < 1}
+          ">= 2": lambda x: x >= 2, "in (0, 1)": lambda x: 0 < x < 1,
+          "in (0, 1]": lambda x: 0 < x <= 1}
 _REQUIRED = object()
 
 
@@ -185,9 +186,9 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 
 def _hypo_from_config(cfg: dict, eps_flag: str | None = None) -> HypoParams:
-    lambda_p, R0 = _field(cfg, "hypo.lambda_p"), _field(cfg, "hypo.R0")
+    lambda_p, R0 = _field(cfg, "hypo.lambda_p", "> 0"), _field(cfg, "hypo.R0", ">= 0")
     if "lambda_q" in cfg["hypo"] or "lambda_q_from" not in cfg["hypo"]:
-        lambda_q = _field(cfg, "hypo.lambda_q")
+        lambda_q = _field(cfg, "hypo.lambda_q", "in (0, 1]")
     else:
         lambda_q = _checked("hypo.lambda_q_from", lambda_q_from_target,
                             _field(cfg, "hypo.lambda_q_from.C_nu"),

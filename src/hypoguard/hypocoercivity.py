@@ -8,9 +8,9 @@ yields a coercivity constant Lambda(eps), the smallest eigenvalue of
     [[ eps*lambda_q,  -eps*R0/2    ],
      [ -eps*R0/2,     lambda_p-eps ]].
 
-This module computes Lambda(eps), the admissible eps range, an optimized
-eps, and the explicit (v, b, N, alpha) constants used by the confidence
-interval and UQ bounds for a bounded observable.
+This module computes, in closed form, Lambda(eps), the admissible eps range,
+the eps maximizing Lambda, and the explicit (v, b, N, alpha) constants used
+by the confidence interval and UQ bounds for a bounded observable.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
 # eps = 1 degenerates the norm equivalence (c = sqrt(1-eps) -> 0), so the
 # admissible range is capped strictly below 1.
 EPS_CAP = 0.999
-# width at which the searches for eps_max and optimal_eps stop
-_EPS_TOL = 1e-12
 
 
 class AdmissibilityError(ValueError):
@@ -98,69 +96,40 @@ class ObservableStats:
             )
 
 
-def _lambda_of(eps: float, lambda_q: float, lambda_p: float, R0: float) -> float:
-    disc = ((lambda_q + 1.0) * eps - lambda_p) ** 2 + (eps * R0) ** 2
-    return 0.5 * ((lambda_q - 1.0) * eps + lambda_p - math.sqrt(disc))
-
-
 def lambda_of_eps(params: HypoParams) -> float:
     """Lambda(eps), the smallest eigenvalue of the 2x2 coercivity matrix.
 
     May be <= 0; callers decide admissibility.
     """
-    return _lambda_of(params.eps, params.lambda_q, params.lambda_p, params.R0)
+    eps, lambda_q, lambda_p, R0 = params.eps, params.lambda_q, params.lambda_p, params.R0
+    disc = ((lambda_q + 1.0) * eps - lambda_p) ** 2 + (eps * R0) ** 2
+    return 0.5 * ((lambda_q - 1.0) * eps + lambda_p - math.sqrt(disc))
 
 
 def eps_max(lambda_q: float, lambda_p: float, R0: float) -> float:
-    """Supremum of the eps in (0, 1) with Lambda(eps) > 0, capped at 1.
-
-    Computed by bisection on Lambda; the analytic threshold
-    4*lambda_q*lambda_p / (4*lambda_q + R0^2) is recovered whenever it is
-    below 1 (this is checked by the test suite, not assumed here).
-    """
-    lo = 1e-12
-    if _lambda_of(lo, lambda_q, lambda_p, R0) <= 0.0:
+    """Supremum of the eps in (0, 1) with Lambda(eps) > 0, capped at 1; 0 if
+    none.  The matrix is positive definite iff det = eps*(lambda_q*lambda_p
+    - eps*(lambda_q + R0^2/4)) > 0, which also forces trace > 0."""
+    if not (lambda_q > 0.0 and lambda_p > 0.0):
         return 0.0
-    hi = 1.0
-    if _lambda_of(hi, lambda_q, lambda_p, R0) > 0.0:
-        return 1.0
-    while hi - lo > _EPS_TOL:
-        mid = 0.5 * (lo + hi)
-        if _lambda_of(mid, lambda_q, lambda_p, R0) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return min(1.0, 4.0 * lambda_q * lambda_p / (4.0 * lambda_q + R0 * R0))
 
 
 def optimal_eps(lambda_q: float, lambda_p: float, R0: float) -> float:
-    """The eps in (0, eps_max) maximizing Lambda(eps), by golden-section search.
+    """The eps in (0, min(eps_max, EPS_CAP)] maximizing Lambda(eps), exactly.
 
-    Lambda is unimodal on the admissible interval (concave minus a convex
-    square root), so golden-section search is exact up to 1e-12.
+    Lambda is linear minus the norm of an affine map of eps, hence concave,
+    so the maximizer is the stationary point eps* capped at the range end:
+    eps* = lambda_p (1 + lambda_q + |R0| (lambda_q - 1) / sqrt(4 lambda_q
+    + R0^2)) / ((1 + lambda_q)^2 + R0^2).
     """
-    hi = min(eps_max(lambda_q, lambda_p, R0), EPS_CAP)
-    if hi <= 0.0:
+    cap = min(eps_max(lambda_q, lambda_p, R0), EPS_CAP)
+    if cap <= 0.0:
         raise AdmissibilityError(
             f"no admissible eps for lambda_q={lambda_q}, lambda_p={lambda_p}, R0={R0}"
         )
-    lo = 0.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = _lambda_of(x1, lambda_q, lambda_p, R0)
-    f2 = _lambda_of(x2, lambda_q, lambda_p, R0)
-    while b - a > _EPS_TOL:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _lambda_of(x1, lambda_q, lambda_p, R0)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _lambda_of(x2, lambda_q, lambda_p, R0)
-    return 0.5 * (a + b)
+    root = abs(R0) * (lambda_q - 1.0) / math.sqrt(4.0 * lambda_q + R0 * R0)
+    return min(lambda_p * (1.0 + lambda_q + root) / ((1.0 + lambda_q) ** 2 + R0 * R0), cap)
 
 
 def lambda_q_from_target(C_nu: float, kappa_p: float) -> float:

@@ -388,10 +388,11 @@ def linear_tilt(target: TargetModel, delta: float) -> TargetModel:
 
 def scale_potential(target: TargetModel, factor: float) -> TargetModel:
     """Alternative target with potential factor * V(q) (variance scaling for
-    Gaussian bases); the Poincare constant scales by the same factor."""
+    Gaussian bases); the Poincare constant, the Hessian and its bound scale
+    by the same factor."""
     if factor <= 0:
         raise ValueError("factor must be > 0")
-    base_pot, base_grad = target.potential, target.gradient
+    base_pot, base_grad, base_bound = target.potential, target.gradient, target.hessian_bound
     return TargetModel(
         name=f"{target.name}*{factor}",
         dim=target.dim,
@@ -400,7 +401,8 @@ def scale_potential(target: TargetModel, factor: float) -> TargetModel:
         gradient=lambda q: factor * base_grad(q),
         poincare_const=factor * target.poincare_const,
         hessian=None if target.hessian is None else factor * target.hessian,
-        hessian_bound=target.hessian_bound,
+        hessian_bound=None if base_bound is None else (
+            lambda center, radius: factor * base_bound(center, radius)),
     )
 
 

@@ -277,6 +277,15 @@ def names_field(err, path):
                  {}, "hypo.lambda_q_from.kappa_p", id="lambda_q_from-partial"),
     pytest.param(["constants"], {"hypo.lambda_p": "abc"}, {}, "hypo.lambda_p", id="lambda_p-abc"),
     pytest.param(["constants"], {"hypo.eps": "abc"}, {}, "hypo.eps", id="eps-abc"),
+    pytest.param(["constants"], {"hypo.lambda_p": 0.0}, {}, "hypo.lambda_p", id="lambda_p-0-auto"),
+    pytest.param(["ci"], {"hypo.lambda_p": 0.0, "hypo.eps": 0.3}, {}, "hypo.lambda_p",
+                 id="lambda_p-0-eps"),
+    pytest.param(["constants"], {"hypo.lambda_q": 0.0}, {}, "hypo.lambda_q", id="lambda_q-0-auto"),
+    pytest.param(["ci"], {"hypo.lambda_q": 1.5, "hypo.eps": 0.3}, {}, "hypo.lambda_q",
+                 id="lambda_q-above-1-eps"),
+    pytest.param(["constants"], {"hypo.R0": -1.0}, {}, "hypo.R0", id="R0-negative-auto"),
+    pytest.param(["ci"], {"hypo.R0": -1.0, "hypo.eps": 0.3}, {}, "hypo.R0",
+                 id="R0-negative-eps"),
     pytest.param(["constants", "--eps", "abc"], {}, {}, "--eps", id="eps-flag-abc"),
     pytest.param(["constants"], {"dmu_norm": 0.5}, {}, "dmu_norm", id="dmu_norm-below-1"),
     pytest.param(["ci"], {"observable_stats": {"variance": 4.0, "sup_norm": 1.0}}, {},
@@ -343,6 +352,17 @@ def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json", env)
     assert code == 2
     assert names_field(err, named), err
+
+
+@pytest.mark.parametrize("path,value", [("hypo.lambda_p", 0.0), ("hypo.lambda_p", -1.0),
+                                        ("hypo.lambda_q", 0.0), ("hypo.R0", -1.0)])
+def test_bad_hypo_constant_is_one_config_error(tmp_path, path, value):
+    # the same message whether eps is derived ("auto") or given
+    errors = {run_config(["constants"], edited(SMALL, {path: value, "hypo.eps": eps}),
+                         tmp_path / "cfg.json") for eps in ("auto", 0.3)}
+    assert len(errors) == 1, errors
+    code, err = errors.pop()
+    assert code == 2 and err.startswith(f"config error: config field '{path}' must be"), err
 
 
 @pytest.mark.parametrize("cfg,code", [

@@ -18,6 +18,7 @@ from hypoguard import (
     lambda_q_from_target,
     optimal_eps,
 )
+from hypoguard.hypocoercivity import EPS_CAP
 
 
 def eig_oracle(eps, lambda_q, lambda_p, R0):
@@ -98,6 +99,41 @@ def test_optimal_eps_is_argmax():
         lam_best = eig_oracle(best, lq, lp, R0)
         for eps in np.linspace(1e-6, cap * (1.0 - 1e-9), 200):
             assert eig_oracle(eps, lq, lp, R0) <= lam_best + 1e-9
+
+
+def test_optimal_eps_exact_values():
+    # lambda_q = 1 makes the stationary point lambda_p * 2 / (4 + R0^2)
+    assert optimal_eps(1.0, 1.0, 2.0) == pytest.approx(0.25, abs=1e-15)
+    # R0 = 0 puts it at lambda_p / (1 + lambda_q) = 5, beyond the cap
+    assert optimal_eps(1.0, 10.0, 0.0) == EPS_CAP
+    assert eps_max(1.0, 1.0, 2.0) == 0.5
+
+
+def test_optimal_eps_maximizes_lambda_in_both_regimes():
+    rng = np.random.default_rng(29)
+    regimes = set()
+    for _ in range(400):
+        lq = rng.uniform(0.01, 1.0)
+        lp = rng.uniform(0.05, 20.0)
+        R0 = rng.uniform(0.0, 5.0)
+        best = optimal_eps(lq, lp, R0)
+        cap = min(eps_max(lq, lp, R0), EPS_CAP)
+        regimes.add(best == cap)
+
+        def lam(eps):
+            return lambda_of_eps(HypoParams(lambda_p=lp, lambda_q=lq, R0=R0, eps=eps))
+
+        lam_best = lam(best)
+        for eps in np.linspace(cap * 1e-6, cap, 400):
+            assert lam_best >= lam(eps) - 1e-14
+    assert regimes == {True, False}
+
+
+@pytest.mark.parametrize("lq,lp", [(0.5, 0.0), (0.5, -1.0), (0.0, 1.0), (-0.5, 1.0)])
+def test_optimal_eps_rejects_nonpositive_constants(lq, lp):
+    assert eps_max(lq, lp, 1.0) == 0.0
+    with pytest.raises(AdmissibilityError):
+        optimal_eps(lq, lp, 1.0)
 
 
 def test_param_validation():

@@ -15,6 +15,7 @@ from hypoguard import (
     linear_tilt,
     observable_stats_quadrature,
     scale_potential,
+    simulate_zigzag,
 )
 
 
@@ -75,6 +76,17 @@ def test_tilt_and_scale_gradients():
             assert np.allclose(
                 alt.gradient(q), finite_diff_grad(alt.potential, q), atol=1e-6
             )
+
+
+def test_scaled_double_well_thins_under_scaled_bound():
+    # factor * V has Hessian bound factor * hessian_bound; an unscaled bound
+    # let the clock's rate exceed its certified envelope
+    well = builtin_target("double_well", beta=1.0, poincare_const=1.0)
+    scaled = scale_potential(well, 4.0)
+    center = np.array([0.3])
+    assert scaled.hessian_bound(center, 0.5) == 4.0 * well.hessian_bound(center, 0.5)
+    traj = simulate_zigzag(scaled, 200.0, 3, refresh_rate=1.0, q0=[0.0])
+    assert traj.segments
 
 
 def test_gaussian_stationary_moments():
