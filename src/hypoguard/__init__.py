@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 
 from .bernstein import BernsteinPair, psi, psi_star, psi_star_inv
 from .guarantees import (
-    ConfidenceReport,
     concentration_bound,
     confidence_radius,
-    confidence_report,
     eta_T,
     min_time_for_radius,
     transient_term,

@@ -30,7 +30,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .guarantees import confidence_report
+from .guarantees import confidence_radius
 from .hypocoercivity import (
     AdmissibilityError,
     HypoParams,
@@ -284,10 +284,11 @@ def cmd_constants(args, cfg: dict, seed: int) -> tuple:
 
 def cmd_ci(args, cfg: dict, seed: int) -> tuple:
     _, stats, _, pair, N, _ = _bernstein(cfg)
-    report = confidence_report(pair, pair, N, _field(cfg, "delta", "in (0, 1)"),
-                               _field(cfg, "T", "> 0"))
-    vacuous = bool(min(report.r_minus, report.r_plus) >= 2.0 * stats.sup_norm)
-    return {"report": report.to_dict(), "vacuous": vacuous}, 0
+    delta, T = _field(cfg, "delta", "in (0, 1)"), _field(cfg, "T", "> 0")
+    r_minus, r_plus = confidence_radius(pair, pair, N, delta, T)
+    report = {"T": T, "delta": delta, "N": N, "r_minus": r_minus, "r_plus": r_plus,
+              "v_minus": pair.v, "b_minus": pair.b, "v_plus": pair.v, "b_plus": pair.b}
+    return {"report": report, "vacuous": bool(min(r_minus, r_plus) >= 2.0 * stats.sup_norm)}, 0
 
 
 def cmd_sample(args, cfg: dict, seed: int) -> tuple:

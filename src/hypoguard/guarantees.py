@@ -9,47 +9,18 @@ closed-form composition of the Bernstein algebra; nothing is estimated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bernstein import BernsteinPair, psi_star, psi_star_inv
 from .hypocoercivity import DerivedConstants
 
 __all__ = [
-    "ConfidenceReport",
     "concentration_bound",
     "confidence_radius",
-    "confidence_report",
     "min_time_for_radius",
     "eta_T",
     "uq_bias_bound",
     "transient_term",
 ]
-
-
-@dataclass(frozen=True)
-class ConfidenceReport:
-    """Two-sided confidence radii with all inputs echoed for audit."""
-
-    T: float
-    delta: float
-    N: float
-    r_minus: float
-    r_plus: float
-    pair_minus: BernsteinPair
-    pair_plus: BernsteinPair
-
-    def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "delta": self.delta,
-            "N": self.N,
-            "r_minus": self.r_minus,
-            "r_plus": self.r_plus,
-            "v_minus": self.pair_minus.v,
-            "b_minus": self.pair_minus.b,
-            "v_plus": self.pair_plus.v,
-            "b_plus": self.pair_plus.b,
-        }
 
 
 def concentration_bound(
@@ -89,20 +60,6 @@ def confidence_radius(
         raise ValueError(f"T must be > 0, got {T}")
     eta = math.log(2.0 * N / delta) / T
     return psi_star_inv(pair_minus, eta), psi_star_inv(pair_plus, eta)
-
-
-def confidence_report(
-    pair_plus: BernsteinPair,
-    pair_minus: BernsteinPair,
-    N: float,
-    delta: float,
-    T: float,
-) -> ConfidenceReport:
-    r_minus, r_plus = confidence_radius(pair_plus, pair_minus, N, delta, T)
-    return ConfidenceReport(
-        T=T, delta=delta, N=N, r_minus=r_minus, r_plus=r_plus,
-        pair_minus=pair_minus, pair_plus=pair_plus,
-    )
 
 
 def min_time_for_radius(

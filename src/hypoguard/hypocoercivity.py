@@ -54,12 +54,12 @@ class HypoParams:
     eps: float
 
     def __post_init__(self) -> None:
-        if not self.lambda_p > 0.0:
-            raise ValueError(f"lambda_p must be > 0, got {self.lambda_p}")
+        if not 0.0 < self.lambda_p < math.inf:
+            raise ValueError(f"lambda_p must be finite and > 0, got {self.lambda_p}")
         if not (0.0 < self.lambda_q <= 1.0):
             raise ValueError(f"lambda_q must be in (0, 1], got {self.lambda_q}")
-        if not self.R0 >= 0.0:
-            raise ValueError(f"R0 must be >= 0, got {self.R0}")
+        if not 0.0 <= self.R0 < math.inf:
+            raise ValueError(f"R0 must be finite and >= 0, got {self.R0}")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
 
@@ -108,9 +108,10 @@ def lambda_of_eps(params: HypoParams) -> float:
 
 def eps_max(lambda_q: float, lambda_p: float, R0: float) -> float:
     """Supremum of the eps in (0, 1) with Lambda(eps) > 0, capped at 1; 0 if
-    none.  The matrix is positive definite iff det = eps*(lambda_q*lambda_p
-    - eps*(lambda_q + R0^2/4)) > 0, which also forces trace > 0."""
-    if not (lambda_q > 0.0 and lambda_p > 0.0):
+    none or if a constant is not finite.  The matrix is positive definite iff
+    det = eps*(lambda_q*lambda_p - eps*(lambda_q + R0^2/4)) > 0, which also
+    forces trace > 0."""
+    if not (0.0 < lambda_q < math.inf and 0.0 < lambda_p < math.inf and math.isfinite(R0)):
         return 0.0
     return min(1.0, 4.0 * lambda_q * lambda_p / (4.0 * lambda_q + R0 * R0))
 
@@ -149,7 +150,7 @@ def lambda_q_from_target(C_nu: float, kappa_p: float) -> float:
 def derived_constants(params: HypoParams) -> DerivedConstants:
     """Lambda, c, C, alpha for an admissible parameter set."""
     lam = lambda_of_eps(params)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise AdmissibilityError(
             f"Lambda(eps) = {lam} <= 0 for eps = {params.eps}; "
             f"admissible range is (0, {eps_max(params.lambda_q, params.lambda_p, params.R0)})"

@@ -15,7 +15,7 @@ acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,9 @@ __all__ = [
 # slack of the lab's exact identities and of the perturbation bound, for
 # floating-point rounding in the eigensolvers
 _TOL = 1e-10
+# largest deviation between the closed-form Lambda(eps) and the 2x2
+# eigensolver that the identity check accepts
+_EIG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,31 +79,22 @@ def random_lab_problem(dim: int, rng: np.random.Generator) -> LabProblem:
     return LabProblem(A=A, M=M, alpha=alpha, x0=x0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbReport:
     trials: int
     dim: int
     grid_size: int
     seed: int
-    max_violation: float = -math.inf
-    max_slack: float = math.inf
-    violations: int = 0
+    max_violation: float
+    max_slack: float
+    violations: int
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "dim": self.dim,
-            "grid_size": self.grid_size,
-            "seed": self.seed,
-            "max_violation": self.max_violation,
-            "max_slack": self.max_slack,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "passed": self.passed}
 
 
 def verify_perturb_lemma(
@@ -119,9 +113,9 @@ def verify_perturb_lemma(
     if dim < 2 or trials < 1:
         raise ValueError("need dim >= 2 and trials >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    report = PerturbReport(trials=trials, dim=dim, grid_size=lambda_grid_size, seed=seed)
     worst_gap = math.inf
     worst_violation = -math.inf
+    violations = 0
     for _ in range(trials):
         prob = random_lab_problem(dim, rng)
         prob.self_audit()
@@ -136,32 +130,26 @@ def verify_perturb_lemma(
             gap = rhs - lhs
             worst_gap = min(worst_gap, gap)
             if lhs > rhs + _TOL:
-                report.violations += 1
+                violations += 1
                 worst_violation = max(worst_violation, lhs - rhs)
-    report.max_slack = worst_gap
-    report.max_violation = worst_violation if report.violations else 0.0
-    return report
+    return PerturbReport(trials=trials, dim=dim, grid_size=lambda_grid_size, seed=seed,
+                         max_violation=worst_violation if violations else 0.0,
+                         max_slack=worst_gap, violations=violations)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigReport:
     trials: int
     seed: int
-    max_abs_deviation: float = 0.0
-    tolerance: float = 1e-12
+    max_abs_deviation: float
+    tolerance: float
 
     @property
     def passed(self) -> bool:
         return self.max_abs_deviation < self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_abs_deviation": self.max_abs_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "passed": self.passed}
 
 
 def smallest_eig_2x2(lambda_q: float, lambda_p: float, R0: float, eps: float) -> float:
@@ -180,7 +168,6 @@ def verify_lambda_eig(trials: int = 10_000, seed: int = 0) -> EigReport:
     if trials < 1:
         raise ValueError("need trials >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    report = EigReport(trials=trials, seed=seed)
     worst = 0.0
     for _ in range(trials):
         lq = float(rng.uniform(1e-3, 1.0))
@@ -190,5 +177,4 @@ def verify_lambda_eig(trials: int = 10_000, seed: int = 0) -> EigReport:
         closed = lambda_of_eps(HypoParams(lambda_p=lp, lambda_q=lq, R0=r0, eps=eps))
         eig = smallest_eig_2x2(lq, lp, r0, eps)
         worst = max(worst, abs(closed - eig))
-    report.max_abs_deviation = worst
-    return report
+    return EigReport(trials=trials, seed=seed, max_abs_deviation=worst, tolerance=_EIG_TOL)

@@ -319,7 +319,7 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
         z = L / s
         phi = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
         inner = s2 * (2.0 * _ndtr(z) - 1.0) - 2.0 * L * s * phi
-        var = inner + L * L * 2.0 * (1.0 - _ndtr(z))
+        var = float(inner + L * L * 2.0 * (1.0 - _ndtr(z)))
         return Observable(
             name=f"clip(q{coord},{L})",
             f=lambda q: np.clip(np.asarray(q)[..., coord], -L, L),

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .bernstein import psi, psi_star_inv
-from .guarantees import concentration_bound, confidence_radius
+from .bernstein import psi
+from .guarantees import concentration_bound, confidence_radius, uq_bias_bound
 from .hypocoercivity import HypoParams, bernstein_from_hypo
 from .samplers import (
     Trajectory,
@@ -102,7 +102,7 @@ class ExperimentConfig:
         return reps
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     kind: str
     passed: bool
@@ -111,13 +111,7 @@ class ValidationReport:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "passed": bool(self.passed),
-            "vacuous": bool(self.vacuous),
-            "seed": self.seed,
-            "details": self.details,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +225,9 @@ def _report(kind: str, config: ExperimentConfig, reps: dict, ok: bool, vacuous: 
     """A check's report, with the stationarity gate of its replicas: it
     passes when the check is ``ok``, not vacuous and the gate passes."""
     gate = _stationarity_gate(config, reps)
-    return ValidationReport(kind=kind, passed=ok and not vacuous and gate["passed"],
-                            vacuous=vacuous, seed=config.seed,
+    # plain bools: a comparison with a NumPy scalar gives a NumPy bool, which json rejects
+    return ValidationReport(kind=kind, passed=bool(ok and not vacuous and gate["passed"]),
+                            vacuous=bool(vacuous), seed=config.seed,
                             details={**details, "stationarity": gate})
 
 
@@ -454,9 +449,9 @@ def uq_experiment(config: ExperimentConfig, alt_target: TargetModel) -> Validati
             details={"entropy_rate": "inf", "bias": bias,
                      "note": "path measures not absolutely continuous; bound vacuous"},
         )
-    bound = psi_star_inv(pair, entropy_rate)
-    vacuous = bound >= 2.0 * stats.sup_norm
-    passed = (bias <= bound + 1e-12) and not vacuous
+    bound = uq_bias_bound(pair, pair, entropy_rate)[1]
+    vacuous = bool(bound >= 2.0 * stats.sup_norm)
+    passed = bool(bias <= bound + 1e-12) and not vacuous
     return ValidationReport(
         kind="uq", passed=passed, vacuous=vacuous, seed=config.seed,
         details={"bias": bias, "bound": bound, "entropy_rate": entropy_rate,

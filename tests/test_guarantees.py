@@ -11,7 +11,6 @@ from hypoguard import (
     bernstein_from_hypo,
     concentration_bound,
     confidence_radius,
-    confidence_report,
     derived_constants,
     eta_T,
     min_time_for_radius,
@@ -66,13 +65,6 @@ def test_asymmetric_pairs():
     minus = BernsteinPair(v=20.0, b=5.0)
     r_minus, r_plus = confidence_radius(plus, minus, 1.0, 0.1, 50.0)
     assert r_minus > r_plus  # larger variance proxy gives the wider side
-
-
-def test_confidence_report_round_trip():
-    rep = confidence_report(PAIR, PAIR, 1.5, 0.1, 100.0)
-    d = rep.to_dict()
-    assert d["r_plus"] == rep.r_plus
-    assert d["v_plus"] == 22.5
 
 
 def test_eta_T_value_and_validation():

@@ -136,6 +136,14 @@ def test_optimal_eps_rejects_nonpositive_constants(lq, lp):
         optimal_eps(lq, lp, 1.0)
 
 
+@pytest.mark.parametrize("lq,lp,R0", [(0.5, 1.0, math.nan), (0.5, math.inf, 1.0),
+                                      (0.5, 1.0, math.inf), (math.nan, 1.0, 1.0)])
+def test_optimal_eps_rejects_nonfinite_constants(lq, lp, R0):
+    assert eps_max(lq, lp, R0) == 0.0
+    with pytest.raises(AdmissibilityError):
+        optimal_eps(lq, lp, R0)
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         HypoParams(lambda_p=0.0, lambda_q=0.5, R0=0.0, eps=0.1)
@@ -145,6 +153,10 @@ def test_param_validation():
         HypoParams(lambda_p=1.0, lambda_q=0.5, R0=-1.0, eps=0.1)
     with pytest.raises(ValueError):
         HypoParams(lambda_p=1.0, lambda_q=0.5, R0=0.0, eps=1.0)
+    with pytest.raises(ValueError, match="^lambda_p must be finite"):
+        HypoParams(lambda_p=math.inf, lambda_q=0.5, R0=0.0, eps=0.1)
+    with pytest.raises(ValueError, match="^R0 must be finite"):
+        HypoParams(lambda_p=1.0, lambda_q=0.5, R0=math.inf, eps=0.1)
     # eps above the positivity threshold is flagged when constants are derived
     with pytest.raises(AdmissibilityError):
         derived_constants(HypoParams(lambda_p=0.5, lambda_q=1.0, R0=0.0, eps=0.6))

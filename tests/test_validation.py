@@ -21,6 +21,7 @@ from hypoguard import (
     uq_experiment,
 )
 from hypoguard import validation
+from hypoguard.operator_lab import verify_lambda_eig, verify_perturb_lemma
 
 
 def small(config, **kw):
@@ -231,3 +232,16 @@ def test_reports_serialize(std_config):
     rep = coverage_experiment(small(std_config, replicas=10))
     d = rep.to_dict()
     assert set(d) == {"kind", "passed", "vacuous", "seed", "details"}
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: validation.ValidationReport(kind="coverage", passed=True, vacuous=False, seed=0,
+                                         details={}), "passed"),
+    (lambda: verify_perturb_lemma(dim=2, trials=1, lambda_grid_size=2), "violations"),
+    (lambda: verify_lambda_eig(trials=1), "max_abs_deviation"),
+], ids=["ValidationReport", "PerturbReport", "EigReport"])
+def test_reports_are_frozen(build, field):
+    report = build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(report, field, 0)
+    assert report.to_dict()[field] == getattr(report, field)
