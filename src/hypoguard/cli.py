@@ -299,7 +299,7 @@ def cmd_sample(args, cfg: dict, seed: int) -> tuple:
     if args.format == "csv":
         export_csv(traj, args.out)
         return None, 0
-    events = Counter(ev.kind for ev in traj.events)
+    events = Counter(traj.events.kind.tolist())
     F_T, q_avg, q2_avg = time_average(traj, config.averaged_functions)
     return {
         "sampler": traj.sampler,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,8 +30,6 @@ import numpy as np
 from .targets import MomentumModel, TargetModel
 
 __all__ = [
-    "Segment",
-    "EventRecord",
     "Trajectory",
     "ThinningBoundError",
     "stream_rng",
@@ -74,24 +72,6 @@ class ThinningBoundError(RuntimeError):
     exact and must be aborted."""
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Deterministic flow piece starting at (q0, p0) at time t0."""
-
-    t0: float
-    duration: float
-    q0: np.ndarray
-    p0: np.ndarray
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    time: float
-    kind: str  # bounce | flip | refresh | hhmc-resample
-    p_before: np.ndarray
-    p_after: np.ndarray
-
-
 class HamiltonianFlow:
     """Exact flow of H(q, p) = q^T H q / 2 + |p|^2 / (2m), per eigenmode.
 
@@ -123,16 +103,22 @@ class HamiltonianFlow:
 class Trajectory:
     """Seed-reproducible record of a simulated path on [0, horizon].
 
-    PDMP / exact-flow trajectories store flow segments that tile the time
-    horizon plus the event log; discretized trajectories store the step grid
-    in ``times``/``qs``/``ps`` and set ``discretized``.
+    ``segments`` is a record array with one row per flight, fields ``t0``,
+    ``duration``, ``q0`` and ``p0`` (the last two of shape (d,), so
+    ``segments.q0`` is an (n, d) array); on PDMP and exact-flow paths the
+    flights tile [0, horizon].  ``events`` has one row per event, fields
+    ``time`` and ``kind`` (bounce | flip | refresh | hhmc-resample); on a
+    flow path event k ends flight k, so the momenta on either side of it are
+    ``segments.p0[k]`` and ``segments.p0[k + 1]``.  Discretized trajectories
+    store the step grid in ``times``/``qs``/``ps``, set ``discretized`` and
+    have no flights.
     """
 
     sampler: str
     horizon: float
     mass: float
-    segments: list[Segment] = field(default_factory=list)
-    events: list[EventRecord] = field(default_factory=list)
+    segments: np.recarray
+    events: np.recarray
     final_q: Optional[np.ndarray] = None
     final_p: Optional[np.ndarray] = None
     flow: Optional[HamiltonianFlow] = None
@@ -140,6 +126,21 @@ class Trajectory:
     times: Optional[np.ndarray] = None
     qs: Optional[np.ndarray] = None
     ps: Optional[np.ndarray] = None
+
+
+def _records(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
+    """The record arrays of a path in dimension d from its rows: (t0,
+    duration, q0, p0) per flight and (time, kind) per event."""
+    tables = []
+    for rows, fields in (
+        (segments, [("t0", float), ("duration", float), ("q0", float, (d,)), ("p0", float, (d,))]),
+        (events, [("time", float), ("kind", "U13")]),
+    ):
+        table = np.empty(len(rows), fields)
+        for name, column in zip(table.dtype.names, zip(*rows)):
+            table[name] = column
+        tables.append(table.view(np.recarray))
+    return tables[0], tables[1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,11 @@ def _initial_state(
         q0 = target.sample_position(rng)
     if p0 is None:
         p0 = momentum.sample(rng, target.dim)
-    return np.array(q0, dtype=float), np.array(p0, dtype=float)
+    q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
+    for name, x in (("position", q), ("momentum", p)):
+        if x.shape != (target.dim,):
+            raise ValueError(f"initial {name} must have shape ({target.dim},), got {x.shape}")
+    return q, p
 
 
 def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndarray,
@@ -320,7 +325,7 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, rng_init, q0, p0)
     m = momentum.mass
-    traj = Trajectory(sampler=sampler, horizon=T, mass=m)
+    segments, events = [], []
     grad = target.gradient(q)
     t = 0.0
     while t < T:
@@ -329,20 +334,17 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
         tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
         tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, min(tau_r, T - t))
         tau = min(tau_c, tau_r, T - t)
-        traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p))
+        segments.append((t, tau, q, p))
         q = q + tau * v
         t += tau
         if t >= T:
             break
         grad = target.gradient(q)
-        p_new = jump(p, grad, i) if tau_c <= tau_r else None
-        kind = clock
-        if p_new is None:
-            kind, p_new = "refresh", momentum.sample(rng_refresh, target.dim)
-        traj.events.append(EventRecord(time=t, kind=kind, p_before=p, p_after=p_new))
-        p = p_new
-    traj.final_q, traj.final_p = q, p
-    return traj
+        kind, p = clock, (jump(p, grad, i) if tau_c <= tau_r else None)
+        if p is None:
+            kind, p = "refresh", momentum.sample(rng_refresh, target.dim)
+        events.append((t, kind))
+    return Trajectory(sampler, T, m, *_records(target.dim, segments, events), final_q=q, final_p=p)
 
 
 def simulate_bps(
@@ -416,24 +418,22 @@ def simulate_hhmc(
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, rng_init, q0, p0)
     m = momentum.mass
+    segments, events = [], []
 
     if target.is_quadratic:
-        traj = Trajectory(sampler="hhmc", horizon=T, mass=m,
-                          flow=HamiltonianFlow(target.hessian, m))
+        flow = HamiltonianFlow(target.hessian, m)
         t = 0.0
         while t < T:
             tau = min(rng_dur.exponential() / resample_rate, T - t)
-            traj.segments.append(Segment(t0=t, duration=tau, q0=q, p0=p))
-            q, p = traj.flow(q, p, tau)
+            segments.append((t, tau, q, p))
+            q, p = flow(q, p, tau)
             t += tau
             if t >= T:
                 break
-            p_new = momentum.sample(rng_refresh, target.dim)
-            traj.events.append(EventRecord(time=t, kind="hhmc-resample",
-                                           p_before=p, p_after=p_new))
-            p = p_new
-        traj.final_q, traj.final_p = q, p
-        return traj
+            p = momentum.sample(rng_refresh, target.dim)
+            events.append((t, "hhmc-resample"))
+        return Trajectory("hhmc", T, m, *_records(target.dim, segments, events),
+                          final_q=q, final_p=p, flow=flow)
 
     # leapfrog route: discretized step grid with resamples snapped to steps
     n_steps = int(math.ceil(T / step))
@@ -442,22 +442,17 @@ def simulate_hhmc(
     ps = np.empty((n_steps + 1, target.dim))
     qs[0], ps[0] = q, p
     next_resample = rng_dur.exponential() / resample_rate
-    events: list[EventRecord] = []
     for k in range(n_steps):
         if times[k] >= next_resample:
-            p_new = momentum.sample(rng_refresh, target.dim)
-            events.append(EventRecord(time=times[k], kind="hhmc-resample",
-                                      p_before=p, p_after=p_new))
-            p = p_new
+            p = momentum.sample(rng_refresh, target.dim)
+            events.append((times[k], "hhmc-resample"))
             next_resample += rng_dur.exponential() / resample_rate
         p = p - 0.5 * step * target.gradient(q)
         q = q + step * p / m
         p = p - 0.5 * step * target.gradient(q)
         qs[k + 1], ps[k + 1] = q, p
-    traj = Trajectory(sampler="hhmc", horizon=float(times[-1]), mass=m,
-                      discretized=True, times=times, qs=qs, ps=ps, events=events)
-    traj.final_q, traj.final_p = q, p
-    return traj
+    return Trajectory("hhmc", float(times[-1]), m, *_records(target.dim, segments, events),
+                      final_q=q, final_p=p, discretized=True, times=times, qs=qs, ps=ps)
 
 
 def simulate_langevin(
@@ -529,9 +524,10 @@ def simulate_langevin_batch(
         q = q + half * p / m
         p = p - half * target.gradient(q)
         qs[:, k + 1], ps[:, k + 1] = q, p
-    return [Trajectory(sampler="langevin", horizon=float(times[-1]), mass=m,
-                       discretized=True, times=times, qs=qs[r], ps=ps[r],
-                       final_q=qs[r, -1], final_p=ps[r, -1])
+    segments, events = _records(d)
+    return [Trajectory("langevin", float(times[-1]), m, segments, events,
+                       final_q=qs[r, -1], final_p=ps[r, -1],
+                       discretized=True, times=times, qs=qs[r], ps=ps[r])
             for r in range(R)]
 
 
@@ -563,14 +559,13 @@ def time_average(traj: Trajectory, f, order: int = 5):
 
     # split each segment into panels of length <= 0.5 so the fixed-order
     # rule stays accurate on long flights
-    q0 = np.array([s.q0 for s in traj.segments])
-    p0 = np.array([s.p0 for s in traj.segments])
-    dur = np.array([s.duration for s in traj.segments])
+    seg = traj.segments
+    dur = seg.duration
     k = np.maximum(np.ceil(dur / 0.5).astype(int), 1)
     sub = np.repeat(dur / k, k)
     # panel j of a segment starts at (d / n) * j, j counted within the segment
     start = sub * (np.arange(sub.size) - np.repeat(np.cumsum(k) - k, k))
-    q0, p0 = np.repeat(q0, k, axis=0), np.repeat(p0, k, axis=0)
+    q0, p0 = np.repeat(seg.q0, k, axis=0), np.repeat(seg.p0, k, axis=0)
     if traj.flow is None:
         v = p0 / traj.mass
         position = lambda s: q0 + s[:, None] * v
@@ -599,10 +594,10 @@ def export_csv(traj: Trajectory, path) -> None:
     if traj.discretized:
         rows = list(zip(traj.times, traj.qs, traj.ps))
     else:
-        rows = [(seg.t0, seg.q0, seg.p0) for seg in traj.segments]
-        rows.append((traj.horizon, traj.final_q, traj.final_p))
+        seg = traj.segments
+        rows = [*zip(seg.t0, seg.q0, seg.p0), (traj.horizon, traj.final_q, traj.final_p)]
     d = len(rows[0][1])
-    ev_by_time = {e.time: e.kind for e in traj.events}
+    ev_by_time = dict(zip(traj.events.time.tolist(), traj.events.kind.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *[f"q{i}" for i in range(d)], *[f"p{i}" for i in range(d)],

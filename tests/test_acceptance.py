@@ -164,9 +164,11 @@ def test_criterion_4_sampler_exactness():
     target2 = builtin_target("gaussian_iso", dim=2, h=1.0, beta=1.0)
     mom2 = MomentumModel(kind="gaussian", mass=1.0, beta=1.0)
     traj = simulate_bps(target2, mom2, refresh_rate=0.2, T=200.0, seed=3)
+    # bounce k ends flight k and starts flight k + 1
+    p0 = traj.segments.p0
     bounce_dev = max(
-        (abs(np.linalg.norm(e.p_after) - np.linalg.norm(e.p_before))
-         for e in traj.events if e.kind == "bounce"),
+        (abs(np.linalg.norm(p0[k + 1]) - np.linalg.norm(p0[k]))
+         for k in np.flatnonzero(traj.events.kind == "bounce")),
         default=math.inf,
     )
 

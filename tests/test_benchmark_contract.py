@@ -14,6 +14,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hypoguard import MomentumModel, builtin_observable, builtin_target
 from hypoguard import cli, guarantees, hypocoercivity, samplers, targets, validation
 
@@ -81,6 +83,23 @@ def test_traced_replicas_pass_the_workload_checks():
     assert c[("clock_events", "zigzag")] == sum(e.kind == "flip" for e in zz.events)
     assert c[("steps", "langevin")] == 200
     assert c[("replicas", "bps")] == c[("replicas", "hhmc")] == 1
+
+
+def test_flow_records_have_the_layout_the_benchmark_reads():
+    # the tracer reads len(segments), len(events) and each event's kind, and
+    # replica_outcome sums seg.duration over the rows
+    target = builtin_target("gaussian_iso", dim=2)
+    momentum = MomentumModel(kind="gaussian", beta=target.beta)
+    T = 20.0
+    for traj in (samplers.simulate_zigzag(target, T, 3, 1.0),
+                 samplers.simulate_bps(target, momentum, 1.0, T, 3),
+                 samplers.simulate_hhmc(target, momentum, 1.0, T, 3)):
+        seg, ev = traj.segments, traj.events
+        assert seg.dtype.names == ("t0", "duration", "q0", "p0"), traj.sampler
+        assert ev.dtype.names == ("time", "kind"), traj.sampler
+        assert seg.q0.shape == seg.p0.shape == (len(seg), 2)
+        assert abs(sum(row.duration for row in seg) - T) <= 1e-9 * T
+        assert len(ev) > 0 and np.array_equal(ev.time, seg.t0[1:]), traj.sampler
 
 
 def _unused_imports(path: Path) -> set:

@@ -23,8 +23,8 @@ from hypoguard import (
 )
 from hypoguard.samplers import (
     HamiltonianFlow,
-    Segment,
     Trajectory,
+    _records,
     export_csv,
     replica_seed,
     stream_rng,
@@ -311,12 +311,30 @@ class TestBounceElasticity:
         t = builtin_target("gaussian_iso", dim=2, h=1.0, beta=1.0)
         mom = MomentumModel(kind="gaussian", mass=1.0, beta=1.0)
         traj = simulate_bps(t, mom, refresh_rate=0.2, T=200.0, seed=3)
-        bounces = [e for e in traj.events if e.kind == "bounce"]
+        bounces = np.flatnonzero(traj.events.kind == "bounce")
         assert len(bounces) > 50
-        for e in bounces:
-            assert np.linalg.norm(e.p_after) == pytest.approx(
-                np.linalg.norm(e.p_before), rel=1e-12
+        # bounce k ends flight k and starts flight k + 1
+        p0 = traj.segments.p0
+        for k in bounces:
+            assert np.linalg.norm(p0[k + 1]) == pytest.approx(
+                np.linalg.norm(p0[k]), rel=1e-12
             )
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps", "hhmc", "langevin"])
+def test_start_of_the_wrong_shape_is_rejected(sampler):
+    t = builtin_target("gaussian_iso", dim=3)
+    mom = MomentumModel(kind="gaussian")
+    sim = {
+        "zigzag": lambda q0, p0: simulate_zigzag(t, 5.0, 1, q0=q0, v0=p0),
+        "bps": lambda q0, p0: simulate_bps(t, mom, 1.0, 5.0, 1, q0=q0, p0=p0),
+        "hhmc": lambda q0, p0: simulate_hhmc(t, mom, 1.0, 5.0, 1, q0=q0, p0=p0),
+        "langevin": lambda q0, p0: simulate_langevin(t, mom, 1.0, 5.0, 0.01, 1, q0=q0, p0=p0),
+    }[sampler]
+    with pytest.raises(ValueError, match=r"position must have shape \(3,\), got \(1,\)"):
+        sim([0.5], None)
+    with pytest.raises(ValueError, match=r"momentum must have shape \(3,\), got \(1,\)"):
+        sim(None, [1.0])
 
 
 class TestDeterminism:
@@ -391,10 +409,10 @@ def hand_made_trajectory(flow):
     durations = [0.0, 0.3, 0.5, 1.7, 0.0, 2.25, 0.5000001, 3.1]
     rng = np.random.default_rng(4)
     t0 = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
-    segments = [Segment(t, d, rng.standard_normal(2), rng.standard_normal(2))
-                for t, d in zip(t0, durations)]
+    segments, events = _records(2, [(t, d, rng.standard_normal(2), rng.standard_normal(2))
+                                    for t, d in zip(t0, durations)])
     return Trajectory(sampler="hhmc" if flow else "bps", horizon=float(sum(durations)),
-                      mass=1.3, segments=segments, flow=flow)
+                      mass=1.3, segments=segments, events=events, flow=flow)
 
 
 @pytest.mark.parametrize("make", [

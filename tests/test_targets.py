@@ -86,7 +86,7 @@ def test_scaled_double_well_thins_under_scaled_bound():
     center = np.array([0.3])
     assert scaled.hessian_bound(center, 0.5) == 4.0 * well.hessian_bound(center, 0.5)
     traj = simulate_zigzag(scaled, 200.0, 3, refresh_rate=1.0, q0=[0.0])
-    assert traj.segments
+    assert len(traj.segments)
 
 
 def test_gaussian_stationary_moments():

@@ -1,6 +1,7 @@
 """Statistical validation experiments and entropy-rate formulas."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import integrate
 
 from hypoguard import (
     ExperimentConfig,
+    ObservableStats,
     builtin_observable,
     builtin_target,
     coverage_experiment,
@@ -134,6 +136,17 @@ class TestMGF:
         with pytest.raises(ValueError, match="negative"):
             mgf_experiment(cfg, lambda_grid=[0.0, -0.001])
         assert "averages" not in vars(cfg)
+
+    def test_report_from_numpy_stats_serialises(self, std_config):
+        # NumPy scalars in the stats would make each grid row's "passed" a
+        # NumPy bool, which json cannot encode
+        obs = std_config.observable
+        np_stats = ObservableStats(*map(np.float64, (obs.stats.mean, obs.stats.variance,
+                                                      obs.stats.sup_norm)))
+        cfg = small(std_config, replicas=5, T=20.0,
+                    observable=dataclasses.replace(obs, stats=np_stats))
+        rows = json.loads(json.dumps(mgf_experiment(cfg).to_dict()))["details"]["grid"]
+        assert all(type(row["passed"]) is bool for row in rows)
 
 
 class TestSharedReplicaPass:
