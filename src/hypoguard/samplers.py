@@ -21,9 +21,10 @@ a silent acceptance.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -51,6 +52,8 @@ _STREAMS = {"init": 0, "bounce": 1, "refresh": 2, "flip": 3, "noise": 4, "durati
 # Langevin noise is drawn this many steps at a time per replica, which keeps
 # the noise buffer small next to the stored path
 _NOISE_BLOCK = 1024
+# a stream that draws one kind only is drawn this many values at a time
+_DRAW_BLOCK = 64
 # length of the window on which a thinning clock's affine envelope must hold
 _THINNING_WINDOW = 0.5
 
@@ -65,6 +68,14 @@ def replica_seed(root_seed: int, replica: int) -> int:
     """Derived root seed for an independent replica."""
     ss = np.random.SeedSequence(root_seed, spawn_key=(1000 + replica,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _draws(block: Callable[[int], Iterable]) -> Iterator:
+    """Single draws from a stream that draws one kind only, taken from
+    ``block(n)``, which makes n of them at once: a block of k draws from a
+    stream equals k single draws, bit for bit."""
+    while True:
+        yield from block(_DRAW_BLOCK)
 
 
 class ThinningBoundError(RuntimeError):
@@ -86,17 +97,27 @@ class HamiltonianFlow:
             raise ValueError("exact flow requires a positive definite Hessian")
         self.omega = np.sqrt(evals / mass)
 
-    def __call__(self, q0: np.ndarray, p0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-        """Advance by time t; q0, p0 of shape (d,) or (n, d), t scalar or (n,)."""
+    def _modes(self, q0: np.ndarray, p0: np.ndarray, t):
+        """The eigenmode coordinates of q0 and p0, and cos and sin of the
+        rotation angles omega t."""
         y = q0 @ self.U
         w = p0 @ self.U
         t = np.asarray(t, dtype=float)
         th = np.multiply.outer(t, self.omega) if t.ndim else t * self.omega
-        c, s = np.cos(th), np.sin(th)
+        return y, w, np.cos(th), np.sin(th)
+
+    def __call__(self, q0: np.ndarray, p0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+        """Advance by time t; q0, p0 of shape (d,) or (n, d), t scalar or (n,)."""
+        y, w, c, s = self._modes(q0, p0, t)
         m = self.mass
         yt = y * c + w / m * (s / self.omega)
         wt = -y * (m * self.omega) * s + w * c
         return yt @ self.U.T, wt @ self.U.T
+
+    def position(self, q0: np.ndarray, p0: np.ndarray, t) -> np.ndarray:
+        """The position after time t, equal bit for bit to ``self(q0, p0, t)[0]``."""
+        y, w, c, s = self._modes(q0, p0, t)
+        return (y * c + w / self.mass * (s / self.omega)) @ self.U.T
 
 
 @dataclass
@@ -274,7 +295,9 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
     lists u_i . w over the clock directions u_i and ``grad`` is grad V(q).
     Returns (time, i); the time is inf if no clock fires before
     ``horizon``.  Quadratic potentials give affine rates, inverted in closed
-    form.  Otherwise each clock is thinned (:func:`sample_by_thinning`)
+    form from the unit exponentials that ``rng`` then yields (an iterator,
+    see :func:`_draws`).  Otherwise ``rng`` is the clock's generator and
+    each clock is thinned (:func:`sample_by_thinning`)
     against the affine envelope of its slope g(s) = beta u_i . grad V(q + s v)
     on windows of length w: |g'| <= beta |u_i| |v| sup |Hess V| over the ball
     of radius |v| w around the window's start, which ``hessian_bound``
@@ -282,8 +305,8 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
     """
     beta = target.beta
     if target.is_quadratic:
-        taus = [invert_affine_rate(beta * a, beta * b, rng.exponential())
-                for a, b in zip(slopes(v, grad), slopes(v, target.hessian @ v))]
+        taus = [invert_affine_rate(beta * a, beta * b, e)
+                for a, b, e in zip(slopes(v, grad), slopes(v, target.hessian @ v), rng)]
     else:
         if target.hessian_bound is None:
             raise ValueError(f"target '{target.name}' needs a hessian_bound for thinning")
@@ -316,12 +339,16 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     first and ends the clocks' horizon; the two streams are separate, so the
     order of the draws changes no quadratic-target path.  ``jump(p, grad,
     i)`` returns the momentum after clock i fires, or None where the jump is
-    undefined, in which case the momentum is refreshed.
+    undefined, in which case the momentum is refreshed.  Affine clocks draw
+    only exponentials, so they are drawn in blocks; thinned clocks and the
+    refresh stream, which mix two kinds of draw, are drawn one at a time.
     """
     if T <= 0.0 or refresh_rate < 0.0:
         raise ValueError("need T > 0 and refresh_rate >= 0")
     rng_init = stream_rng(seed, "init")
     rng_clock = stream_rng(seed, clock)
+    clock_draws = (_draws(lambda n: rng_clock.exponential(size=n).tolist())
+                   if target.is_quadratic else rng_clock)
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, rng_init, q0, p0)
     m = momentum.mass
@@ -332,7 +359,7 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
         v = p / m
         # a jump after the refresh is never used, so the clocks stop there
         tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
-        tau_c, i = _first_jump(target, slopes, q, v, grad, rng_clock, min(tau_r, T - t))
+        tau_c, i = _first_jump(target, slopes, q, v, grad, clock_draws, min(tau_r, T - t))
         tau = min(tau_c, tau_r, T - t)
         segments.append((t, tau, q, p))
         q = q + tau * v
@@ -417,20 +444,24 @@ def simulate_hhmc(
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, rng_init, q0, p0)
-    m = momentum.mass
+    m, d = momentum.mass, target.dim
+    # each stream draws one kind only, so both are drawn in blocks
+    durations = _draws(lambda n: rng_dur.exponential(size=n).tolist())
+    refreshes = _draws(lambda n: momentum.sample(rng_refresh, n * d).reshape(n, d))
     segments, events = [], []
 
     if target.is_quadratic:
         flow = HamiltonianFlow(target.hessian, m)
         t = 0.0
-        while t < T:
-            tau = min(rng_dur.exponential() / resample_rate, T - t)
+        while True:
+            tau = min(next(durations) / resample_rate, T - t)
             segments.append((t, tau, q, p))
-            q, p = flow(q, p, tau)
             t += tau
             if t >= T:
+                q, p = flow(q, p, tau)
                 break
-            p = momentum.sample(rng_refresh, target.dim)
+            # the momentum at the end of the flight is resampled unread
+            q, p = flow.position(q, p, tau), next(refreshes)
             events.append((t, "hhmc-resample"))
         return Trajectory("hhmc", T, m, *_records(target.dim, segments, events),
                           final_q=q, final_p=p, flow=flow)
@@ -441,12 +472,12 @@ def simulate_hhmc(
     qs = np.empty((n_steps + 1, target.dim))
     ps = np.empty((n_steps + 1, target.dim))
     qs[0], ps[0] = q, p
-    next_resample = rng_dur.exponential() / resample_rate
+    next_resample = next(durations) / resample_rate
     for k in range(n_steps):
         if times[k] >= next_resample:
-            p = momentum.sample(rng_refresh, target.dim)
+            p = next(refreshes)
             events.append((times[k], "hhmc-resample"))
-            next_resample += rng_dur.exponential() / resample_rate
+            next_resample += next(durations) / resample_rate
         p = p - 0.5 * step * target.gradient(q)
         q = q + step * p / m
         p = p - 0.5 * step * target.gradient(q)
@@ -535,6 +566,17 @@ def simulate_langevin_batch(
 # time averaging
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre01(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of the given order on [0, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    # map from [-1, 1] to [0, 1]
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def time_average(traj: Trajectory, f, order: int = 5):
     """Time average (1/T) int_0^T f(Q_t) dt.
 
@@ -552,10 +594,7 @@ def time_average(traj: Trajectory, f, order: int = 5):
                       / traj.times[-1]) for func in funcs]
         return tuple(avgs) if isinstance(f, tuple) else avgs[0]
 
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    # map from [-1, 1] to [0, 1]
-    nodes01 = 0.5 * (nodes + 1.0)
-    w01 = 0.5 * weights
+    nodes01, w01 = _gauss_legendre01(order)
 
     # split each segment into panels of length <= 0.5 so the fixed-order
     # rule stays accurate on long flights
@@ -570,7 +609,7 @@ def time_average(traj: Trajectory, f, order: int = 5):
         v = p0 / traj.mass
         position = lambda s: q0 + s[:, None] * v
     else:
-        position = lambda s: traj.flow(q0, p0, s)[0]
+        position = lambda s: traj.flow.position(q0, p0, s)
 
     # each function's node sums, in the order a call with it alone makes them
     totals = [0.0] * len(funcs)

@@ -105,6 +105,10 @@ class MomentumModel:
     def sample(self, rng: np.random.Generator, dim: int) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal(dim) * math.sqrt(self.mass / self.beta)
+        if dim <= 2:
+            # numpy's sized call costs about three scalar draws, and the
+            # scalar draws take the same bits from the stream
+            return np.array([rng.integers(0, 2) * 2.0 - 1.0 for _ in range(dim)])
         return rng.integers(0, 2, size=dim) * 2.0 - 1.0
 
 
@@ -450,17 +454,18 @@ def estimate_poincare_1d(target: TargetModel) -> float:
     n = 2000
     x = np.linspace(-6.0, 6.0, n)
     dx = x[1] - x[0]
-    w = np.exp(-target.beta * target.potential(x[:, None]))
-    w_mid = 0.5 * (w[:-1] + w[1:])
-    # stiffness K: sum w_mid (g_{k+1}-g_k)^2 / dx, tridiagonal; mass M: sum w_k g_k^2 dx,
-    # diagonal.  K g = lambda M g is the symmetric tridiagonal problem of
-    # M^(-1/2) K M^(-1/2), solved in O(n) for its two smallest eigenvalues.
-    k_diag = np.zeros(n)
-    k_diag[:-1] += w_mid / dx
-    k_diag[1:] += w_mid / dx
-    scale = 1.0 / np.sqrt(w * dx)
+    # stiffness K: sum w_mid (g_{k+1}-g_k)^2 / dx, tridiagonal, with w = exp(-beta V)
+    # and w_mid its cell means; mass M: sum w_k g_k^2 dx, diagonal.  K g = lambda M g
+    # is the symmetric tridiagonal problem of M^(-1/2) K M^(-1/2), solved in O(n)
+    # for its two smallest eigenvalues.  Its entries are ratios of w, taken from
+    # differences of beta V, since w itself underflows where beta V is large.
+    du = np.diff(target.beta * target.potential(x[:, None]))
+    diag = np.zeros(n)
+    diag[:-1] += 0.5 * (1.0 + np.exp(-du))  # w_mid[k] / w[k]
+    diag[1:] += 0.5 * (1.0 + np.exp(du))  # w_mid[k] / w[k + 1]
+    off = -np.cosh(0.5 * du)  # -w_mid[k] / sqrt(w[k] w[k + 1])
     from scipy.linalg import eigh_tridiagonal
 
-    vals = eigh_tridiagonal(k_diag * scale * scale, -w_mid / dx * scale[:-1] * scale[1:],
+    vals = eigh_tridiagonal(diag / (dx * dx), off / (dx * dx),
                             eigvals_only=True, select="i", select_range=(0, 1))
     return float(vals[1])

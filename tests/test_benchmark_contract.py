@@ -9,12 +9,14 @@ own five-minute test run.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hypoguard import MomentumModel, builtin_observable, builtin_target
 from hypoguard import cli, guarantees, hypocoercivity, samplers, targets, validation
@@ -83,6 +85,22 @@ def test_traced_replicas_pass_the_workload_checks():
     assert c[("clock_events", "zigzag")] == sum(e.kind == "flip" for e in zz.events)
     assert c[("steps", "langevin")] == 200
     assert c[("replicas", "bps")] == c[("replicas", "hhmc")] == 1
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps", "hhmc"])
+def test_run_replicas_simulates_each_replica_through_the_wrapped_name(std_config, sampler):
+    # validation.trajectories_per_replica counts the wrapped simulate_<s>
+    # calls made inside run_replicas; an engine that goes around them
+    # leaves the traced workloads with nothing to measure
+    config = dataclasses.replace(std_config, sampler=sampler, T=5.0, replicas=3)
+    tr = tracer.Tracer()
+    tracer.install(tr)
+    try:
+        validation.run_replicas(config)
+    finally:
+        tr.remove()
+    assert tr.counts["validation.simulate_calls"] == config.replicas
+    assert tracer.layer_metrics(tr)["validation.trajectories_per_replica"] == 1.0
 
 
 def test_flow_records_have_the_layout_the_benchmark_reads():

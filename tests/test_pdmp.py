@@ -6,11 +6,13 @@ fixed-seed runs.  The runs on quadratic targets were made with the
 per-sampler clocks that the shared clock replaced.  At d = 1 the arithmetic
 is the same, so the runs must match bit for bit; at d = 50 one
 matrix-vector product per event sums u.(Hv) in another order than the
-former row products, so agreement is to 1e-11.  The thinned ``*/well`` runs
-are pinned, bit for bit, to the affine-envelope clock that stops at the
-next refresh.  Regenerate the file only for a deliberate change of the seed
-contract: ``PYTHONPATH=src python tests/test_pdmp.py`` rewrites the d = 1
-entries and keeps the recorded d = 50 references.
+former row products, so agreement is to 1e-11.  ``hhmc/aniso`` was
+recorded with the loop that flowed the momentum at every event and drew
+one value per call, and is held to the same 1e-11.  The thinned
+``*/well`` runs are pinned, bit for bit, to the affine-envelope clock that
+stops at the next refresh.  Regenerate the file only for a deliberate
+change of the seed contract: ``PYTHONPATH=src python tests/test_pdmp.py``
+rewrites the d = 1 entries and keeps the recorded d = 50 references.
 """
 
 import dataclasses
@@ -63,6 +65,7 @@ RUNS = {
                                        q0=START),
     "zigzag/aniso": lambda s: simulate_zigzag(ANISO, T=5.0, seed=s, refresh_rate=1.0),
     "bps/aniso": lambda s: simulate_bps(ANISO, MOM, refresh_rate=1.0, T=50.0, seed=s),
+    "hhmc/aniso": lambda s: simulate_hhmc(ANISO, MOM, resample_rate=1.0, T=50.0, seed=s),
 }
 D1 = [k for k in RUNS if not k.endswith("/aniso")]
 D50 = [k for k in RUNS if k.endswith("/aniso")]

@@ -206,6 +206,17 @@ class TestHamiltonianFlow:
             -q0 * m * w * math.sin(w * t) + p0 * math.cos(w * t), rel=1e-12
         )
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_position_is_the_flow_position_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((d, d))
+        flow = HamiltonianFlow(A @ A.T + d * np.eye(d), mass=1.3)
+        q0, p0 = rng.standard_normal((2, 7, d))
+        for t in (0.0, 0.37, 12.9):
+            assert np.array_equal(flow.position(q0[0], p0[0], t), flow(q0[0], p0[0], t)[0])
+        t = rng.exponential(size=7)
+        assert np.array_equal(flow.position(q0, p0, t), flow(q0, p0, t)[0])
+
     @pytest.mark.parametrize("H", [np.zeros((1, 1)), np.diag([1.0, 0.0]),
                                    np.array([[1.0, 2.0], [2.0, 1.0]])])
     def test_hessian_not_positive_definite_rejected(self, H):

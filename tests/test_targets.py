@@ -17,6 +17,7 @@ from hypoguard import (
     scale_potential,
     simulate_zigzag,
 )
+from hypoguard.samplers import stream_rng
 
 
 def finite_diff_grad(V, q, h=1e-6):
@@ -219,6 +220,19 @@ def test_momentum_models():
         MomentumModel(kind="uniform", mass=1.0, beta=1.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 50])
+def test_rademacher_sample_takes_the_bits_of_a_sized_draw(d):
+    # small d draws per component; the values and what is left of the
+    # stream must be those of one sized draw
+    r = MomentumModel(kind="rademacher")
+    rng, twin = stream_rng(8, "refresh"), stream_rng(8, "refresh")
+    for _ in range(100):
+        v = r.sample(rng, d)
+        assert v.shape == (d,) and v.dtype == np.float64
+        assert np.array_equal(v, twin.integers(0, 2, size=d) * 2.0 - 1.0)
+        assert rng.exponential() == twin.exponential()
+
+
 def test_poincare_estimate_gaussian():
     # the estimator and builtin_target share one convention: the spectral gap
     t = builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.0)
@@ -249,3 +263,11 @@ def dense_poincare_1d(target, lo=-6.0, hi=6.0, n=2000):
 ], ids=lambda t: t.name)
 def test_poincare_estimate_matches_dense_solve(target):
     assert estimate_poincare_1d(target) == pytest.approx(dense_poincare_1d(target), rel=1e-9)
+
+
+def test_poincare_estimate_where_the_density_underflows():
+    # exp(-beta V) underflows to 0 on part of [-6, 6] for both targets
+    well = estimate_poincare_1d(builtin_target("double_well", beta=3.0, poincare_const=1.0))
+    assert math.isfinite(well) and well > 0.0
+    stiff = builtin_target("gaussian_iso", dim=1, h=50.0, beta=1.0)
+    assert estimate_poincare_1d(stiff) == pytest.approx(50.0, rel=1e-3)
