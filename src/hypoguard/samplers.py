@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -115,7 +116,9 @@ class HamiltonianFlow:
         return yt @ self.U.T, wt @ self.U.T
 
     def position(self, q0: np.ndarray, p0: np.ndarray, t) -> np.ndarray:
-        """The position after time t, equal bit for bit to ``self(q0, p0, t)[0]``."""
+        """The position after time t, equal bit for bit to ``self(q0, p0, t)[0]``
+        without the momentum's work: :func:`time_average` reads exact-flow
+        positions at its quadrature nodes through it."""
         y, w, c, s = self._modes(q0, p0, t)
         return (y * c + w / self.mass * (s / self.omega)) @ self.U.T
 
@@ -149,19 +152,25 @@ class Trajectory:
     ps: Optional[np.ndarray] = None
 
 
-def _records(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
-    """The record arrays of a path in dimension d from its rows: (t0,
-    duration, q0, p0) per flight and (time, kind) per event."""
+def _tables(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
+    """The record arrays of a path in dimension d from its columns: t0,
+    duration, q0 and p0 of the flights, time and kind of the events."""
     tables = []
-    for rows, fields in (
+    for columns, fields in (
         (segments, [("t0", float), ("duration", float), ("q0", float, (d,)), ("p0", float, (d,))]),
         (events, [("time", float), ("kind", "U13")]),
     ):
-        table = np.empty(len(rows), fields)
-        for name, column in zip(table.dtype.names, zip(*rows)):
+        table = np.empty(len(columns[0]) if columns else 0, fields)
+        for name, column in zip(table.dtype.names, columns):
             table[name] = column
         tables.append(table.view(np.recarray))
     return tables[0], tables[1]
+
+
+def _records(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
+    """The record arrays of a path in dimension d from its rows: (t0,
+    duration, q0, p0) per flight and (time, kind) per event."""
+    return _tables(d, tuple(zip(*segments)), tuple(zip(*events)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +281,17 @@ def sample_by_thinning(
 def _initial_state(
     target: TargetModel,
     momentum: MomentumModel,
-    rng: np.random.Generator,
+    seed: int,
     q0: Optional[np.ndarray],
     p0: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    if q0 is None:
-        q0 = target.sample_position(rng)
-    if p0 is None:
-        p0 = momentum.sample(rng, target.dim)
+    # the "init" stream is built only when a start is missing
+    if q0 is None or p0 is None:
+        rng = stream_rng(seed, "init")
+        if q0 is None:
+            q0 = target.sample_position(rng)
+        if p0 is None:
+            p0 = momentum.sample(rng, target.dim)
     q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
     for name, x in (("position", q), ("momentum", p)):
         if x.shape != (target.dim,):
@@ -345,12 +357,11 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     """
     if T <= 0.0 or refresh_rate < 0.0:
         raise ValueError("need T > 0 and refresh_rate >= 0")
-    rng_init = stream_rng(seed, "init")
     rng_clock = stream_rng(seed, clock)
     clock_draws = (_draws(lambda n: rng_clock.exponential(size=n).tolist())
                    if target.is_quadratic else rng_clock)
     rng_refresh = stream_rng(seed, "refresh")
-    q, p = _initial_state(target, momentum, rng_init, q0, p0)
+    q, p = _initial_state(target, momentum, seed, q0, p0)
     m = momentum.mass
     segments, events = [], []
     grad = target.gradient(q)
@@ -436,37 +447,49 @@ def simulate_hhmc(
 
     The flow is exact (phase-space rotation) for quadratic potentials; for
     general potentials a leapfrog integrator with the given step is used and
-    the trajectory is marked discretized.
+    the trajectory is marked discretized.  The durations and the resampled
+    momenta do not depend on the state, so the exact route draws them all
+    first and then moves the positions by one recurrence per eigen-coordinate.
+    At d = 1 this equals flowing one flight at a time bit for bit; at d > 1
+    the positions differ from that by rounding only (about 3e-14 at d = 50).
     """
     if T <= 0.0 or resample_rate <= 0.0:
         raise ValueError("need T > 0 and resample_rate > 0")
-    rng_init = stream_rng(seed, "init")
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
-    q, p = _initial_state(target, momentum, rng_init, q0, p0)
+    q, p = _initial_state(target, momentum, seed, q0, p0)
     m, d = momentum.mass, target.dim
-    # each stream draws one kind only, so both are drawn in blocks
+    # each stream draws one kind only, so it is drawn in blocks, which equal
+    # the same number of single draws
     durations = _draws(lambda n: rng_dur.exponential(size=n).tolist())
-    refreshes = _draws(lambda n: momentum.sample(rng_refresh, n * d).reshape(n, d))
-    segments, events = [], []
+    momenta = lambda n: momentum.sample(rng_refresh, n * d).reshape(n, d)
 
     if target.is_quadratic:
-        flow = HamiltonianFlow(target.hessian, m)
-        t = 0.0
-        while True:
+        starts, taus, t = [], [], 0.0
+        while t < T:
             tau = min(next(durations) / resample_rate, T - t)
-            segments.append((t, tau, q, p))
+            starts.append(t)
+            taus.append(tau)
             t += tau
-            if t >= T:
-                q, p = flow(q, p, tau)
-                break
-            # the momentum at the end of the flight is resampled unread
-            q, p = flow.position(q, p, tau), next(refreshes)
-            events.append((t, "hhmc-resample"))
-        return Trajectory("hhmc", T, m, *_records(target.dim, segments, events),
-                          final_q=q, final_p=p, flow=flow)
+        k = len(taus) - 1
+        ps = np.concatenate([p[None], momenta(k)])
+        # in eigen-coordinates y = q U each flight is y -> y cos(omega tau) + b
+        # with b = (p U / m) sin(omega tau) / omega, one recurrence per
+        # coordinate; the momentum at the end of a flight is resampled unread
+        flow = HamiltonianFlow(target.hessian, m)
+        th = np.multiply.outer(taus[:k], flow.omega)
+        cs = np.cos(th).T.tolist()
+        bs = ((ps[:k] @ flow.U) / m * (np.sin(th) / flow.omega)).T.tolist()
+        ys = [itertools.accumulate(zip(c, b), lambda y, cb: y * cb[0] + cb[1], initial=y0)
+              for y0, c, b in zip((q @ flow.U).tolist(), cs, bs)]
+        qs = np.array(list(zip(*ys))) @ flow.U.T
+        qs[0] = q  # the start itself, not its round trip through U
+        q, p = flow(qs[-1], ps[-1], taus[-1])
+        segments, events = _tables(d, (starts, taus, qs, ps), (starts[1:], "hhmc-resample"))
+        return Trajectory("hhmc", T, m, segments, events, final_q=q, final_p=p, flow=flow)
 
     # leapfrog route: discretized step grid with resamples snapped to steps
+    refreshes, events = _draws(momenta), []
     n_steps = int(math.ceil(T / step))
     times = np.linspace(0.0, n_steps * step, n_steps + 1)
     qs = np.empty((n_steps + 1, target.dim))
@@ -482,7 +505,7 @@ def simulate_hhmc(
         q = q + step * p / m
         p = p - 0.5 * step * target.gradient(q)
         qs[k + 1], ps[k + 1] = q, p
-    return Trajectory("hhmc", float(times[-1]), m, *_records(target.dim, segments, events),
+    return Trajectory("hhmc", float(times[-1]), m, *_records(target.dim, (), events),
                       final_q=q, final_p=p, discretized=True, times=times, qs=qs, ps=ps)
 
 
@@ -504,7 +527,7 @@ def simulate_langevin(
     covered by the exact-process guarantees.  This is the one-replica case
     of :func:`simulate_langevin_batch`.
     """
-    q, p = _initial_state(target, momentum, stream_rng(seed, "init"), q0, p0)
+    q, p = _initial_state(target, momentum, seed, q0, p0)
     return simulate_langevin_batch(target, momentum, gamma, T, step, [seed],
                                    q[None], p[None])[0]
 

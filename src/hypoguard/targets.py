@@ -107,8 +107,9 @@ class MomentumModel:
             return rng.standard_normal(dim) * math.sqrt(self.mass / self.beta)
         if dim <= 2:
             # numpy's sized call costs about three scalar draws, and the
-            # scalar draws take the same bits from the stream
-            return np.array([rng.integers(0, 2) * 2.0 - 1.0 for _ in range(dim)])
+            # scalar draws take the same bits from the stream; a tuple
+            # lookup maps a draw to +-1 without NumPy-scalar arithmetic
+            return np.array([(-1.0, 1.0)[rng.integers(0, 2)] for _ in range(dim)])
         return rng.integers(0, 2, size=dim) * 2.0 - 1.0
 
 

@@ -8,7 +8,9 @@ is the same, so the runs must match bit for bit; at d = 50 one
 matrix-vector product per event sums u.(Hv) in another order than the
 former row products, so agreement is to 1e-11.  ``hhmc/aniso`` was
 recorded with the loop that flowed the momentum at every event and drew
-one value per call, and is held to the same 1e-11.  The thinned
+one value per call, and is held to the same 1e-11; the array pass that
+replaced it, which moves the positions by one eigen-coordinate recurrence,
+is within about 3e-14 of it.  The thinned
 ``*/well`` runs are pinned, bit for bit, to the affine-envelope clock that
 stops at the next refresh.  Regenerate the file only for a deliberate
 change of the seed contract: ``PYTHONPATH=src python tests/test_pdmp.py``

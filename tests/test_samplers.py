@@ -15,6 +15,7 @@ from hypoguard import (
     observable_stats_quadrature,
     reflect,
     sample_by_thinning,
+    samplers,
     simulate_bps,
     simulate_hhmc,
     simulate_langevin,
@@ -235,6 +236,129 @@ class TestHHMCIntegrator:
         assert traj.discretized and traj.flow is None
         assert len(traj.times) == math.ceil(T / step) + 1
         assert np.all(np.isfinite(traj.final_q)) and np.all(np.isfinite(traj.final_p))
+
+
+def per_event_exact_hhmc(target, momentum, resample_rate, T, seed, q0=None, p0=None):
+    """Reference exact HHMC that flows one event at a time: durations and
+    momenta drawn 64 at a time as they are needed, each flight mapped to
+    eigen-coordinates and back."""
+    def draws(block):
+        while True:
+            yield from block(64)
+
+    rng_init = stream_rng(seed, "init")
+    q = target.sample_position(rng_init) if q0 is None else np.array(q0, dtype=float)
+    p = momentum.sample(rng_init, target.dim) if p0 is None else np.array(p0, dtype=float)
+    rng_dur, rng_refresh = stream_rng(seed, "duration"), stream_rng(seed, "refresh")
+    d = target.dim
+    durations = draws(lambda n: rng_dur.exponential(size=n).tolist())
+    refreshes = draws(lambda n: momentum.sample(rng_refresh, n * d).reshape(n, d))
+    flow = HamiltonianFlow(target.hessian, momentum.mass)
+    segments, events, t = [], [], 0.0
+    while True:
+        tau = min(next(durations) / resample_rate, T - t)
+        segments.append((t, tau, q, p))
+        t += tau
+        if t >= T:
+            q, p = flow(q, p, tau)
+            break
+        q, p = flow.position(q, p, tau), next(refreshes)
+        events.append((t, "hhmc-resample"))
+    return (*_records(d, segments, events), q, p)
+
+
+class TestExactHHMCOracle:
+    """The array pass of exact HHMC against the per-event loop it replaced."""
+
+    ISO = builtin_target("gaussian_iso", dim=1, h=1.7)
+
+    @staticmethod
+    def _pair(target, momentum, rate, T, seed, **start):
+        traj = simulate_hhmc(target, momentum, rate, T, seed, **start)
+        return traj, per_event_exact_hhmc(target, momentum, rate, T, seed, **start)
+
+    @pytest.mark.parametrize("momentum, rate, T, min_events", [
+        (MomentumModel(kind="gaussian"), 1.0, 150.0, 65),
+        (MomentumModel(kind="rademacher"), 1.0, 150.0, 65),
+        (MomentumModel(kind="gaussian", mass=2.5, beta=0.7), 0.37, 400.0, 65),
+        (MomentumModel(kind="rademacher", mass=0.6), 2.3, 40.0, 65),
+    ], ids=["gaussian", "rademacher", "gaussian-mass-rate", "rademacher-mass-rate"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_d1_is_the_per_event_loop_bit_for_bit(self, momentum, rate, T, min_events, seed):
+        for start in ({}, {"q0": np.array([0.4]), "p0": np.array([-1.0])}):
+            traj, (segments, events, q, p) = self._pair(self.ISO, momentum, rate, T, seed,
+                                                        **start)
+            # more than one 64-row block of resampled momenta
+            assert len(traj.events) >= min_events
+            for name in segments.dtype.names:
+                assert np.array_equal(traj.segments[name], segments[name]), name
+            for name in events.dtype.names:
+                assert np.array_equal(traj.events[name], events[name]), name
+            assert np.array_equal(traj.final_q, q) and np.array_equal(traj.final_p, p)
+
+    @pytest.mark.parametrize("momentum", [MomentumModel(kind="gaussian"),
+                                          MomentumModel(kind="rademacher", mass=2.0)])
+    def test_horizon_before_the_first_resample(self, momentum):
+        traj, (segments, events, q, p) = self._pair(self.ISO, momentum, 0.5, 1e-3, 4)
+        assert len(traj.events) == 0 and len(traj.segments) == 1
+        assert np.array_equal(traj.segments.q0, segments.q0)
+        assert np.array_equal(traj.segments.p0, segments.p0)
+        assert traj.segments.duration.tolist() == [1e-3]
+        assert np.array_equal(traj.final_q, q) and np.array_equal(traj.final_p, p)
+
+    def test_d50_agrees_to_1e_12(self):
+        rng = np.random.default_rng(2019)
+        H = np.diag(rng.uniform(1.0, 2.0, 50))
+        off = rng.uniform(-0.45, 0.45, 49)
+        H[np.arange(49), np.arange(1, 50)] = off
+        H[np.arange(1, 50), np.arange(49)] = off
+        target = builtin_target("gaussian_aniso", H=H)
+        for seed in (11, 12):
+            traj, (segments, events, q, p) = self._pair(
+                target, MomentumModel(kind="gaussian", mass=1.3), 1.0, 50.0, seed)
+            assert len(traj.events) > 0
+            # the draws and the times do not pass through the eigenbasis
+            for name in ("t0", "duration", "p0"):
+                assert np.array_equal(traj.segments[name], segments[name]), name
+            assert np.array_equal(traj.events.time, events.time)
+            # the first flight starts at the start itself, not its round trip
+            assert np.array_equal(traj.segments.q0[0], segments.q0[0])
+            np.testing.assert_allclose(traj.segments.q0, segments.q0, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(traj.final_q, q, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(traj.final_p, p, rtol=0.0, atol=1e-12)
+
+    def test_array_cos_and_sin_are_the_per_element_calls(self):
+        # bit identity at d = 1 rests on this: the per-event loop took cos
+        # and sin of one angle at a time, the array pass of all at once
+        th = np.random.default_rng(5).exponential(3.0, size=(2000, 3))
+        for fn in (np.cos, np.sin):
+            each = np.array([[fn(np.array([x]))[0] for x in row] for row in th])
+            assert np.array_equal(fn(th), each)
+
+
+def test_init_stream_is_built_only_for_a_missing_start(monkeypatch):
+    built = []
+
+    def recording_stream_rng(seed, name):
+        built.append(name)
+        return stream_rng(seed, name)
+
+    monkeypatch.setattr(samplers, "stream_rng", recording_stream_rng)
+    t = builtin_target("gaussian_iso", dim=1)
+    mom = MomentumModel(kind="gaussian")
+    for sim in (
+        lambda **start: simulate_zigzag(t, 5.0, 1, q0=start.get("q0"), v0=start.get("p0")),
+        lambda **start: simulate_bps(t, mom, 1.0, 5.0, 1, **start),
+        lambda **start: simulate_hhmc(t, mom, 1.0, 5.0, 1, **start),
+        lambda **start: simulate_langevin(t, mom, 1.0, 1.0, 0.01, 1, **start),
+    ):
+        built.clear()
+        sim(q0=np.array([0.2]), p0=np.array([1.0]))
+        assert "init" not in built
+        for start in ({}, {"q0": np.array([0.2])}, {"p0": np.array([1.0])}):
+            built.clear()
+            sim(**start)
+            assert built.count("init") == 1
 
 
 def stationary_moment_check(sample_avgs, expected, label, z=3.0):
