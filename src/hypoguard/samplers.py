@@ -8,14 +8,15 @@ perturbs an existing stream and identical (config, seed) pairs give
 bit-identical trajectories.
 
 The zig-zag sampler and the bouncy particle sampler (BPS) share one event
-clock and one flight loop.  Along the flight q + s v every jump clock has
-rate beta [u . grad V(q + s v)]^+: u = v for the single BPS bounce clock,
-and u = v_i e_i for the zig-zag flip clock of component i.  For quadratic
-potentials the rate is affine in s and inverted in closed form; for
-general potentials the clocks are simulated by thinning against an affine
-envelope of the rate, certified by the target's Hessian bound on a sliding
-window, up to the next refresh.  A violated envelope is a hard error, never
-a silent acceptance.
+clock and their flight loops: one on Python floats for a quadratic target
+in one dimension, one on arrays otherwise.  Along the flight q + s v every
+jump clock has rate beta [u . grad V(q + s v)]^+: u = v for the single BPS
+bounce clock, and u = v_i e_i for the zig-zag flip clock of component i.
+For quadratic potentials the rate is affine in s and inverted in closed
+form; for general potentials the clocks are simulated by thinning against
+an affine envelope of the rate, certified by the target's Hessian bound on
+a sliding window, up to the next refresh.  A violated envelope is a hard
+error, never a silent acceptance.
 """
 
 from __future__ import annotations
@@ -98,29 +99,36 @@ class HamiltonianFlow:
             raise ValueError("exact flow requires a positive definite Hessian")
         self.omega = np.sqrt(evals / mass)
 
-    def _modes(self, q0: np.ndarray, p0: np.ndarray, t):
-        """The eigenmode coordinates of q0 and p0, and cos and sin of the
-        rotation angles omega t."""
-        y = q0 @ self.U
-        w = p0 @ self.U
+    def _angles(self, t):
+        """cos and sin of the rotation angles omega t."""
         t = np.asarray(t, dtype=float)
         th = np.multiply.outer(t, self.omega) if t.ndim else t * self.omega
-        return y, w, np.cos(th), np.sin(th)
+        return np.cos(th), np.sin(th)
 
     def __call__(self, q0: np.ndarray, p0: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         """Advance by time t; q0, p0 of shape (d,) or (n, d), t scalar or (n,)."""
-        y, w, c, s = self._modes(q0, p0, t)
+        y, w = q0 @ self.U, p0 @ self.U
+        c, s = self._angles(t)
         m = self.mass
         yt = y * c + w / m * (s / self.omega)
         wt = -y * (m * self.omega) * s + w * c
         return yt @ self.U.T, wt @ self.U.T
 
+    def positions(self, q0: np.ndarray, p0: np.ndarray) -> Callable:
+        """The map from t to the position after time t, equal bit for bit to
+        ``self(q0, p0, t)[0]`` without the momentum's work.  q0 and p0 are
+        projected on the eigenmodes once, so :func:`time_average` reads the
+        positions at all its quadrature nodes through one map."""
+        y, w = q0 @ self.U, p0 @ self.U / self.mass
+
+        def at(t) -> np.ndarray:
+            c, s = self._angles(t)
+            return (y * c + w * (s / self.omega)) @ self.U.T
+        return at
+
     def position(self, q0: np.ndarray, p0: np.ndarray, t) -> np.ndarray:
-        """The position after time t, equal bit for bit to ``self(q0, p0, t)[0]``
-        without the momentum's work: :func:`time_average` reads exact-flow
-        positions at its quadrature nodes through it."""
-        y, w, c, s = self._modes(q0, p0, t)
-        return (y * c + w / self.mass * (s / self.omega)) @ self.U.T
+        """The position after time t: ``self.positions(q0, p0)(t)``."""
+        return self.positions(q0, p0)(t)
 
 
 @dataclass
@@ -340,28 +348,56 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
     return tau, taus.index(tau)
 
 
+def _require_finite(**params: float) -> None:
+    """Reject a horizon, rate or step that is not a finite number, by name:
+    an infinite horizon never ends a flight loop, and a NaN passes every
+    comparison that guards one."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
                    target: TargetModel, momentum: MomentumModel, refresh_rate: float,
                    T: float, seed: int, q0, p0) -> Trajectory:
     """Linear flight between refreshes and the jumps of the ``clock`` stream.
 
     ``slopes(v, w)`` lists u_i . w over the jump clocks' directions u_i (see
-    :func:`_first_jump`).  grad V is evaluated once per event point and
-    shared by the next clocks and the jump.  The refresh time is drawn
-    first and ends the clocks' horizon; the two streams are separate, so the
-    order of the draws changes no quadratic-target path.  ``jump(p, grad,
-    i)`` returns the momentum after clock i fires, or None where the jump is
-    undefined, in which case the momentum is refreshed.  Affine clocks draw
-    only exponentials, so they are drawn in blocks; thinned clocks and the
-    refresh stream, which mix two kinds of draw, are drawn one at a time.
+    :func:`_first_jump`).  ``jump(p, grad, i)`` returns the momentum after
+    clock i fires, or None where the jump is undefined, in which case the
+    momentum is refreshed.  A quadratic target in one dimension runs the
+    flights on Python floats (:func:`_flights_1d`), equal bit for bit to the
+    array loop (:func:`_flights`) that every other target runs: affine
+    clocks at d > 1, thinned clocks on a general potential.
     """
+    _require_finite(T=T, refresh_rate=refresh_rate)
     if T <= 0.0 or refresh_rate < 0.0:
         raise ValueError("need T > 0 and refresh_rate >= 0")
+    q, p = _initial_state(target, momentum, seed, q0, p0)
+    if target.is_quadratic and target.dim == 1:
+        path = _flights_1d(clock, jump, target, momentum, refresh_rate, T, seed, q, p)
+    else:
+        path = _flights(clock, slopes, jump, target, momentum, refresh_rate, T, seed, q, p)
+    return Trajectory(sampler, T, momentum.mass, *path)
+
+
+def _flights(clock: str, slopes: Callable, jump: Callable, target: TargetModel,
+             momentum: MomentumModel, refresh_rate: float, T: float, seed: int,
+             q: np.ndarray, p: np.ndarray) -> tuple:
+    """The flights of :func:`_simulate_pdmp` from (q, p) on (d,) arrays:
+    the segment and event tables and the final position and momentum.
+
+    grad V is evaluated once per event point and shared by the next clocks
+    and the jump.  The refresh time is drawn first and ends the clocks'
+    horizon; the two streams are separate, so the order of the draws
+    changes no quadratic-target path.  Affine clocks draw only
+    exponentials, so they are drawn in blocks; thinned clocks and the
+    refresh stream, which mix two kinds of draw, are drawn one at a time.
+    """
     rng_clock = stream_rng(seed, clock)
     clock_draws = (_draws(lambda n: rng_clock.exponential(size=n).tolist())
                    if target.is_quadratic else rng_clock)
     rng_refresh = stream_rng(seed, "refresh")
-    q, p = _initial_state(target, momentum, seed, q0, p0)
     m = momentum.mass
     segments, events = [], []
     grad = target.gradient(q)
@@ -382,7 +418,51 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
         if p is None:
             kind, p = "refresh", momentum.sample(rng_refresh, target.dim)
         events.append((t, kind))
-    return Trajectory(sampler, T, m, *_records(target.dim, segments, events), final_q=q, final_p=p)
+    return (*_records(target.dim, segments, events), q, p)
+
+
+def _flights_1d(clock: str, jump: Callable, target: TargetModel, momentum: MomentumModel,
+                refresh_rate: float, T: float, seed: int, q: np.ndarray, p: np.ndarray) -> tuple:
+    """:func:`_flights` for a quadratic target in one dimension, on Python
+    floats, with the same draws, the same operations in the same order and
+    so the same bits.
+
+    With h the 1 x 1 Hessian, the one clock's slope along q + s v is
+    a + b s, a = v grad V(q) and b = v (h v), as ``slopes`` gives at d = 1.
+    The gradient is still taken from ``target.gradient`` on a 1-element
+    array at each event point, and each jump is still ``jump`` on 1-element
+    arrays, so user gradients, reflection factors and the refresh where a
+    jump is undefined act as in the array loop.
+    """
+    rng_clock = stream_rng(seed, clock)
+    clock_draws = _draws(lambda n: rng_clock.exponential(size=n).tolist())
+    rng_refresh = stream_rng(seed, "refresh")
+    beta, h, m = target.beta, float(target.hessian[0, 0]), momentum.mass
+    q, p = float(q[0]), float(p[0])
+    grad = target.gradient(np.array([q]))
+    segments, events = [], []
+    t = 0.0
+    while t < T:
+        v = p / m
+        tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
+        tau_c = invert_affine_rate(beta * (v * float(grad[0])), beta * (v * (h * v)),
+                                   next(clock_draws))
+        tau = min(tau_c, tau_r, T - t)
+        segments.append((t, tau, q, p))
+        q = q + tau * v
+        t += tau
+        if t >= T:
+            break
+        grad = target.gradient(np.array([q]))
+        p_jump = jump(np.array([p]), grad, 0) if tau_c <= tau_r else None
+        if p_jump is None:
+            kind, p = "refresh", momentum.draw(rng_refresh)
+        else:
+            kind, p = clock, float(p_jump[0])
+        events.append((t, kind))
+    t0s, taus, qs, ps = zip(*segments)
+    columns = (t0s, taus, np.reshape(qs, (-1, 1)), np.reshape(ps, (-1, 1)))
+    return (*_tables(1, columns, tuple(zip(*events))), np.array([q]), np.array([p]))
 
 
 def simulate_bps(
@@ -453,6 +533,7 @@ def simulate_hhmc(
     At d = 1 this equals flowing one flight at a time bit for bit; at d > 1
     the positions differ from that by rounding only (about 3e-14 at d = 50).
     """
+    _require_finite(T=T, resample_rate=resample_rate, step=step)
     if T <= 0.0 or resample_rate <= 0.0:
         raise ValueError("need T > 0 and resample_rate > 0")
     rng_dur = stream_rng(seed, "duration")
@@ -551,6 +632,7 @@ def simulate_langevin_batch(
     one (R, n + 1, d) array; replica r's trajectory holds its contiguous
     (n + 1, d) slice.
     """
+    _require_finite(T=T, step=step, gamma=gamma)
     if T <= 0.0 or step <= 0.0 or gamma <= 0.0:
         raise ValueError("need T > 0, step > 0, gamma > 0")
     q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
@@ -632,7 +714,7 @@ def time_average(traj: Trajectory, f, order: int = 5):
         v = p0 / traj.mass
         position = lambda s: q0 + s[:, None] * v
     else:
-        position = lambda s: traj.flow.position(q0, p0, s)
+        position = traj.flow.positions(q0, p0)
 
     # each function's node sums, in the order a call with it alone makes them
     totals = [0.0] * len(funcs)

@@ -102,14 +102,21 @@ class MomentumModel:
             return 1.0 / (self.mass * self.beta)
         return 1.0
 
-    def sample(self, rng: np.random.Generator, dim: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator) -> float:
+        """One component of a draw from rho*, taking from ``rng`` the bits
+        that ``sample(rng, 1)`` takes."""
         if self.kind == "gaussian":
-            return rng.standard_normal(dim) * math.sqrt(self.mass / self.beta)
+            return rng.standard_normal() * math.sqrt(self.mass / self.beta)
+        # a tuple lookup maps a draw to +-1 without NumPy-scalar arithmetic
+        return (-1.0, 1.0)[rng.integers(0, 2)]
+
+    def sample(self, rng: np.random.Generator, dim: int) -> np.ndarray:
         if dim <= 2:
             # numpy's sized call costs about three scalar draws, and the
-            # scalar draws take the same bits from the stream; a tuple
-            # lookup maps a draw to +-1 without NumPy-scalar arithmetic
-            return np.array([(-1.0, 1.0)[rng.integers(0, 2)] for _ in range(dim)])
+            # scalar draws take the same bits from the stream
+            return np.array([self.draw(rng) for _ in range(dim)])
+        if self.kind == "gaussian":
+            return rng.standard_normal(dim) * math.sqrt(self.mass / self.beta)
         return rng.integers(0, 2, size=dim) * 2.0 - 1.0
 
 

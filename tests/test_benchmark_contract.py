@@ -103,6 +103,29 @@ def test_run_replicas_simulates_each_replica_through_the_wrapped_name(std_config
     assert tracer.layer_metrics(tr)["validation.trajectories_per_replica"] == 1.0
 
 
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_one_dimensional_flights_keep_the_clock_and_gradient_hooks(sampler):
+    # samplers.clock_yield divides clock events by the calls of the module
+    # global invert_affine_rate, and targets.gradient_calls_per_event counts
+    # target.gradient: the d = 1 float loop must make one inversion per
+    # flight and one gradient call at the start and at each event point
+    tr = tracer.Tracer()
+    tracer.install(tr)
+    try:
+        target = workloads.counting_target(builtin_target("gaussian_iso", dim=1, h=1.3),
+                                           tracer.counting_wrapper(tr))
+        if sampler == "zigzag":
+            traj = samplers.simulate_zigzag(target, 100.0, 5, 1.0)
+        else:
+            mom = MomentumModel(kind="gaussian", mass=2.5, beta=target.beta)
+            traj = samplers.simulate_bps(target, mom, 1.0, 100.0, 5)
+    finally:
+        tr.remove()
+    assert len(traj.events) > 64
+    assert tr.counts["samplers.invert_affine_rate"] == len(traj.segments)
+    assert tr.counts["targets.gradient"] == len(traj.events) + 1
+
+
 def test_flow_records_have_the_layout_the_benchmark_reads():
     # the tracer reads len(segments), len(events) and each event's kind, and
     # replica_outcome sums seg.duration over the rows

@@ -16,6 +16,7 @@ from hypoguard import (
     reflect,
     sample_by_thinning,
     samplers,
+    scale_potential,
     simulate_bps,
     simulate_hhmc,
     simulate_langevin,
@@ -441,6 +442,93 @@ class TestStationaryMomentsTridiagonal:
         )
 
 
+@pytest.fixture
+def both_flight_loops(monkeypatch):
+    """Record, for each zig-zag or BPS call, the paths of the d = 1 float
+    loop and of the array loop, both called directly on the arguments the
+    sampler passes (its own slopes and jump), next to the trajectory."""
+    runs = []
+    simulate = samplers._simulate_pdmp
+
+    def recording(sampler, clock, slopes, jump, target, momentum, refresh_rate, T, seed,
+                  q0, p0):
+        q, p = samplers._initial_state(target, momentum, seed, q0, p0)
+        common = (target, momentum, refresh_rate, T, seed, q, p)
+        traj = simulate(sampler, clock, slopes, jump, target, momentum, refresh_rate, T,
+                        seed, q0, p0)
+        runs.append((traj, samplers._flights_1d(clock, jump, *common),
+                     samplers._flights(clock, slopes, jump, *common)))
+        return traj
+
+    monkeypatch.setattr(samplers, "_simulate_pdmp", recording)
+    return runs
+
+
+class TestFloatFlightsOracle:
+    """The d = 1 flight loop of zig-zag and BPS on Python floats against the
+    array loop that d > 1 and thinned targets run."""
+
+    ISO = builtin_target("gaussian_iso", dim=1, h=2.3)
+    ANISO = builtin_target("gaussian_aniso", H=[[1.7]], beta=1.3)
+    SCALED = scale_potential(builtin_target("gaussian_iso", dim=1, h=1.4), 0.6)
+    START = {"q0": np.array([0.4]), "p0": np.array([-1.0])}
+
+    @staticmethod
+    def _assert_same(runs, T):
+        assert runs
+        for traj, flat, array in runs:
+            (seg, ev, q, p), (seg_a, ev_a, q_a, p_a) = flat, array
+            for table, table_a in ((seg, seg_a), (ev, ev_a)):
+                assert table.dtype == table_a.dtype
+                for name in table.dtype.names:
+                    assert np.array_equal(table[name], table_a[name]), name
+            for x, y in ((q, q_a), (p, p_a)):
+                assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+            # the sampler runs the float loop
+            assert np.array_equal(traj.segments, seg) and np.array_equal(traj.events, ev)
+            assert np.array_equal(traj.final_q, q) and np.array_equal(traj.final_p, p)
+            f = lambda qs: np.cos(qs[:, 0])
+            fs = [time_average(Trajectory(traj.sampler, T, traj.mass, *path), f)
+                  for path in (flat, array)]
+            assert fs[0] == fs[1] == time_average(traj, f)
+
+    @pytest.mark.parametrize("target, refresh_rate", [
+        (ISO, 1.0), (ISO, 0.0), (ANISO, 0.5), (SCALED, 1.0)],
+        ids=["iso", "iso-no-refresh", "aniso-1x1", "scaled"])
+    @pytest.mark.parametrize("start", [{}, START], ids=["sampled", "given"])
+    def test_zigzag(self, both_flight_loops, target, refresh_rate, start):
+        for seed in (1, 2):
+            traj = simulate_zigzag(target, 400.0, seed, refresh_rate,
+                                   start.get("q0"), start.get("p0"))
+            # one flip draw per flight: more than one 64-draw block
+            assert len(traj.segments) > 64
+        self._assert_same(both_flight_loops, 400.0)
+
+    @pytest.mark.parametrize("target, momentum, refresh_rate, factor", [
+        (ISO, MomentumModel(kind="gaussian", mass=2.5), 1.0, 2.0),
+        (ISO, MomentumModel(kind="rademacher"), 0.5, 2.0),
+        (ANISO, MomentumModel(kind="gaussian", mass=0.6, beta=1.3), 1.0, 1.7),
+        (SCALED, MomentumModel(kind="rademacher", mass=2.5), 1.0, 1.7),
+    ], ids=["iso-gaussian-mass", "iso-rademacher", "aniso-1x1-factor", "scaled-factor"])
+    @pytest.mark.parametrize("start", [{}, START], ids=["sampled", "given"])
+    def test_bps(self, both_flight_loops, target, momentum, refresh_rate, factor, start):
+        for seed in (1, 2):
+            traj = simulate_bps(target, momentum, refresh_rate, 400.0, seed,
+                                reflection_factor=factor, **start)
+            assert len(traj.segments) > 64
+            assert {"bounce", "refresh"} <= set(traj.events.kind)
+        self._assert_same(both_flight_loops, 400.0)
+
+    def test_horizon_before_the_first_event(self, both_flight_loops):
+        mom = MomentumModel(kind="gaussian")
+        for seed in (1, 2):
+            simulate_zigzag(self.ISO, 1e-4, seed, 1.0)
+            simulate_bps(self.ISO, mom, 1.0, 1e-4, seed, **self.START)
+        for traj, _, _ in both_flight_loops:
+            assert len(traj.events) == 0 and traj.segments.duration.tolist() == [1e-4]
+        self._assert_same(both_flight_loops, 1e-4)
+
+
 class TestBounceElasticity:
     def test_every_bounce_preserves_speed(self):
         t = builtin_target("gaussian_iso", dim=2, h=1.0, beta=1.0)
@@ -470,6 +558,33 @@ def test_start_of_the_wrong_shape_is_rejected(sampler):
         sim([0.5], None)
     with pytest.raises(ValueError, match=r"momentum must have shape \(3,\), got \(1,\)"):
         sim(None, [1.0])
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("sampler, param", [
+    ("zigzag", "T"), ("zigzag", "refresh_rate"), ("bps", "T"), ("bps", "refresh_rate"),
+    ("hhmc", "T"), ("hhmc", "resample_rate"), ("hhmc", "step"),
+    ("langevin", "T"), ("langevin", "step"), ("langevin", "gamma")])
+def test_non_finite_horizon_rate_or_step_is_rejected(monkeypatch, sampler, param, value):
+    # checked before any stream is built, so no loop runs: with T = inf the
+    # flight loops would never end
+    def no_stream(seed, name):
+        raise AssertionError(f"stream '{name}' built")
+
+    monkeypatch.setattr(samplers, "stream_rng", no_stream)
+    t = builtin_target("gaussian_iso", dim=1)
+    mom = MomentumModel(kind="gaussian")
+    a = {"T": 5.0, "refresh_rate": 1.0, "resample_rate": 1.0, "step": 0.01, "gamma": 1.0,
+         param: value}
+    q0, p0 = np.array([0.2]), np.array([1.0])
+    sim = {
+        "zigzag": lambda: simulate_zigzag(t, a["T"], 1, a["refresh_rate"], q0, p0),
+        "bps": lambda: simulate_bps(t, mom, a["refresh_rate"], a["T"], 1, q0, p0),
+        "hhmc": lambda: simulate_hhmc(t, mom, a["resample_rate"], a["T"], 1, a["step"], q0, p0),
+        "langevin": lambda: simulate_langevin(t, mom, a["gamma"], a["T"], a["step"], 1, q0, p0),
+    }[sampler]
+    with pytest.raises(ValueError, match=f"^{param} must be finite"):
+        sim()
 
 
 class TestDeterminism:

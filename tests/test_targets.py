@@ -233,6 +233,23 @@ def test_rademacher_sample_takes_the_bits_of_a_sized_draw(d):
         assert rng.exponential() == twin.exponential()
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+def test_one_draw_takes_the_bits_of_a_one_component_sized_draw(kind):
+    # the d = 1 zig-zag and BPS loops refresh through draw(); it must leave
+    # the stream where numpy's sized call of one component leaves it
+    mom = MomentumModel(kind=kind, mass=2.5, beta=0.7)
+    sized = {"gaussian": lambda rng, d: rng.standard_normal(d) * math.sqrt(2.5 / 0.7),
+             "rademacher": lambda rng, d: rng.integers(0, 2, size=d) * 2.0 - 1.0}[kind]
+    rng, twin = stream_rng(9, "refresh"), stream_rng(9, "refresh")
+    for _ in range(100):
+        x = mom.draw(rng)
+        assert type(x) is float and [x] == sized(twin, 1).tolist()
+        assert rng.exponential() == twin.exponential()
+    for d in (1, 2, 3):
+        v = mom.sample(rng, d)
+        assert v.dtype == np.float64 and np.array_equal(v, sized(twin, d))
+
+
 def test_poincare_estimate_gaussian():
     # the estimator and builtin_target share one convention: the spectral gap
     t = builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.0)
