@@ -23,18 +23,18 @@ class BernsteinPair:
     """Variance proxy ``v`` and scale ``b`` of a sub-gamma moment bound.
 
     ``v`` controls the Gaussian regime of the tail, ``b`` the exponential
-    regime.  Both must be nonnegative; a pair with ``v == b == 0`` is
-    degenerate and rejected by :func:`psi_star`.
+    regime.  Both must be finite and nonnegative; a pair with
+    ``v == b == 0`` is degenerate and rejected by :func:`psi_star`.
     """
 
     v: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.v >= 0.0):
-            raise ValueError(f"variance proxy v must be >= 0, got {self.v}")
-        if not (self.b >= 0.0):
-            raise ValueError(f"scale b must be >= 0, got {self.b}")
+        if not 0.0 <= self.v < math.inf:
+            raise ValueError(f"variance proxy v must be finite and >= 0, got {self.v}")
+        if not 0.0 <= self.b < math.inf:
+            raise ValueError(f"scale b must be finite and >= 0, got {self.b}")
 
 
 def psi(pair: BernsteinPair, lam: float) -> float:

@@ -88,7 +88,10 @@ class ObservableStats:
         # plain floats keep every bound derived from the stats, and so every
         # report, JSON-serialisable when a caller passes NumPy scalars
         for name in ("mean", "variance", "sup_norm"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.variance >= 0.0:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
         if not self.sup_norm >= 0.0:

@@ -8,15 +8,15 @@ perturbs an existing stream and identical (config, seed) pairs give
 bit-identical trajectories.
 
 The zig-zag sampler and the bouncy particle sampler (BPS) share one event
-clock and their flight loops: one on Python floats for a quadratic target
-in one dimension, one on arrays otherwise.  Along the flight q + s v every
-jump clock has rate beta [u . grad V(q + s v)]^+: u = v for the single BPS
-bounce clock, and u = v_i e_i for the zig-zag flip clock of component i.
-For quadratic potentials the rate is affine in s and inverted in closed
-form; for general potentials the clocks are simulated by thinning against
-an affine envelope of the rate, certified by the target's Hessian bound on
-a sliding window, up to the next refresh.  A violated envelope is a hard
-error, never a silent acceptance.
+clock and one flight loop, which holds the state on Python floats for a
+quadratic target in one dimension and on arrays otherwise.  Along the
+flight q + s v every jump clock has rate beta [u . grad V(q + s v)]^+:
+u = v for the single BPS bounce clock, and u = v_i e_i for the zig-zag
+flip clock of component i.  For quadratic potentials the rate is affine in
+s and inverted in closed form; for general potentials the clocks are
+simulated by thinning against an affine envelope of the rate, certified by
+the target's Hessian bound on a sliding window, up to the next refresh.  A
+violated envelope is a hard error, never a silent acceptance.
 """
 
 from __future__ import annotations
@@ -126,10 +126,6 @@ class HamiltonianFlow:
             return (y * c + w * (s / self.omega)) @ self.U.T
         return at
 
-    def position(self, q0: np.ndarray, p0: np.ndarray, t) -> np.ndarray:
-        """The position after time t: ``self.positions(q0, p0)(t)``."""
-        return self.positions(q0, p0)(t)
-
 
 @dataclass
 class Trajectory:
@@ -173,12 +169,6 @@ def _tables(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
             table[name] = column
         tables.append(table.view(np.recarray))
     return tables[0], tables[1]
-
-
-def _records(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
-    """The record arrays of a path in dimension d from its rows: (t0,
-    duration, q0, p0) per flight and (time, kind) per event."""
-    return _tables(d, tuple(zip(*segments)), tuple(zip(*events)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +294,8 @@ def _initial_state(
     for name, x in (("position", q), ("momentum", p)):
         if x.shape != (target.dim,):
             raise ValueError(f"initial {name} must have shape ({target.dim},), got {x.shape}")
+        if not all(map(math.isfinite, x.tolist())):
+            raise ValueError(f"initial {name} must be finite, got {x}")
     return q, p
 
 
@@ -365,104 +357,79 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     ``slopes(v, w)`` lists u_i . w over the jump clocks' directions u_i (see
     :func:`_first_jump`).  ``jump(p, grad, i)`` returns the momentum after
     clock i fires, or None where the jump is undefined, in which case the
-    momentum is refreshed.  A quadratic target in one dimension runs the
-    flights on Python floats (:func:`_flights_1d`), equal bit for bit to the
-    array loop (:func:`_flights`) that every other target runs: affine
-    clocks at d > 1, thinned clocks on a general potential.
+    momentum is refreshed.  grad V is evaluated once per event point and
+    shared by the next clocks and the jump.  The refresh time, drawn first,
+    ends the clocks' horizon (a later jump is never used); the two streams
+    are separate, so the order of the draws changes no quadratic-target
+    path.  :func:`_flight_state` holds the state on (d,) arrays, or on Python
+    floats, with the same bits, for a quadratic target in one dimension.
     """
     _require_finite(T=T, refresh_rate=refresh_rate)
     if T <= 0.0 or refresh_rate < 0.0:
         raise ValueError("need T > 0 and refresh_rate >= 0")
-    q, p = _initial_state(target, momentum, seed, q0, p0)
-    if target.is_quadratic and target.dim == 1:
-        path = _flights_1d(clock, jump, target, momentum, refresh_rate, T, seed, q, p)
-    else:
-        path = _flights(clock, slopes, jump, target, momentum, refresh_rate, T, seed, q, p)
-    return Trajectory(sampler, T, momentum.mass, *path)
-
-
-def _flights(clock: str, slopes: Callable, jump: Callable, target: TargetModel,
-             momentum: MomentumModel, refresh_rate: float, T: float, seed: int,
-             q: np.ndarray, p: np.ndarray) -> tuple:
-    """The flights of :func:`_simulate_pdmp` from (q, p) on (d,) arrays:
-    the segment and event tables and the final position and momentum.
-
-    grad V is evaluated once per event point and shared by the next clocks
-    and the jump.  The refresh time is drawn first and ends the clocks'
-    horizon; the two streams are separate, so the order of the draws
-    changes no quadratic-target path.  Affine clocks draw only
-    exponentials, so they are drawn in blocks; thinned clocks and the
-    refresh stream, which mix two kinds of draw, are drawn one at a time.
-    """
-    rng_clock = stream_rng(seed, clock)
-    clock_draws = (_draws(lambda n: rng_clock.exponential(size=n).tolist())
-                   if target.is_quadratic else rng_clock)
+    gradient, first_jump, jump, refresh, lift = _flight_state(
+        clock, slopes, jump, target, momentum, seed, target.is_quadratic and target.dim == 1)
+    q, p = lift(*_initial_state(target, momentum, seed, q0, p0))
     rng_refresh = stream_rng(seed, "refresh")
-    m = momentum.mass
+    m, d = momentum.mass, target.dim
     segments, events = [], []
-    grad = target.gradient(q)
+    grad = gradient(q)
     t = 0.0
     while t < T:
         v = p / m
-        # a jump after the refresh is never used, so the clocks stop there
         tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
-        tau_c, i = _first_jump(target, slopes, q, v, grad, clock_draws, min(tau_r, T - t))
-        tau = min(tau_c, tau_r, T - t)
+        # not min(), whose two builtin calls per flight cost ~4% of a replica
+        horizon = tau_r if tau_r < T - t else T - t
+        tau_c, i = first_jump(q, v, grad, horizon)
+        tau = tau_c if tau_c < horizon else horizon
         segments.append((t, tau, q, p))
         q = q + tau * v
         t += tau
         if t >= T:
             break
-        grad = target.gradient(q)
+        grad = gradient(q)
         kind, p = clock, (jump(p, grad, i) if tau_c <= tau_r else None)
         if p is None:
-            kind, p = "refresh", momentum.sample(rng_refresh, target.dim)
-        events.append((t, kind))
-    return (*_records(target.dim, segments, events), q, p)
-
-
-def _flights_1d(clock: str, jump: Callable, target: TargetModel, momentum: MomentumModel,
-                refresh_rate: float, T: float, seed: int, q: np.ndarray, p: np.ndarray) -> tuple:
-    """:func:`_flights` for a quadratic target in one dimension, on Python
-    floats, with the same draws, the same operations in the same order and
-    so the same bits.
-
-    With h the 1 x 1 Hessian, the one clock's slope along q + s v is
-    a + b s, a = v grad V(q) and b = v (h v), as ``slopes`` gives at d = 1.
-    The gradient is still taken from ``target.gradient`` on a 1-element
-    array at each event point, and each jump is still ``jump`` on 1-element
-    arrays, so user gradients, reflection factors and the refresh where a
-    jump is undefined act as in the array loop.
-    """
-    rng_clock = stream_rng(seed, clock)
-    clock_draws = _draws(lambda n: rng_clock.exponential(size=n).tolist())
-    rng_refresh = stream_rng(seed, "refresh")
-    beta, h, m = target.beta, float(target.hessian[0, 0]), momentum.mass
-    q, p = float(q[0]), float(p[0])
-    grad = target.gradient(np.array([q]))
-    segments, events = [], []
-    t = 0.0
-    while t < T:
-        v = p / m
-        tau_r = rng_refresh.exponential() / refresh_rate if refresh_rate > 0 else math.inf
-        tau_c = invert_affine_rate(beta * (v * float(grad[0])), beta * (v * (h * v)),
-                                   next(clock_draws))
-        tau = min(tau_c, tau_r, T - t)
-        segments.append((t, tau, q, p))
-        q = q + tau * v
-        t += tau
-        if t >= T:
-            break
-        grad = target.gradient(np.array([q]))
-        p_jump = jump(np.array([p]), grad, 0) if tau_c <= tau_r else None
-        if p_jump is None:
-            kind, p = "refresh", momentum.draw(rng_refresh)
-        else:
-            kind, p = clock, float(p_jump[0])
+            kind, p = "refresh", refresh(rng_refresh)
         events.append((t, kind))
     t0s, taus, qs, ps = zip(*segments)
-    columns = (t0s, taus, np.reshape(qs, (-1, 1)), np.reshape(ps, (-1, 1)))
-    return (*_tables(1, columns, tuple(zip(*events))), np.array([q]), np.array([p]))
+    tables = _tables(d, (t0s, taus, np.reshape(qs, (-1, d)), np.reshape(ps, (-1, d))),
+                     tuple(zip(*events)))
+    return Trajectory(sampler, T, m, *tables, np.reshape(q, d), np.reshape(p, d))
+
+
+def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetModel,
+                  momentum: MomentumModel, seed: int, floats: bool) -> tuple:
+    """How :func:`_simulate_pdmp` holds its state: on (d,) arrays, or with
+    ``floats`` on Python floats with the same operations in the same order.
+    Returns the maps ``gradient(q)``, ``first_jump(q, v, grad, horizon)``,
+    ``jump(p, grad, i)``, ``refresh(rng)`` and ``lift(q, p)`` from the (d,)
+    start.  Affine clocks draw only exponentials, so they are drawn in
+    blocks; thinned clocks mix two kinds of draw and take the generator.  On
+    floats (a quadratic target in one dimension) the clock's slope along
+    q + s v is a + b s, a = v grad V(q) and b = v (h v) with h the 1 x 1
+    Hessian; the gradient and each jump still act on 1-element arrays, so
+    user gradients and jumps act as on arrays.
+    """
+    rng_clock = stream_rng(seed, clock)
+    draws = (_draws(lambda n: rng_clock.exponential(size=n).tolist())
+             if target.is_quadratic else rng_clock)
+    if not floats:
+        return (target.gradient,
+                lambda q, v, grad, until: _first_jump(target, slopes, q, v, grad, draws, until),
+                jump, lambda rng: momentum.sample(rng, target.dim), lambda q, p: (q, p))
+    beta, h = target.beta, float(target.hessian[0, 0])
+
+    def first_jump(q, v, grad, horizon):
+        g = float(grad[0])
+        return invert_affine_rate(beta * (v * g), beta * (v * (h * v)), next(draws)), 0
+
+    def jump_float(p, grad, i):
+        p_jump = jump(np.array([p]), grad, i)
+        return None if p_jump is None else float(p_jump[0])
+
+    return (lambda q: target.gradient(np.array([q])), first_jump, jump_float, momentum.draw,
+            lambda q, p: (float(q[0]), float(p[0])))
 
 
 def simulate_bps(
@@ -534,8 +501,8 @@ def simulate_hhmc(
     the positions differ from that by rounding only (about 3e-14 at d = 50).
     """
     _require_finite(T=T, resample_rate=resample_rate, step=step)
-    if T <= 0.0 or resample_rate <= 0.0:
-        raise ValueError("need T > 0 and resample_rate > 0")
+    if T <= 0.0 or resample_rate <= 0.0 or step <= 0.0:
+        raise ValueError("need T > 0, resample_rate > 0, step > 0")
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, seed, q0, p0)
@@ -586,7 +553,7 @@ def simulate_hhmc(
         q = q + step * p / m
         p = p - 0.5 * step * target.gradient(q)
         qs[k + 1], ps[k + 1] = q, p
-    return Trajectory("hhmc", float(times[-1]), m, *_records(target.dim, (), events),
+    return Trajectory("hhmc", float(times[-1]), m, *_tables(d, (), tuple(zip(*events))),
                       final_q=q, final_p=p, discretized=True, times=times, qs=qs, ps=ps)
 
 
@@ -636,6 +603,9 @@ def simulate_langevin_batch(
     if T <= 0.0 or step <= 0.0 or gamma <= 0.0:
         raise ValueError("need T > 0, step > 0, gamma > 0")
     q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
+    for name, x in (("position", q), ("momentum", p)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"initial {name} must be finite")
     R, d = q.shape
     rngs = [stream_rng(seed, "noise") for seed in seeds]
     m, beta = momentum.mass, momentum.beta
@@ -660,7 +630,7 @@ def simulate_langevin_batch(
         q = q + half * p / m
         p = p - half * target.gradient(q)
         qs[:, k + 1], ps[:, k + 1] = q, p
-    segments, events = _records(d)
+    segments, events = _tables(d)
     return [Trajectory("langevin", float(times[-1]), m, segments, events,
                        final_q=qs[r, -1], final_p=ps[r, -1],
                        discretized=True, times=times, qs=qs[r], ps=ps[r])

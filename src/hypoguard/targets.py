@@ -92,8 +92,9 @@ class MomentumModel:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "rademacher"):
             raise ValueError(f"unknown momentum law '{self.kind}'")
-        if not self.mass > 0.0 or not self.beta > 0.0:
-            raise ValueError("mass and beta must be > 0")
+        for name in ("mass", "beta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def kappa_p(self) -> float:

@@ -166,3 +166,21 @@ def test_no_dead_imports():
     dead = {f"{path.stem}.{name}" for path in PACKAGE.glob("*.py") if path.stem != "__init__"
             for name in _unused_imports(path) if (path.stem, name) not in patched}
     assert dead == set()
+
+
+def test_no_dead_private_helpers():
+    # a module-level ``_name`` def or class must be referenced somewhere in
+    # the package outside its own definition, or it is dead code
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    dead = set()
+    for tree in trees:
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(isinstance(n, ast.Name) and n.id == node.name
+                       or isinstance(n, ast.Attribute) and n.attr == node.name
+                       for other in trees for n in ast.walk(other) if id(n) not in inside):
+                dead.add(node.name)
+    assert dead == set()

@@ -69,6 +69,13 @@ def test_degenerate_pair_rejected():
         BernsteinPair(v=1.0, b=-0.5)
 
 
+@pytest.mark.parametrize("field, value", [("v", math.inf), ("v", math.nan), ("b", math.inf),
+                                          ("b", math.nan)])
+def test_non_finite_pair_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BernsteinPair(**{"v": 1.0, "b": 1.0, field: value})
+
+
 def test_psi_star_matches_legendre_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(50):

@@ -200,6 +200,17 @@ def test_bernstein_from_hypo_zero_variance():
     assert pair.v == 0.0
 
 
+@pytest.mark.parametrize("field, fields", [
+    ("mean", {"mean": math.nan}),
+    ("mean", {"mean": -math.inf}),
+    ("variance", {"variance": math.inf, "sup_norm": math.inf}),
+    ("sup_norm", {"sup_norm": math.inf}),
+])
+def test_observable_stats_reject_non_finite_fields(field, fields):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ObservableStats(**{"mean": 0.0, "variance": 1.0, "sup_norm": 1.0, **fields})
+
+
 def test_bernstein_variance_identity_and_monotonicity():
     rng = np.random.default_rng(23)
     for _ in range(100):

@@ -26,7 +26,7 @@ from hypoguard import (
 from hypoguard.samplers import (
     HamiltonianFlow,
     Trajectory,
-    _records,
+    _tables,
     export_csv,
     replica_seed,
     stream_rng,
@@ -215,9 +215,9 @@ class TestHamiltonianFlow:
         flow = HamiltonianFlow(A @ A.T + d * np.eye(d), mass=1.3)
         q0, p0 = rng.standard_normal((2, 7, d))
         for t in (0.0, 0.37, 12.9):
-            assert np.array_equal(flow.position(q0[0], p0[0], t), flow(q0[0], p0[0], t)[0])
+            assert np.array_equal(flow.positions(q0[0], p0[0])(t), flow(q0[0], p0[0], t)[0])
         t = rng.exponential(size=7)
-        assert np.array_equal(flow.position(q0, p0, t), flow(q0, p0, t)[0])
+        assert np.array_equal(flow.positions(q0, p0)(t), flow(q0, p0, t)[0])
 
     @pytest.mark.parametrize("H", [np.zeros((1, 1)), np.diag([1.0, 0.0]),
                                    np.array([[1.0, 2.0], [2.0, 1.0]])])
@@ -237,6 +237,13 @@ class TestHHMCIntegrator:
         assert traj.discretized and traj.flow is None
         assert len(traj.times) == math.ceil(T / step) + 1
         assert np.all(np.isfinite(traj.final_q)) and np.all(np.isfinite(traj.final_p))
+
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    def test_leapfrog_rejects_a_step_that_is_not_positive(self, step):
+        t = builtin_target("double_well", beta=1.0, poincare_const=1.0)
+        with pytest.raises(ValueError, match="step > 0"):
+            simulate_hhmc(t, MomentumModel(kind="gaussian"), 1.0, 5.0, 3, step=step,
+                          q0=np.array([1.0]), p0=np.array([0.5]))
 
 
 def per_event_exact_hhmc(target, momentum, resample_rate, T, seed, q0=None, p0=None):
@@ -263,9 +270,10 @@ def per_event_exact_hhmc(target, momentum, resample_rate, T, seed, q0=None, p0=N
         if t >= T:
             q, p = flow(q, p, tau)
             break
-        q, p = flow.position(q, p, tau), next(refreshes)
+        q, p = flow.positions(q, p)(tau), next(refreshes)
         events.append((t, "hhmc-resample"))
-    return (*_records(d, segments, events), q, p)
+    t0s, taus, qs, ps = zip(*segments)
+    return (*_tables(d, (t0s, taus, qs, ps), tuple(zip(*events))), q, p)
 
 
 class TestExactHHMCOracle:
@@ -444,20 +452,20 @@ class TestStationaryMomentsTridiagonal:
 
 @pytest.fixture
 def both_flight_loops(monkeypatch):
-    """Record, for each zig-zag or BPS call, the paths of the d = 1 float
-    loop and of the array loop, both called directly on the arguments the
-    sampler passes (its own slopes and jump), next to the trajectory."""
+    """Run each zig-zag or BPS call twice, as the sampler runs it and with
+    the state held on (d,) arrays, and record the state representation the
+    sampler chose and the two trajectories."""
     runs = []
-    simulate = samplers._simulate_pdmp
+    simulate, flight_state = samplers._simulate_pdmp, samplers._flight_state
 
-    def recording(sampler, clock, slopes, jump, target, momentum, refresh_rate, T, seed,
-                  q0, p0):
-        q, p = samplers._initial_state(target, momentum, seed, q0, p0)
-        common = (target, momentum, refresh_rate, T, seed, q, p)
-        traj = simulate(sampler, clock, slopes, jump, target, momentum, refresh_rate, T,
-                        seed, q0, p0)
-        runs.append((traj, samplers._flights_1d(clock, jump, *common),
-                     samplers._flights(clock, slopes, jump, *common)))
+    def recording(*args):
+        chosen = []
+        with monkeypatch.context() as m:
+            m.setattr(samplers, "_flight_state",
+                      lambda *kit: chosen.append(kit[-1]) or flight_state(*kit))
+            traj = simulate(*args)
+            m.setattr(samplers, "_flight_state", lambda *kit: flight_state(*kit[:-1], False))
+            runs.append((chosen, traj, simulate(*args)))
         return traj
 
     monkeypatch.setattr(samplers, "_simulate_pdmp", recording)
@@ -465,8 +473,8 @@ def both_flight_loops(monkeypatch):
 
 
 class TestFloatFlightsOracle:
-    """The d = 1 flight loop of zig-zag and BPS on Python floats against the
-    array loop that d > 1 and thinned targets run."""
+    """The d = 1 flight state of zig-zag and BPS on Python floats against the
+    (d,) arrays that d > 1 and thinned targets run, bit for bit."""
 
     ISO = builtin_target("gaussian_iso", dim=1, h=2.3)
     ANISO = builtin_target("gaussian_aniso", H=[[1.7]], beta=1.3)
@@ -474,23 +482,20 @@ class TestFloatFlightsOracle:
     START = {"q0": np.array([0.4]), "p0": np.array([-1.0])}
 
     @staticmethod
-    def _assert_same(runs, T):
+    def _assert_same(runs):
         assert runs
-        for traj, flat, array in runs:
-            (seg, ev, q, p), (seg_a, ev_a, q_a, p_a) = flat, array
-            for table, table_a in ((seg, seg_a), (ev, ev_a)):
+        for chosen, traj, traj_a in runs:
+            # the sampler runs the float state
+            assert chosen == [True]
+            for table, table_a in ((traj.segments, traj_a.segments),
+                                   (traj.events, traj_a.events)):
                 assert table.dtype == table_a.dtype
                 for name in table.dtype.names:
                     assert np.array_equal(table[name], table_a[name]), name
-            for x, y in ((q, q_a), (p, p_a)):
+            for x, y in ((traj.final_q, traj_a.final_q), (traj.final_p, traj_a.final_p)):
                 assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
-            # the sampler runs the float loop
-            assert np.array_equal(traj.segments, seg) and np.array_equal(traj.events, ev)
-            assert np.array_equal(traj.final_q, q) and np.array_equal(traj.final_p, p)
             f = lambda qs: np.cos(qs[:, 0])
-            fs = [time_average(Trajectory(traj.sampler, T, traj.mass, *path), f)
-                  for path in (flat, array)]
-            assert fs[0] == fs[1] == time_average(traj, f)
+            assert time_average(traj, f) == time_average(traj_a, f)
 
     @pytest.mark.parametrize("target, refresh_rate", [
         (ISO, 1.0), (ISO, 0.0), (ANISO, 0.5), (SCALED, 1.0)],
@@ -502,7 +507,7 @@ class TestFloatFlightsOracle:
                                    start.get("q0"), start.get("p0"))
             # one flip draw per flight: more than one 64-draw block
             assert len(traj.segments) > 64
-        self._assert_same(both_flight_loops, 400.0)
+        self._assert_same(both_flight_loops)
 
     @pytest.mark.parametrize("target, momentum, refresh_rate, factor", [
         (ISO, MomentumModel(kind="gaussian", mass=2.5), 1.0, 2.0),
@@ -517,16 +522,16 @@ class TestFloatFlightsOracle:
                                 reflection_factor=factor, **start)
             assert len(traj.segments) > 64
             assert {"bounce", "refresh"} <= set(traj.events.kind)
-        self._assert_same(both_flight_loops, 400.0)
+        self._assert_same(both_flight_loops)
 
     def test_horizon_before_the_first_event(self, both_flight_loops):
         mom = MomentumModel(kind="gaussian")
         for seed in (1, 2):
             simulate_zigzag(self.ISO, 1e-4, seed, 1.0)
             simulate_bps(self.ISO, mom, 1.0, 1e-4, seed, **self.START)
-        for traj, _, _ in both_flight_loops:
+        for _, traj, _ in both_flight_loops:
             assert len(traj.events) == 0 and traj.segments.duration.tolist() == [1e-4]
-        self._assert_same(both_flight_loops, 1e-4)
+        self._assert_same(both_flight_loops)
 
 
 class TestBounceElasticity:
@@ -558,6 +563,36 @@ def test_start_of_the_wrong_shape_is_rejected(sampler):
         sim([0.5], None)
     with pytest.raises(ValueError, match=r"momentum must have shape \(3,\), got \(1,\)"):
         sim(None, [1.0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("sampler", ["zigzag", "bps", "hhmc", "langevin"])
+def test_non_finite_start_is_rejected(sampler, value):
+    # every sampler would otherwise carry a NaN or infinite start through
+    # its whole path without an error
+    mom = MomentumModel(kind="gaussian")
+    sim = {
+        "zigzag": lambda t, q0, p0: simulate_zigzag(t, 5.0, 1, q0=q0, v0=p0),
+        "bps": lambda t, q0, p0: simulate_bps(t, mom, 1.0, 5.0, 1, q0=q0, p0=p0),
+        "hhmc": lambda t, q0, p0: simulate_hhmc(t, mom, 1.0, 5.0, 1, q0=q0, p0=p0),
+        "langevin": lambda t, q0, p0: simulate_langevin(t, mom, 1.0, 5.0, 0.01, 1, q0=q0,
+                                                        p0=p0),
+    }[sampler]
+    for d in (1, 2):
+        t = builtin_target("gaussian_iso", dim=d)
+        bad = np.full(d, value)
+        with pytest.raises(ValueError, match="initial position must be finite"):
+            sim(t, bad, None)
+        # a zig-zag velocity must be +-1, which is checked on its own
+        if sampler != "zigzag":
+            with pytest.raises(ValueError, match="initial momentum must be finite"):
+                sim(t, None, bad)
+    if sampler == "langevin":
+        good = np.zeros((3, 2))
+        for q0, p0, which in ((good, np.full((3, 2), value), "momentum"),
+                              (np.full((3, 2), value), good, "position")):
+            with pytest.raises(ValueError, match=f"initial {which} must be finite"):
+                samplers.simulate_langevin_batch(t, mom, 1.0, 5.0, 0.01, [1, 2, 3], q0, p0)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -659,8 +694,9 @@ def hand_made_trajectory(flow):
     durations = [0.0, 0.3, 0.5, 1.7, 0.0, 2.25, 0.5000001, 3.1]
     rng = np.random.default_rng(4)
     t0 = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
-    segments, events = _records(2, [(t, d, rng.standard_normal(2), rng.standard_normal(2))
-                                    for t, d in zip(t0, durations)])
+    # q0 and p0 of each segment in turn
+    qp = rng.standard_normal((len(durations), 2, 2))
+    segments, events = _tables(2, (t0, durations, qp[:, 0], qp[:, 1]))
     return Trajectory(sampler="hhmc" if flow else "bps", horizon=float(sum(durations)),
                       mass=1.3, segments=segments, events=events, flow=flow)
 

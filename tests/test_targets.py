@@ -220,6 +220,13 @@ def test_momentum_models():
         MomentumModel(kind="uniform", mass=1.0, beta=1.0)
 
 
+@pytest.mark.parametrize("field", ["mass", "beta"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_momentum_model_rejects_a_non_finite_or_non_positive_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+        MomentumModel(kind="gaussian", **{field: value})
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 50])
 def test_rademacher_sample_takes_the_bits_of_a_sized_draw(d):
     # small d draws per component; the values and what is left of the
