@@ -1,5 +1,9 @@
 """Event-driven simulation of PDMP samplers and a discretized Langevin
-integrator, with exact-in-time trajectory averaging.
+integrator, with trajectory time averages by quadrature: 5-point
+Gauss-Legendre on panels of length <= 0.5 along each flight.  Along linear
+flight this is exact, up to rounding, for polynomials of degree <= 9; for
+other observables it is an approximation, and a coarse one for the
+indicator and the clip, whose kinks fall inside panels.
 
 All samplers share the same RNG discipline: a root seed is split into named
 streams (initial condition, bounce/flip clocks, refresh clock, diffusion
@@ -8,15 +12,16 @@ perturbs an existing stream and identical (config, seed) pairs give
 bit-identical trajectories.
 
 The zig-zag sampler and the bouncy particle sampler (BPS) share one event
-clock and one flight loop, which holds the state on Python floats for a
-quadratic target in one dimension and on arrays otherwise.  Along the
+clock and one flight loop, which holds the state on Python floats for
+every target in one dimension and on arrays otherwise.  Along the
 flight q + s v every jump clock has rate beta [u . grad V(q + s v)]^+:
 u = v for the single BPS bounce clock, and u = v_i e_i for the zig-zag
 flip clock of component i.  For quadratic potentials the rate is affine in
 s and inverted in closed form; for general potentials the clocks are
 simulated by thinning against an affine envelope of the rate, certified by
-the target's Hessian bound on a sliding window, up to the next refresh.  A
-violated envelope is a hard error, never a silent acceptance.
+the target's Hessian bound on a sliding window, up to the next refresh,
+by :func:`sample_by_thinning` in every dimension.  A violated envelope is a
+hard error, never a silent acceptance.
 """
 
 from __future__ import annotations
@@ -320,8 +325,6 @@ def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndar
         taus = [invert_affine_rate(beta * a, beta * b, e)
                 for a, b, e in zip(slopes(v, grad), slopes(v, target.hessian @ v), rng)]
     else:
-        if target.hessian_bound is None:
-            raise ValueError(f"target '{target.name}' needs a hessian_bound for thinning")
         speed2 = float(np.dot(v, v))
         speed = math.sqrt(speed2)
         taus = []
@@ -362,13 +365,14 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     ends the clocks' horizon (a later jump is never used); the two streams
     are separate, so the order of the draws changes no quadratic-target
     path.  :func:`_flight_state` holds the state on (d,) arrays, or on Python
-    floats, with the same bits, for a quadratic target in one dimension.
+    floats, with the same bits, for every target in one dimension; a thinned
+    one still draws its clock through :func:`sample_by_thinning`.
     """
     _require_finite(T=T, refresh_rate=refresh_rate)
     if T <= 0.0 or refresh_rate < 0.0:
         raise ValueError("need T > 0 and refresh_rate >= 0")
     gradient, first_jump, jump, refresh, lift = _flight_state(
-        clock, slopes, jump, target, momentum, seed, target.is_quadratic and target.dim == 1)
+        clock, slopes, jump, target, momentum, seed, target.dim == 1)
     q, p = lift(*_initial_state(target, momentum, seed, q0, p0))
     rng_refresh = stream_rng(seed, "refresh")
     m, d = momentum.mass, target.dim
@@ -406,11 +410,17 @@ def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetMo
     ``jump(p, grad, i)``, ``refresh(rng)`` and ``lift(q, p)`` from the (d,)
     start.  Affine clocks draw only exponentials, so they are drawn in
     blocks; thinned clocks mix two kinds of draw and take the generator.  On
-    floats (a quadratic target in one dimension) the clock's slope along
+    floats (any target in one dimension) a quadratic clock's slope along
     q + s v is a + b s, a = v grad V(q) and b = v (h v) with h the 1 x 1
-    Hessian; the gradient and each jump still act on 1-element arrays, so
-    user gradients and jumps act as on arrays.
+    Hessian; a thinned clock runs :func:`sample_by_thinning` on the slope
+    beta v grad V(q + s v) and the reach beta sqrt(v^2 v^2) of
+    :func:`_first_jump`.  The gradient, the Hessian bound and each jump
+    still act on 1-element arrays, so user callables act as on arrays.  A
+    non-quadratic target without a Hessian bound is rejected before any
+    clock is drawn.
     """
+    if not target.is_quadratic and target.hessian_bound is None:
+        raise ValueError(f"target '{target.name}' needs a hessian_bound for thinning")
     rng_clock = stream_rng(seed, clock)
     draws = (_draws(lambda n: rng_clock.exponential(size=n).tolist())
              if target.is_quadratic else rng_clock)
@@ -418,11 +428,27 @@ def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetMo
         return (target.gradient,
                 lambda q, v, grad, until: _first_jump(target, slopes, q, v, grad, draws, until),
                 jump, lambda rng: momentum.sample(rng, target.dim), lambda q, p: (q, p))
-    beta, h = target.beta, float(target.hessian[0, 0])
+    beta = target.beta
+    if target.is_quadratic:
+        h = float(target.hessian[0, 0])
 
-    def first_jump(q, v, grad, horizon):
-        g = float(grad[0])
-        return invert_affine_rate(beta * (v * g), beta * (v * (h * v)), next(draws)), 0
+        def first_jump(q, v, grad, horizon):
+            g = float(grad[0])
+            return invert_affine_rate(beta * (v * g), beta * (v * (h * v)), next(draws)), 0
+    else:
+        gradient, hessian_bound = target.gradient, target.hessian_bound
+
+        def first_jump(q, v, grad, horizon):
+            g0, speed2 = float(grad[0]), v * v
+            speed, reach = math.sqrt(speed2), beta * math.sqrt(speed2 * speed2)
+
+            def slope(s):
+                return beta * (v * (g0 if s == 0.0 else float(gradient(np.array([q + s * v]))[0])))
+
+            def lipschitz(t, w):
+                return reach * hessian_bound(np.array([q + t * v]), speed * w)
+
+            return sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, draws, horizon), 0
 
     def jump_float(p, grad, i):
         p_jump = jump(np.array([p]), grad, i)

@@ -230,7 +230,7 @@ def builtin_target(name: str, **params) -> TargetModel:
 
         def _hess_bound(center, radius):
             # |V''(x)| = |3x^2 - 1| <= 3(|c|+r)^2 + 1 on the window
-            c = float(np.abs(np.asarray(center)).max())
+            c = abs(float(center[0]))
             return 3.0 * (c + radius) ** 2 + 1.0
 
         return TargetModel(

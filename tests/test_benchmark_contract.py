@@ -103,27 +103,48 @@ def test_run_replicas_simulates_each_replica_through_the_wrapped_name(std_config
     assert tracer.layer_metrics(tr)["validation.trajectories_per_replica"] == 1.0
 
 
-@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
-def test_one_dimensional_flights_keep_the_clock_and_gradient_hooks(sampler):
-    # samplers.clock_yield divides clock events by the calls of the module
-    # global invert_affine_rate, and targets.gradient_calls_per_event counts
-    # target.gradient: the d = 1 float loop must make one inversion per
-    # flight and one gradient call at the start and at each event point
+def _traced_flight(sampler, base, seed):
+    """A zig-zag or BPS run on a counted copy of ``base`` under the tracer."""
     tr = tracer.Tracer()
     tracer.install(tr)
     try:
-        target = workloads.counting_target(builtin_target("gaussian_iso", dim=1, h=1.3),
-                                           tracer.counting_wrapper(tr))
+        target = workloads.counting_target(base, tracer.counting_wrapper(tr))
+        q0 = None if base.is_quadratic else np.array([0.9])
         if sampler == "zigzag":
-            traj = samplers.simulate_zigzag(target, 100.0, 5, 1.0)
+            traj = samplers.simulate_zigzag(target, 100.0, seed, 1.0, q0)
         else:
             mom = MomentumModel(kind="gaussian", mass=2.5, beta=target.beta)
-            traj = samplers.simulate_bps(target, mom, 1.0, 100.0, 5)
+            traj = samplers.simulate_bps(target, mom, 1.0, 100.0, seed, q0)
     finally:
         tr.remove()
+    return tr, traj
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_one_dimensional_flights_keep_the_clock_and_gradient_hooks(monkeypatch, sampler):
+    # samplers.clock_yield divides clock events by the calls of the module
+    # globals invert_affine_rate and sample_by_thinning, and
+    # targets.{gradient,hessian_bound}_calls_per_event count the target's
+    # calls: the d = 1 float state must make one inversion per flight and one
+    # gradient call at the start and at each event point on a quadratic
+    # target, and one thinning call per flight, with the inversions, gradient
+    # and Hessian-bound calls of the (d,) arrays, on a thinned one
+    tr, traj = _traced_flight(sampler, builtin_target("gaussian_iso", dim=1, h=1.3), 5)
     assert len(traj.events) > 64
     assert tr.counts["samplers.invert_affine_rate"] == len(traj.segments)
     assert tr.counts["targets.gradient"] == len(traj.events) + 1
+
+    well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+    tr, traj = _traced_flight(sampler, well, 5)
+    assert len(traj.events) > 64
+    assert tr.calls("samplers.sample_by_thinning") == len(traj.segments)
+    flight_state = samplers._flight_state
+    monkeypatch.setattr(samplers, "_flight_state",
+                        lambda *kit: flight_state(*kit[:-1], False))
+    tr_arrays, traj_arrays = _traced_flight(sampler, well, 5)
+    assert np.array_equal(traj.segments.duration, traj_arrays.segments.duration)
+    for name in ("samplers.invert_affine_rate", "targets.gradient", "targets.hessian_bound"):
+        assert tr.counts[name] == tr_arrays.counts[name] > len(traj.segments), name
 
 
 def test_flow_records_have_the_layout_the_benchmark_reads():

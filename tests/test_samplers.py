@@ -8,10 +8,12 @@ from scipy import stats as sps
 
 from hypoguard import (
     MomentumModel,
+    TargetModel,
     ThinningBoundError,
     builtin_target,
     flip,
     invert_affine_rate,
+    linear_tilt,
     observable_stats_quadrature,
     reflect,
     sample_by_thinning,
@@ -474,12 +476,18 @@ def both_flight_loops(monkeypatch):
 
 class TestFloatFlightsOracle:
     """The d = 1 flight state of zig-zag and BPS on Python floats against the
-    (d,) arrays that d > 1 and thinned targets run, bit for bit."""
+    (d,) arrays that d > 1 targets run, bit for bit."""
 
     ISO = builtin_target("gaussian_iso", dim=1, h=2.3)
     ANISO = builtin_target("gaussian_aniso", H=[[1.7]], beta=1.3)
     SCALED = scale_potential(builtin_target("gaussian_iso", dim=1, h=1.4), 0.6)
     START = {"q0": np.array([0.4]), "p0": np.array([-1.0])}
+    # thinned targets: sample_position is Gaussian-only, so starts are given
+    WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+    THINNED = {"well": WELL,
+               "well-beta3": builtin_target("double_well", beta=3.0, poincare_const=1.0),
+               "well-scaled": scale_potential(WELL, 4.0),
+               "well-tilted": linear_tilt(WELL, 0.3)}
 
     @staticmethod
     def _assert_same(runs):
@@ -524,6 +532,28 @@ class TestFloatFlightsOracle:
             assert {"bounce", "refresh"} <= set(traj.events.kind)
         self._assert_same(both_flight_loops)
 
+    @pytest.mark.parametrize("refresh_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("name", THINNED)
+    def test_zigzag_thinned(self, both_flight_loops, name, refresh_rate):
+        for seed, q0 in ((1, 0.9), (2, -1.2)):
+            traj = simulate_zigzag(self.THINNED[name], 100.0, seed, refresh_rate,
+                                   np.array([q0]), np.array([-1.0]))
+            assert np.count_nonzero(traj.events.kind == "flip") > 20
+        self._assert_same(both_flight_loops)
+
+    @pytest.mark.parametrize("momentum, factor", [
+        (MomentumModel(kind="gaussian", mass=2.5), 2.0),
+        (MomentumModel(kind="rademacher"), 2.0),
+        (MomentumModel(kind="gaussian"), 1.7),
+    ], ids=["gaussian-mass", "rademacher", "factor"])
+    @pytest.mark.parametrize("name", THINNED)
+    def test_bps_thinned(self, both_flight_loops, name, momentum, factor):
+        for seed, q0 in ((1, 0.9), (2, -1.2)):
+            traj = simulate_bps(self.THINNED[name], momentum, 1.0, 100.0, seed,
+                                np.array([q0]), reflection_factor=factor)
+            assert {"bounce", "refresh"} <= set(traj.events.kind)
+        self._assert_same(both_flight_loops)
+
     def test_horizon_before_the_first_event(self, both_flight_loops):
         mom = MomentumModel(kind="gaussian")
         for seed in (1, 2):
@@ -532,6 +562,27 @@ class TestFloatFlightsOracle:
         for _, traj, _ in both_flight_loops:
             assert len(traj.events) == 0 and traj.segments.duration.tolist() == [1e-4]
         self._assert_same(both_flight_loops)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_thinning_without_a_hessian_bound_is_rejected(monkeypatch, sampler, dim):
+    # raised once, for either state representation, before a clock stream
+    # is built
+    def no_stream(seed, name):
+        raise AssertionError(f"stream '{name}' built")
+
+    monkeypatch.setattr(samplers, "stream_rng", no_stream)
+    quartic = TargetModel(name="quartic", dim=dim, beta=1.0,
+                          potential=lambda q: np.sum(np.asarray(q) ** 4, axis=-1) / 4.0,
+                          gradient=lambda q: np.asarray(q, dtype=float) ** 3,
+                          poincare_const=1.0)
+    q0, p0 = np.full(dim, 0.5), np.ones(dim)
+    with pytest.raises(ValueError, match="^target 'quartic' needs a hessian_bound for thinning$"):
+        if sampler == "zigzag":
+            simulate_zigzag(quartic, 5.0, 1, 1.0, q0, p0)
+        else:
+            simulate_bps(quartic, MomentumModel(kind="gaussian"), 1.0, 5.0, 1, q0, p0)
 
 
 class TestBounceElasticity:
@@ -664,6 +715,26 @@ class TestTimeAveraging:
             qs = seg.q0[0] + seg.p0[0] * s
             num += np.trapezoid(qs, s)
         assert avg == pytest.approx(num / traj.horizon, abs=1e-10)
+
+    @pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+    @pytest.mark.parametrize("target, q0", [
+        (builtin_target("gaussian_iso", dim=1, h=1.0), None),
+        (builtin_target("gaussian_aniso", H=[[2.0, 0.5], [0.5, 1.0]]), None),
+        (builtin_target("double_well", beta=1.5, poincare_const=1.0), np.array([0.9])),
+    ], ids=["gaussian", "gaussian-2d", "well"])
+    def test_polynomials_of_degree_at_most_nine_are_exact(self, sampler, target, q0):
+        # along q0 + v s, int_0^tau (q0 + v s)^k ds = sum_j C(k, j) q0^(k-j) v^j
+        # tau^(j+1) / (j+1), which 5-point Gauss-Legendre integrates exactly
+        mom = MomentumModel(kind="gaussian", mass=1.7)
+        traj = (simulate_zigzag(target, 60.0, 4, 1.0, q0) if sampler == "zigzag"
+                else simulate_bps(target, mom, 1.0, 60.0, 4, q0))
+        seg = traj.segments
+        x0, v, tau = seg.q0[:, 0], seg.p0[:, 0] / traj.mass, seg.duration
+        assert np.count_nonzero(tau > 0.5) > 5
+        for k in (2, 4):
+            exact = sum(math.comb(k, j) * x0 ** (k - j) * v ** j * tau ** (j + 1) / (j + 1)
+                        for j in range(k + 1)).sum() / traj.horizon
+            assert time_average(traj, lambda q: q[..., 0] ** k) == pytest.approx(exact, rel=1e-12)
 
 
 def per_segment_time_average(traj, f, order=5):
