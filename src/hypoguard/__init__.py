@@ -55,6 +55,7 @@ from .targets import (
     linear_tilt,
     observable_stats_quadrature,
     scale_potential,
+    stationary_expectation_1d,
 )
 from .validation import (
     ExperimentConfig,

@@ -249,17 +249,24 @@ def sample_by_thinning(
     starts the next window, so each proposal or window costs one slope
     evaluation.  A proposal at which [slope]^+ exceeds the envelope by more
     than 1e-9 of the envelope's terms raises :class:`ThinningBoundError`
-    (exactness is certified, never assumed).  Returns inf if no event occurs
+    (exactness is certified, never assumed), and a NaN window, Lipschitz
+    bound or slope raises ``ValueError``.  Returns inf if no event occurs
     before ``horizon``.
     """
-    if window <= 0.0:
-        raise ValueError("thinning window must be > 0")
+    # "not x > 0" rather than "x <= 0", so that a NaN fails the checks too
+    if not window > 0.0:
+        raise ValueError(f"thinning window must be > 0, got {window}")
     t, g = 0.0, slope(0.0)
     while t < horizon:
         lip = lipschitz(t, window)
-        if lip < 0.0:
-            raise ValueError("thinning Lipschitz constant must be >= 0")
-        s = invert_affine_rate(g, lip, rng.exponential()) if g + lip * window > 0.0 else math.inf
+        if not lip >= 0.0:
+            raise ValueError(f"thinning Lipschitz constant must be >= 0, got {lip}")
+        if g + lip * window > 0.0:
+            s = invert_affine_rate(g, lip, rng.exponential())
+        elif g != g:
+            raise ValueError(f"thinning slope is NaN at t = {t}")
+        else:
+            s = math.inf
         t_next = t + min(s, window)
         if t_next >= horizon:
             break

@@ -24,6 +24,7 @@ __all__ = [
     "builtin_target",
     "builtin_observable",
     "observable_stats_quadrature",
+    "stationary_expectation_1d",
     "gaussian_chi_square_norm",
     "estimate_poincare_1d",
     "linear_tilt",
@@ -340,33 +341,46 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
         )
 
 
+_QUAD_LIM = 40.0
+
+
+def stationary_expectation_1d(target: TargetModel) -> Callable[..., float]:
+    """The map ``expect(g, **options)`` = E_nu*[g], g a function of a scalar
+    x, for a 1-D target: exp(-beta V) is normalised once, here, by adaptive
+    quadrature on [-40, 40], and each call integrates g against it there,
+    passing ``options`` to ``scipy.integrate.quad`` (imported on first use)."""
+    if target.dim != 1:
+        raise ValueError(f"quadrature expectations are 1-D only, not dim {target.dim}")
+    from scipy.integrate import quad
+
+    def raw(x: float) -> float:
+        return math.exp(-target.beta * float(target.potential(np.array([x]))))
+
+    Z = quad(raw, -_QUAD_LIM, _QUAD_LIM)[0]
+
+    def expect(g: Callable[[float], float], **options) -> float:
+        return quad(lambda x: g(x) * (raw(x) / Z), -_QUAD_LIM, _QUAD_LIM, **options)[0]
+
+    return expect
+
+
 def observable_stats_quadrature(f: Callable[[np.ndarray], np.ndarray],
                                 target: TargetModel) -> ObservableStats:
     """Mean/variance of a 1-D observable by adaptive quadrature against nu*
-    on [-40, 40]; ``f`` maps one position, of shape (1,), to one value.
+    (:func:`stationary_expectation_1d`); ``f`` maps one position, of shape
+    (1,), to one value.
 
     The sup norm is estimated on a dense grid (diagnostic quality; built-in
     observables ship exact sup norms instead).
     """
-    from scipy import integrate
-
-    if target.dim != 1:
-        raise ValueError("quadrature stats are only available in 1-D")
-    beta = target.beta
-    lim = 40.0
+    expect = stationary_expectation_1d(target)
 
     def f1(x):
         return float(f(np.array([x])))
 
-    def dens(x):
-        return math.exp(-beta * float(target.potential(np.array([x]))))
-
-    Z, _ = integrate.quad(dens, -lim, lim, limit=200)
-    mean, _ = integrate.quad(lambda x: f1(x) * dens(x), -lim, lim, limit=200)
-    mean /= Z
-    second, _ = integrate.quad(lambda x: f1(x) ** 2 * dens(x), -lim, lim, limit=200)
-    second /= Z
-    grid = np.linspace(-lim, lim, 20001)
+    mean = expect(f1, limit=200)
+    second = expect(lambda x: f1(x) ** 2, limit=200)
+    grid = np.linspace(-_QUAD_LIM, _QUAD_LIM, 20001)
     sup = float(np.max(np.abs(np.array([f1(x) for x in grid]) - mean)))
     return ObservableStats(mean=mean, variance=max(second - mean * mean, 0.0), sup_norm=sup)
 

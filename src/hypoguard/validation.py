@@ -8,6 +8,9 @@ indicates an implementation bug rather than bad luck.
 Reports are replayable ((config, seed) -> identical report) and flag
 vacuous bounds: an asserted bound weaker than the trivial bound implied by
 boundedness of the observable never counts as a pass.
+
+The entropy rates and ``uq_experiment`` simulate nothing: they integrate
+against the alternative's Gibbs density (:func:`stationary_expectation_1d`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .samplers import (
     stream_rng,
     time_average,
 )
-from .targets import MomentumModel, Observable, TargetModel, gaussian_chi_square_norm
+from .targets import (_QUAD_LIM, MomentumModel, Observable, TargetModel, gaussian_chi_square_norm,
+                      stationary_expectation_1d)
 
 __all__ = [
     "ExperimentConfig",
@@ -316,25 +320,12 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
 # relative entropy rates
 
 
-# 1-D stationary expectations integrate over [-_LIM, _LIM]
-_LIM = 40.0
-
-
-def _quad(f, lo: float, hi: float, **kwargs) -> float:
-    """Adaptive quadrature of f over [lo, hi]; scipy is imported on first use."""
-    from scipy import integrate
-
-    return integrate.quad(f, lo, hi, **kwargs)[0]
-
-
-def _stationary_density_1d(target: TargetModel):
-    beta = target.beta
-
-    def raw(x: float) -> float:
-        return math.exp(-beta * float(target.potential(np.array([x]))))
-
-    Z = _quad(raw, -_LIM, _LIM)
-    return lambda x: raw(x) / Z
+def _check_rate_pair(base: TargetModel, alt: TargetModel) -> None:
+    """The arguments an entropy rate takes: 1-D targets at one beta."""
+    if base.dim != 1 or alt.dim != 1:
+        raise ValueError("entropy rates are implemented in 1-D only")
+    if base.beta != alt.beta:
+        raise ValueError("baseline and alternative must share beta")
 
 
 def girsanov_entropy_rate_langevin(base: TargetModel, alt: TargetModel, gamma: float) -> float:
@@ -348,19 +339,15 @@ def girsanov_entropy_rate_langevin(base: TargetModel, alt: TargetModel, gamma: f
     coefficient 2 gamma / beta; the expectation is computed by adaptive
     quadrature against the alternative stationary density (1-D).
     """
-    if base.dim != 1 or alt.dim != 1:
-        raise ValueError("entropy rates are implemented in 1-D only")
-    if base.beta != alt.beta:
-        raise ValueError("baseline and alternative must share beta")
+    _check_rate_pair(base, alt)
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    dens = _stationary_density_1d(alt)
 
     def integrand(x: float) -> float:
         d = float(alt.gradient(np.array([x]))[0] - base.gradient(np.array([x]))[0])
-        return d * d * dens(x)
+        return d * d
 
-    val = _quad(integrand, -_LIM, _LIM, limit=200)
+    val = stationary_expectation_1d(alt)(integrand, limit=200)
     return base.beta / (4.0 * gamma) * val
 
 
@@ -375,53 +362,41 @@ def jump_entropy_rate_zigzag(base: TargetModel, alt: TargetModel) -> float:
     (r_alt > 0) on a set of positive measure where the baseline cannot
     (r = 0).
     """
-    if base.dim != 1 or alt.dim != 1:
-        raise ValueError("entropy rates are implemented in 1-D only")
-    if base.beta != alt.beta:
-        raise ValueError("baseline and alternative must share beta")
+    _check_rate_pair(base, alt)
     beta = base.beta
-    dens = _stationary_density_1d(alt)
 
-    def rates(x: float, v: float) -> tuple[float, float]:
-        r = beta * max(0.0, v * float(base.gradient(np.array([x]))[0]))
-        rt = beta * max(0.0, v * float(alt.gradient(np.array([x]))[0]))
-        return r, rt
-
-    # absolute-continuity scan: r = 0 while r_alt > 0 on a set of positive mass
-    grid = np.linspace(-_LIM, _LIM, 40001)
-    for v in (-1.0, 1.0):
-        gb = beta * np.maximum(0.0, v * base.gradient(grid[:, None]).ravel())
-        ga = beta * np.maximum(0.0, v * alt.gradient(grid[:, None]).ravel())
-        bad = (gb <= 1e-14) & (ga > 1e-10)
-        if np.any(bad) and np.sum(np.vectorize(dens)(grid[bad])) * (grid[1] - grid[0]) > 1e-12:
+    # absolute-continuity scan: the nu_alt mass where r = 0 < r_alt, for each
+    # velocity, on a grid weighted by exp(-beta (V_alt - min V_alt))
+    grid = np.linspace(-_QUAD_LIM, _QUAD_LIM, 40001)[:, None]
+    gb, ga = base.gradient(grid).ravel(), alt.gradient(grid).ravel()
+    bad = [(beta * np.maximum(0.0, v * gb) <= 1e-14) & (beta * np.maximum(0.0, v * ga) > 1e-10)
+           for v in (-1.0, 1.0)]
+    if any(np.any(b) for b in bad):
+        V = alt.potential(grid)
+        w = np.exp(-beta * (V - np.min(V)))
+        if max(np.sum(w[b]) for b in bad) / np.sum(w) > 1e-12:
             return math.inf
 
+    expect = stationary_expectation_1d(alt)
     total = 0.0
     for v in (-1.0, 1.0):
         def integrand(x: float) -> float:
-            r, rt = rates(x, v)
+            r = beta * max(0.0, v * float(base.gradient(np.array([x]))[0]))
+            rt = beta * max(0.0, v * float(alt.gradient(np.array([x]))[0]))
             if rt <= 1e-300:
-                contrib = r
-            elif r <= 1e-300:
+                return r
+            if r <= 1e-300:
                 # measure-zero boundary point: AC scan above already ruled
                 # out positive-measure support violations
-                contrib = 0.0
-            else:
-                contrib = rt * math.log(rt / r) - rt + r
-            return contrib * dens(x)
+                return 0.0
+            return rt * math.log(rt / r) - rt + r
 
-        val = _quad(integrand, -_LIM, _LIM, limit=400, points=[0.0])
-        total += 0.5 * val
+        total += 0.5 * expect(integrand, limit=400, points=[0.0])
     return total
 
 
 # ---------------------------------------------------------------------------
 # UQ experiment
-
-
-def _expectation_1d(f, target: TargetModel) -> float:
-    dens = _stationary_density_1d(target)
-    return _quad(lambda x: float(f(np.array([[x]]))[0]) * dens(x), -_LIM, _LIM, limit=200)
 
 
 def uq_experiment(config: ExperimentConfig, alt_target: TargetModel) -> ValidationReport:
@@ -441,7 +416,8 @@ def uq_experiment(config: ExperimentConfig, alt_target: TargetModel) -> Validati
         entropy_rate = girsanov_entropy_rate_langevin(config.target, alt_target, config.gamma)
     else:
         raise ValueError(f"no entropy-rate formula for sampler '{config.sampler}'")
-    alt_mean = _expectation_1d(config.observable.f, alt_target)
+    alt_mean = stationary_expectation_1d(alt_target)(
+        lambda x: float(config.observable.f(np.array([[x]]))[0]), limit=200)
     bias = abs(alt_mean - stats.mean)
     if math.isinf(entropy_rate):
         return ValidationReport(

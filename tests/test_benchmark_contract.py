@@ -189,6 +189,26 @@ def test_no_dead_imports():
     assert dead == set()
 
 
+def test_only_targets_imports_scipy_and_only_inside_functions():
+    # the closed-form CLI commands load no scipy, and 1-D quadrature has
+    # one home: a scipy import anywhere else, or at a module's top level,
+    # breaks one or the other
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.add((path.stem, id(node) in top))
+    assert found == {("targets", False)}
+
+
 def test_no_dead_private_helpers():
     # a module-level ``_name`` def or class must be referenced somewhere in
     # the package outside its own definition, or it is dead code

@@ -12,8 +12,10 @@ one value per call, and is held to the same 1e-11; the array pass that
 replaced it, which moves the positions by one eigen-coordinate recurrence,
 is within about 3e-14 of it.  The thinned
 ``*/well`` runs are pinned, bit for bit, to the affine-envelope clock that
-stops at the next refresh.  Regenerate the file only for a deliberate
-change of the seed contract: ``PYTHONPATH=src python tests/test_pdmp.py``
+stops at the next refresh; the ``bps/well`` runs at mass 2.5 and at
+beta = 3 were added so that regrouping the thinned slope beta * (v * g)
+changes a pinned run.  Regenerate the file only for a deliberate change
+of the seed contract: ``PYTHONPATH=src python tests/test_pdmp.py``
 rewrites the d = 1 entries and keeps the recorded d = 50 references.
 """
 
@@ -55,6 +57,9 @@ WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
 ANISO = builtin_target("gaussian_aniso", H=tridiagonal_hessian(np.random.default_rng(2019), 50))
 MOM = MomentumModel(kind="gaussian", mass=1.0, beta=1.0)
 MOM_WELL = MomentumModel(kind="gaussian", mass=1.0, beta=1.5)
+MOM_HEAVY = MomentumModel(kind="gaussian", mass=2.5, beta=1.5)
+WELL_COLD = builtin_target("double_well", beta=3.0, poincare_const=1.0)
+MOM_COLD = MomentumModel(kind="gaussian", mass=1.0, beta=3.0)
 START = np.array([1.0])
 
 RUNS = {
@@ -65,6 +70,10 @@ RUNS = {
     "zigzag/well": lambda s: simulate_zigzag(WELL, T=100.0, seed=s, refresh_rate=0.5, q0=START),
     "bps/well": lambda s: simulate_bps(WELL, MOM_WELL, refresh_rate=1.0, T=100.0, seed=s,
                                        q0=START),
+    "bps/well-mass2.5": lambda s: simulate_bps(WELL, MOM_HEAVY, refresh_rate=1.0, T=100.0,
+                                               seed=s, q0=START),
+    "bps/well-beta3": lambda s: simulate_bps(WELL_COLD, MOM_COLD, refresh_rate=1.0, T=100.0,
+                                             seed=s, q0=START),
     "zigzag/aniso": lambda s: simulate_zigzag(ANISO, T=5.0, seed=s, refresh_rate=1.0),
     "bps/aniso": lambda s: simulate_bps(ANISO, MOM, refresh_rate=1.0, T=50.0, seed=s),
     "hhmc/aniso": lambda s: simulate_hhmc(ANISO, MOM, resample_rate=1.0, T=50.0, seed=s),

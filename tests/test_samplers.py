@@ -23,6 +23,7 @@ from hypoguard import (
     simulate_hhmc,
     simulate_langevin,
     simulate_zigzag,
+    stationary_expectation_1d,
     time_average,
 )
 from hypoguard.samplers import (
@@ -826,6 +827,81 @@ class TestDoubleWellThinning:
         for j, (func, label) in enumerate(zip(funcs, ("E[cos q]", "E[q^2]"))):
             expected = observable_stats_quadrature(func, self.WELL).mean
             stationary_moment_check([a[j] for a in avgs], expected, f"{sampler} {label}")
+
+
+def separable_well(dim, beta=1.5, **replace):
+    """V = sum_i (q_i^2 - 1)^2 / 4: the double well in each coordinate, with
+    |Hess V| <= 3 (|c|_inf + r)^2 + 1 on the ball B(c, r).  ``replace``
+    swaps in another gradient or Hessian bound."""
+    def potential(q):
+        return np.sum((np.asarray(q, dtype=float) ** 2 - 1.0) ** 2, axis=-1) / 4.0
+
+    def gradient(q):
+        q = np.asarray(q, dtype=float)
+        return q * (q**2 - 1.0)
+
+    def hessian_bound(center, radius):
+        return 3.0 * (float(np.max(np.abs(center))) + radius) ** 2 + 1.0
+
+    parts = {"gradient": gradient, "hessian_bound": hessian_bound, **replace}
+    return TargetModel(name=f"well^{dim}", dim=dim, beta=beta, potential=potential,
+                       poincare_const=1.0, **parts)
+
+
+def run_pdmp(sampler, target, T, seed, q0):
+    """Zig-zag with refreshes, or BPS, on ``target`` from ``q0`` and unit velocity."""
+    p0 = np.ones(target.dim)
+    if sampler == "zigzag":
+        return simulate_zigzag(target, T, seed, 1.0, q0, p0)
+    mom = MomentumModel(kind="gaussian", beta=target.beta)
+    return simulate_bps(target, mom, 1.0, T, seed, q0, p0)
+
+
+class TestSeparableWellThinning:
+    """The d > 1 thinned clocks of :func:`samplers._first_jump`: zig-zag runs
+    one clock per coordinate, BPS one clock along the velocity."""
+
+    WELL2 = separable_well(2)
+    M, T = 16, 400.0
+
+    @pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+    def test_stationary_cos_moments(self, sampler):
+        # each coordinate's marginal is the 1-D double well at the same beta;
+        # the replicas start in alternate wells
+        funcs = (lambda q: np.cos(q[..., 0]), lambda q: np.cos(q[..., 1]))
+        avgs = [time_average(run_pdmp(sampler, self.WELL2, self.T, replica_seed(8, i),
+                                      np.array([1.0, -1.0]) * (-1.0) ** i), funcs)
+                for i in range(self.M)]
+        well = builtin_target("double_well", beta=self.WELL2.beta, poincare_const=1.0)
+        expected = stationary_expectation_1d(well)(math.cos, limit=200)
+        for j in range(2):
+            stationary_moment_check([a[j] for a in avgs], expected, f"{sampler} E[cos q{j}]")
+
+    @pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+    def test_too_small_hessian_bound_raises(self, sampler):
+        lying = separable_well(2, hessian_bound=lambda center, radius: 0.1)
+        with pytest.raises(ThinningBoundError):
+            run_pdmp(sampler, lying, 50.0, 1, np.array([1.5, -1.5]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+@pytest.mark.parametrize("broken, message", [
+    ({"hessian_bound": lambda center, radius: math.nan}, "Lipschitz constant .* got nan"),
+    ({"gradient": lambda q: np.full(np.shape(q), math.nan)}, "slope is NaN"),
+], ids=["nan-bound", "nan-gradient"])
+def test_nan_thinning_input_raises(sampler, dim, broken, message):
+    # a NaN envelope fails every "> 0" test, so it would cross each window
+    # without a draw and fly through T without an event
+    with pytest.raises(ValueError, match=message):
+        run_pdmp(sampler, separable_well(dim, **broken), 50.0, 1, np.full(dim, 0.5))
+
+
+@pytest.mark.parametrize("window", [math.nan, 0.0])
+def test_nan_or_empty_thinning_window_raises(window):
+    with pytest.raises(ValueError, match="thinning window must be > 0"):
+        sample_by_thinning(lambda s: 1.0, lambda t, w: 1.0, window, np.random.default_rng(0),
+                           5.0)
 
 
 class TestLangevin:
