@@ -288,7 +288,7 @@ def cmd_ci(args, cfg: dict, seed: int) -> tuple:
     r_minus, r_plus = confidence_radius(pair, pair, N, delta, T)
     report = {"T": T, "delta": delta, "N": N, "r_minus": r_minus, "r_plus": r_plus,
               "v_minus": pair.v, "b_minus": pair.b, "v_plus": pair.v, "b_plus": pair.b}
-    return {"report": report, "vacuous": bool(min(r_minus, r_plus) >= 2.0 * stats.sup_norm)}, 0
+    return {"report": report, "vacuous": stats.vacuous(r_minus, r_plus)}, 0
 
 
 def cmd_sample(args, cfg: dict, seed: int) -> tuple:

@@ -102,6 +102,10 @@ class ObservableStats:
                 f"variance {self.variance} exceeds sup_norm^2 = {self.sup_norm**2}"
             )
 
+    def vacuous(self, *radii: float) -> bool:
+        """Whether every radius of a bound is at or above 2 ||f - mean||_inf."""
+        return all(r >= 2.0 * self.sup_norm for r in radii)
+
 
 def lambda_of_eps(params: HypoParams) -> float:
     """Lambda(eps), the smallest eigenvalue of the 2x2 coercivity matrix.

@@ -11,16 +11,17 @@ noise) through counter-based ``SeedSequence`` keys, so adding a clock never
 perturbs an existing stream and identical (config, seed) pairs give
 bit-identical trajectories.
 
-The zig-zag sampler and the bouncy particle sampler (BPS) share one event
-clock and one flight loop, which holds the state on Python floats for
-every target in one dimension and on arrays otherwise.  Along the
-flight q + s v every jump clock has rate beta [u . grad V(q + s v)]^+:
-u = v for the single BPS bounce clock, and u = v_i e_i for the zig-zag
-flip clock of component i.  For quadratic potentials the rate is affine in
-s and inverted in closed form; for general potentials the clocks are
-simulated by thinning against an affine envelope of the rate, certified by
-the target's Hessian bound on a sliding window, up to the next refresh,
-by :func:`sample_by_thinning` in every dimension.  A violated envelope is a
+The zig-zag sampler and the bouncy particle sampler (BPS) share one flight
+loop and one kit that builds their event clocks and holds the state, on
+Python floats for every target in one dimension and on arrays otherwise.
+Along the flight q + s v every jump clock has rate
+beta [u . grad V(q + s v)]^+: u = v for the single BPS bounce clock, and
+u = v_i e_i for the zig-zag flip clock of component i.  For quadratic
+potentials the rate is affine in s and inverted in closed form; for
+general potentials the clocks are simulated by thinning against an affine
+envelope of the rate, certified by the target's Hessian bound on a sliding
+window, up to the next refresh, by :func:`sample_by_thinning` in every
+dimension.  A violated envelope is a
 hard error, never a silent acceptance.
 """
 
@@ -143,8 +144,8 @@ class Trajectory:
     ``time`` and ``kind`` (bounce | flip | refresh | hhmc-resample); on a
     flow path event k ends flight k, so the momenta on either side of it are
     ``segments.p0[k]`` and ``segments.p0[k + 1]``.  Discretized trajectories
-    store the step grid in ``times``/``qs``/``ps``, set ``discretized`` and
-    have no flights.
+    (``discretized``: ``times`` is set) store the step grid in
+    ``times``/``qs``/``ps`` and have no flights.
     """
 
     sampler: str
@@ -155,10 +156,13 @@ class Trajectory:
     final_q: Optional[np.ndarray] = None
     final_p: Optional[np.ndarray] = None
     flow: Optional[HamiltonianFlow] = None
-    discretized: bool = False
     times: Optional[np.ndarray] = None
     qs: Optional[np.ndarray] = None
     ps: Optional[np.ndarray] = None
+
+    @property
+    def discretized(self) -> bool:
+        return self.times is not None
 
 
 def _tables(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
@@ -288,13 +292,8 @@ def sample_by_thinning(
 # samplers
 
 
-def _initial_state(
-    target: TargetModel,
-    momentum: MomentumModel,
-    seed: int,
-    q0: Optional[np.ndarray],
-    p0: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+def _initial_state(target: TargetModel, momentum: MomentumModel, seed: int,
+                   q0: Optional[np.ndarray], p0: Optional[np.ndarray]) -> tuple:
     # the "init" stream is built only when a start is missing
     if q0 is None or p0 is None:
         rng = stream_rng(seed, "init")
@@ -302,61 +301,32 @@ def _initial_state(
             q0 = target.sample_position(rng)
         if p0 is None:
             p0 = momentum.sample(rng, target.dim)
+    return _checked_start(q0, p0, (target.dim,))
+
+
+def _checked_start(q0, p0, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The start (q0, p0) as float arrays, rejected, naming the position or
+    the momentum, unless both have the given shape and finite entries."""
     q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
     for name, x in (("position", q), ("momentum", p)):
-        if x.shape != (target.dim,):
-            raise ValueError(f"initial {name} must have shape ({target.dim},), got {x.shape}")
-        if not all(map(math.isfinite, x.tolist())):
+        if x.shape != shape:
+            raise ValueError(f"initial {name} must have shape {shape}, got {x.shape}")
+        if not all(map(math.isfinite, x.ravel().tolist())):
             raise ValueError(f"initial {name} must be finite, got {x}")
     return q, p
 
 
-def _first_jump(target: TargetModel, slopes: Callable, q: np.ndarray, v: np.ndarray,
-                grad: np.ndarray, rng: np.random.Generator, horizon: float) -> tuple[float, int]:
-    """First arrival among the jump clocks along the flight q + s v.
-
-    Clock i has rate beta [u_i . grad V(q + s v)]^+, where ``slopes(v, w)``
-    lists u_i . w over the clock directions u_i and ``grad`` is grad V(q).
-    Returns (time, i); the time is inf if no clock fires before
-    ``horizon``.  Quadratic potentials give affine rates, inverted in closed
-    form from the unit exponentials that ``rng`` then yields (an iterator,
-    see :func:`_draws`).  Otherwise ``rng`` is the clock's generator and
-    each clock is thinned (:func:`sample_by_thinning`)
-    against the affine envelope of its slope g(s) = beta u_i . grad V(q + s v)
-    on windows of length w: |g'| <= beta |u_i| |v| sup |Hess V| over the ball
-    of radius |v| w around the window's start, which ``hessian_bound``
-    certifies.  The slope at s = 0 comes from ``grad``.
-    """
-    beta = target.beta
-    if target.is_quadratic:
-        taus = [invert_affine_rate(beta * a, beta * b, e)
-                for a, b, e in zip(slopes(v, grad), slopes(v, target.hessian @ v), rng)]
-    else:
-        speed2 = float(np.dot(v, v))
-        speed = math.sqrt(speed2)
-        taus = []
-        # |u_i|^2 = slopes(v, v)_i for both direction maps, so reach = beta |u_i| |v|
-        for i, u2 in enumerate(slopes(v, v)):
-            reach = beta * math.sqrt(u2 * speed2)
-
-            def slope(s: float) -> float:
-                return beta * slopes(v, grad if s == 0.0 else target.gradient(q + s * v))[i]
-
-            def lipschitz(t: float, w: float) -> float:
-                return reach * target.hessian_bound(q + t * v, speed * w)
-
-            taus.append(sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng, horizon))
-    tau = min(taus)
-    return tau, taus.index(tau)
-
-
-def _require_finite(**params: float) -> None:
-    """Reject a horizon, rate or step that is not a finite number, by name:
-    an infinite horizon never ends a flight loop, and a NaN passes every
+def _check_params(**params: float) -> None:
+    """Reject, by name, a horizon, rate, step or friction that is not a
+    finite number > 0, or for ``refresh_rate`` >= 0 (0: no refreshes): an
+    infinite horizon never ends a flight loop, and a NaN passes every
     comparison that guards one."""
     for name, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0.0 or value == 0.0 and name != "refresh_rate":
+            sign = ">=" if name == "refresh_rate" else ">"
+            raise ValueError(f"need {name} {sign} 0, got {value}")
 
 
 def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
@@ -365,19 +335,17 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
     """Linear flight between refreshes and the jumps of the ``clock`` stream.
 
     ``slopes(v, w)`` lists u_i . w over the jump clocks' directions u_i (see
-    :func:`_first_jump`).  ``jump(p, grad, i)`` returns the momentum after
+    :func:`_flight_state`).  ``jump(p, grad, i)`` returns the momentum after
     clock i fires, or None where the jump is undefined, in which case the
     momentum is refreshed.  grad V is evaluated once per event point and
     shared by the next clocks and the jump.  The refresh time, drawn first,
     ends the clocks' horizon (a later jump is never used); the two streams
     are separate, so the order of the draws changes no quadratic-target
-    path.  :func:`_flight_state` holds the state on (d,) arrays, or on Python
-    floats, with the same bits, for every target in one dimension; a thinned
-    one still draws its clock through :func:`sample_by_thinning`.
+    path.  :func:`_flight_state` builds the clocks and holds the state on
+    (d,) arrays, or on Python floats, with the same bits, for every target
+    in one dimension.
     """
-    _require_finite(T=T, refresh_rate=refresh_rate)
-    if T <= 0.0 or refresh_rate < 0.0:
-        raise ValueError("need T > 0 and refresh_rate >= 0")
+    _check_params(T=T, refresh_rate=refresh_rate)
     gradient, first_jump, jump, refresh, lift = _flight_state(
         clock, slopes, jump, target, momentum, seed, target.dim == 1)
     q, p = lift(*_initial_state(target, momentum, seed, q0, p0))
@@ -411,40 +379,70 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
 
 def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetModel,
                   momentum: MomentumModel, seed: int, floats: bool) -> tuple:
-    """How :func:`_simulate_pdmp` holds its state: on (d,) arrays, or with
-    ``floats`` on Python floats with the same operations in the same order.
-    Returns the maps ``gradient(q)``, ``first_jump(q, v, grad, horizon)``,
-    ``jump(p, grad, i)``, ``refresh(rng)`` and ``lift(q, p)`` from the (d,)
-    start.  Affine clocks draw only exponentials, so they are drawn in
-    blocks; thinned clocks mix two kinds of draw and take the generator.  On
-    floats (any target in one dimension) a quadratic clock's slope along
-    q + s v is a + b s, a = v grad V(q) and b = v (h v) with h the 1 x 1
-    Hessian; a thinned clock runs :func:`sample_by_thinning` on the slope
-    beta v grad V(q + s v) and the reach beta sqrt(v^2 v^2) of
-    :func:`_first_jump`.  The gradient, the Hessian bound and each jump
-    still act on 1-element arrays, so user callables act as on arrays.  A
-    non-quadratic target without a Hessian bound is rejected before any
-    clock is drawn.
+    """The jump clocks of :func:`_simulate_pdmp`, and its state: on (d,)
+    arrays, or with ``floats`` on Python floats with the same operations in
+    the same order.  Returns the maps ``gradient(q)``,
+    ``first_jump(q, v, grad, horizon)``, ``jump(p, grad, i)``,
+    ``refresh(rng)`` and ``lift(q, p)`` from the (d,) start.
+
+    ``first_jump`` gives (time, i) of the first arrival along the flight
+    q + s v among the clocks of rates beta [u_i . grad V(q + s v)]^+
+    (``slopes(v, w)`` lists u_i . w, ``grad`` is grad V(q)); the time is inf
+    if none fires before ``horizon``.  Quadratic potentials give affine
+    rates, inverted in closed form from unit exponentials, which the
+    ``clock`` stream draws in blocks as it draws nothing else.  Otherwise
+    each clock is thinned (:func:`sample_by_thinning`) on the stream's
+    generator against the affine envelope of its slope
+    g(s) = beta u_i . grad V(q + s v) on windows of length w:
+    |g'| <= beta |u_i| |v| sup |Hess V| over the ball of radius |v| w around
+    the window's start, which ``hessian_bound`` certifies, so a
+    non-quadratic target without one is rejected before any clock is drawn.
+    On floats (every target in one dimension) the affine slope is a + b s,
+    a = v grad V(q) and b = v (h v) for the 1 x 1 Hessian h, and the reach
+    is beta sqrt(v^2 v^2); the gradient, the Hessian bound and each jump
+    still act on 1-element arrays, as user callables expect.
     """
-    if not target.is_quadratic and target.hessian_bound is None:
+    quadratic = target.is_quadratic
+    if not quadratic and target.hessian_bound is None:
         raise ValueError(f"target '{target.name}' needs a hessian_bound for thinning")
     rng_clock = stream_rng(seed, clock)
-    draws = (_draws(lambda n: rng_clock.exponential(size=n).tolist())
-             if target.is_quadratic else rng_clock)
+    exponentials = _draws(lambda n: rng_clock.exponential(size=n).tolist()) if quadratic else None
+    beta, gradient, hessian_bound = target.beta, target.gradient, target.hessian_bound
     if not floats:
-        return (target.gradient,
-                lambda q, v, grad, until: _first_jump(target, slopes, q, v, grad, draws, until),
-                jump, lambda rng: momentum.sample(rng, target.dim), lambda q, p: (q, p))
-    beta = target.beta
-    if target.is_quadratic:
+        hessian = target.hessian
+
+        def first_jump(q, v, grad, horizon):
+            if quadratic:
+                taus = [invert_affine_rate(beta * a, beta * b, e) for a, b, e
+                        in zip(slopes(v, grad), slopes(v, hessian @ v), exponentials)]
+            else:
+                speed2 = float(np.dot(v, v))
+                speed = math.sqrt(speed2)
+                taus = []
+                # |u_i|^2 = slopes(v, v)_i for both direction maps, so reach = beta |u_i| |v|
+                for i, u2 in enumerate(slopes(v, v)):
+                    reach = beta * math.sqrt(u2 * speed2)
+
+                    def slope(s: float) -> float:
+                        return beta * slopes(v, grad if s == 0.0 else gradient(q + s * v))[i]
+
+                    def lipschitz(t: float, w: float) -> float:
+                        return reach * hessian_bound(q + t * v, speed * w)
+
+                    taus.append(sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng_clock,
+                                                   horizon))
+            tau = min(taus)
+            return tau, taus.index(tau)
+
+        return (gradient, first_jump, jump, lambda rng: momentum.sample(rng, target.dim),
+                lambda q, p: (q, p))
+    if quadratic:
         h = float(target.hessian[0, 0])
 
         def first_jump(q, v, grad, horizon):
             g = float(grad[0])
-            return invert_affine_rate(beta * (v * g), beta * (v * (h * v)), next(draws)), 0
+            return invert_affine_rate(beta * (v * g), beta * (v * (h * v)), next(exponentials)), 0
     else:
-        gradient, hessian_bound = target.gradient, target.hessian_bound
-
         def first_jump(q, v, grad, horizon):
             g0, speed2 = float(grad[0]), v * v
             speed, reach = math.sqrt(speed2), beta * math.sqrt(speed2 * speed2)
@@ -455,7 +453,7 @@ def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetMo
             def lipschitz(t, w):
                 return reach * hessian_bound(np.array([q + t * v]), speed * w)
 
-            return sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, draws, horizon), 0
+            return sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng_clock, horizon), 0
 
     def jump_float(p, grad, i):
         p_jump = jump(np.array([p]), grad, i)
@@ -533,9 +531,7 @@ def simulate_hhmc(
     At d = 1 this equals flowing one flight at a time bit for bit; at d > 1
     the positions differ from that by rounding only (about 3e-14 at d = 50).
     """
-    _require_finite(T=T, resample_rate=resample_rate, step=step)
-    if T <= 0.0 or resample_rate <= 0.0 or step <= 0.0:
-        raise ValueError("need T > 0, resample_rate > 0, step > 0")
+    _check_params(T=T, resample_rate=resample_rate, step=step)
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, seed, q0, p0)
@@ -587,7 +583,7 @@ def simulate_hhmc(
         p = p - 0.5 * step * target.gradient(q)
         qs[k + 1], ps[k + 1] = q, p
     return Trajectory("hhmc", float(times[-1]), m, *_tables(d, (), tuple(zip(*events))),
-                      final_q=q, final_p=p, discretized=True, times=times, qs=qs, ps=ps)
+                      final_q=q, final_p=p, times=times, qs=qs, ps=ps)
 
 
 def simulate_langevin(
@@ -632,14 +628,9 @@ def simulate_langevin_batch(
     one (R, n + 1, d) array; replica r's trajectory holds its contiguous
     (n + 1, d) slice.
     """
-    _require_finite(T=T, step=step, gamma=gamma)
-    if T <= 0.0 or step <= 0.0 or gamma <= 0.0:
-        raise ValueError("need T > 0, step > 0, gamma > 0")
-    q, p = np.array(q0, dtype=float), np.array(p0, dtype=float)
-    for name, x in (("position", q), ("momentum", p)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"initial {name} must be finite")
-    R, d = q.shape
+    _check_params(T=T, step=step, gamma=gamma)
+    R, d = len(seeds), target.dim
+    q, p = _checked_start(q0, p0, (R, d))
     rngs = [stream_rng(seed, "noise") for seed in seeds]
     m, beta = momentum.mass, momentum.beta
     n_steps = int(math.ceil(T / step))
@@ -665,8 +656,7 @@ def simulate_langevin_batch(
         qs[:, k + 1], ps[:, k + 1] = q, p
     segments, events = _tables(d)
     return [Trajectory("langevin", float(times[-1]), m, segments, events,
-                       final_q=qs[r, -1], final_p=ps[r, -1],
-                       discretized=True, times=times, qs=qs[r], ps=ps[r])
+                       final_q=qs[r, -1], final_p=ps[r, -1], times=times, qs=qs[r], ps=ps[r])
             for r in range(R)]
 
 

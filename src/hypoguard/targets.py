@@ -354,7 +354,11 @@ def stationary_expectation_1d(target: TargetModel) -> Callable[..., float]:
     from scipy.integrate import quad
 
     def raw(x: float) -> float:
-        return math.exp(-target.beta * float(target.potential(np.array([x]))))
+        try:
+            return math.exp(-target.beta * float(target.potential(np.array([x]))))
+        except OverflowError:
+            raise ValueError(f"target '{target.name}': -beta V exceeds the float range on "
+                             f"[-{_QUAD_LIM:g}, {_QUAD_LIM:g}]") from None
 
     Z = quad(raw, -_QUAD_LIM, _QUAD_LIM)[0]
 

@@ -249,8 +249,7 @@ def coverage_experiment(config: ExperimentConfig) -> ValidationReport:
     coverage = float(np.mean((dev > -r_minus) & (dev < r_plus)))
     M = config.replicas
     required = 1.0 - config.delta - 3.0 * math.sqrt(config.delta * (1.0 - config.delta) / M)
-    vacuous = r_plus >= 2.0 * stats.sup_norm and r_minus >= 2.0 * stats.sup_norm
-    return _report("coverage", config, reps, coverage >= required, vacuous,
+    return _report("coverage", config, reps, coverage >= required, stats.vacuous(r_minus, r_plus),
                    coverage=coverage, required=required, delta=config.delta, replicas=M,
                    r_minus=r_minus, r_plus=r_plus, N=N, v=pair.v, b=pair.b,
                    Lambda=der.Lambda, T=config.T, sup_norm=stats.sup_norm,
@@ -426,7 +425,7 @@ def uq_experiment(config: ExperimentConfig, alt_target: TargetModel) -> Validati
                      "note": "path measures not absolutely continuous; bound vacuous"},
         )
     bound = uq_bias_bound(pair, pair, entropy_rate)[1]
-    vacuous = bool(bound >= 2.0 * stats.sup_norm)
+    vacuous = stats.vacuous(bound)
     passed = bool(bias <= bound + 1e-12) and not vacuous
     return ValidationReport(
         kind="uq", passed=passed, vacuous=vacuous, seed=config.seed,

@@ -20,6 +20,7 @@ import pytest
 
 from hypoguard import MomentumModel, builtin_observable, builtin_target
 from hypoguard import cli, guarantees, hypocoercivity, samplers, targets, validation
+from test_samplers import separable_well
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hypoguard"
@@ -109,7 +110,7 @@ def _traced_flight(sampler, base, seed):
     tracer.install(tr)
     try:
         target = workloads.counting_target(base, tracer.counting_wrapper(tr))
-        q0 = None if base.is_quadratic else np.array([0.9])
+        q0 = None if base.is_quadratic else np.full(base.dim, 0.9)
         if sampler == "zigzag":
             traj = samplers.simulate_zigzag(target, 100.0, seed, 1.0, q0)
         else:
@@ -145,6 +146,25 @@ def test_one_dimensional_flights_keep_the_clock_and_gradient_hooks(monkeypatch, 
     assert np.array_equal(traj.segments.duration, traj_arrays.segments.duration)
     for name in ("samplers.invert_affine_rate", "targets.gradient", "targets.hessian_bound"):
         assert tr.counts[name] == tr_arrays.counts[name] > len(traj.segments), name
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_array_flights_keep_the_clock_and_gradient_hooks(sampler):
+    # the (d,) array state that clocks-stress runs at d = 50 must call the
+    # module globals invert_affine_rate and sample_by_thinning once per clock
+    # and flight, d clocks for zig-zag and one for BPS, and the gradient at
+    # the start and at each event point
+    H = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, -0.3], [0.0, -0.3, 1.0]])
+    tr, traj = _traced_flight(sampler, builtin_target("gaussian_aniso", H=H), 5)
+    assert len(traj.events) > 64
+    clocks = 3 if sampler == "zigzag" else 1
+    assert tr.counts["samplers.invert_affine_rate"] == clocks * len(traj.segments)
+    assert tr.counts["targets.gradient"] == len(traj.events) + 1
+
+    tr, traj = _traced_flight(sampler, separable_well(2), 5)
+    assert len(traj.events) > 64
+    clocks = 2 if sampler == "zigzag" else 1
+    assert tr.calls("samplers.sample_by_thinning") == clocks * len(traj.segments)
 
 
 def test_flow_records_have_the_layout_the_benchmark_reads():

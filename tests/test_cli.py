@@ -184,6 +184,16 @@ def test_validate_uq(config_path, tmp_path):
     assert json.loads(res.stdout)["report"]["passed"]
 
 
+def test_uq_tilt_beyond_the_float_range_exits_2(tmp_path):
+    # at delta = 38, exp(-beta V) of the tilted Gaussian overflows near q = -40,
+    # inside the quadrature interval [-40, 40]
+    cfg = edited(SMALL, {"sampler": {"name": "langevin", "gamma": 2.0, "step": 0.05},
+                         "perturbation": {"kind": "linear_tilt", "delta": 38.0}})
+    code, err = run_config(["validate", "uq"], cfg, tmp_path / "cfg.json")
+    assert code == 2 and err.startswith("config error: invalid perturbation"), err
+    assert "exceeds the float range" in err, err
+
+
 def test_cli_import_loads_no_scipy():
     # the closed-form commands (ci, constants, lab, sample) need none of scipy
     code = "import sys, hypoguard.cli; print('scipy' in sys.modules)"

@@ -37,7 +37,7 @@ from hypoguard import (
     simulate_zigzag,
     time_average,
 )
-from hypoguard.samplers import _first_jump
+from hypoguard.samplers import _flight_state
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "pdmp_golden.json"
 SEEDS = (11, 12)
@@ -162,14 +162,17 @@ def well_hazard(q, v, s):
     return WELL.beta * sum(np.maximum(b - a, 0.0) for a, b in zip(V, V[1:]))
 
 
+@pytest.mark.parametrize("floats", [True, False], ids=["floats", "arrays"])
 @pytest.mark.parametrize("q, v", [(-1.5, 1.0), (1.6, -1.3)])
-def test_thinned_clock_has_exact_hazard(q, v):
-    # the flight crosses all three critical points of the double well
-    qv, vv = np.array([q]), np.array([v])
-    grad = WELL.gradient(qv)
-    rng = np.random.default_rng(5)
-    arrivals = [_first_jump(WELL, lambda v, w: (v * w).tolist(), qv, vv, grad, rng,
-                            math.inf)[0] for _ in range(5000)]
+def test_thinned_clock_has_exact_hazard(q, v, floats):
+    # the flight crosses all three critical points of the double well; the
+    # kit's clock runs on (q, v) as Python floats, as every 1-D thinned run
+    # does, or as (1,) arrays, as d > 1 targets do
+    first_jump = _flight_state("flip", lambda v, w: (v * w).tolist(), None, WELL,
+                               MomentumModel(kind="rademacher"), 5, floats)[1]
+    grad = WELL.gradient(np.array([q]))
+    qv, vv = (q, v) if floats else (np.array([q]), np.array([v]))
+    arrivals = [first_jump(qv, vv, grad, math.inf)[0] for _ in range(5000)]
     cdf = lambda s: 1.0 - np.exp(-well_hazard(q, v, np.asarray(s, dtype=float)))
     assert sps.kstest(arrivals, cdf).pvalue > 1e-3
 

@@ -647,6 +647,19 @@ def test_non_finite_start_is_rejected(sampler, value):
                 samplers.simulate_langevin_batch(t, mom, 1.0, 5.0, 0.01, [1, 2, 3], q0, p0)
 
 
+def test_langevin_batch_rejects_starts_that_disagree_with_its_seeds_or_target():
+    # one replica's noise would broadcast over three starts, and a 3-D start
+    # would run a 3-D path on a 2-D target
+    t = builtin_target("gaussian_iso", dim=2)
+    mom = MomentumModel(kind="gaussian")
+    cases = [([7], (3, 2), r"\(1, 2\), got \(3, 2\)"), ([1, 2], (2, 3), r"\(2, 2\), got \(2, 3\)")]
+    for seeds, shape, shapes in cases:
+        good, bad = np.zeros((len(seeds), 2)), np.zeros(shape)
+        for which, q0, p0 in (("position", bad, good), ("momentum", good, bad)):
+            with pytest.raises(ValueError, match=f"initial {which} must have shape {shapes}"):
+                samplers.simulate_langevin_batch(t, mom, 1.0, 1.0, 0.01, seeds, q0, p0)
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("sampler, param", [
     ("zigzag", "T"), ("zigzag", "refresh_rate"), ("bps", "T"), ("bps", "refresh_rate"),
@@ -672,6 +685,29 @@ def test_non_finite_horizon_rate_or_step_is_rejected(monkeypatch, sampler, param
     }[sampler]
     with pytest.raises(ValueError, match=f"^{param} must be finite"):
         sim()
+
+
+@pytest.mark.parametrize("sampler, param, value, message", [
+    ("zigzag", "T", 0.0, "need T > 0"),
+    ("zigzag", "refresh_rate", -1.0, "need refresh_rate >= 0"),
+    ("bps", "refresh_rate", -1.0, "need refresh_rate >= 0"),
+    ("hhmc", "resample_rate", 0.0, "need resample_rate > 0"),
+    ("langevin", "gamma", 0.0, "need gamma > 0"),
+    ("langevin", "step", -0.01, "need step > 0")])
+def test_horizon_rate_or_step_out_of_range_is_rejected_by_name(sampler, param, value, message):
+    # one check for every sampler; a refresh rate of 0 switches refreshes off
+    t = builtin_target("gaussian_iso", dim=1)
+    mom = MomentumModel(kind="gaussian")
+    a = {"T": 5.0, "refresh_rate": 0.0, "resample_rate": 1.0, "step": 0.01, "gamma": 1.0}
+    sim = {
+        "zigzag": lambda a: simulate_zigzag(t, a["T"], 1, a["refresh_rate"]),
+        "bps": lambda a: simulate_bps(t, mom, a["refresh_rate"], a["T"], 1),
+        "hhmc": lambda a: simulate_hhmc(t, mom, a["resample_rate"], a["T"], 1, a["step"]),
+        "langevin": lambda a: simulate_langevin(t, mom, a["gamma"], a["T"], a["step"], 1),
+    }[sampler]
+    sim(a)
+    with pytest.raises(ValueError, match=f"^{message}, got {value}"):
+        sim({**a, param: value})
 
 
 class TestDeterminism:
@@ -858,8 +894,9 @@ def run_pdmp(sampler, target, T, seed, q0):
 
 
 class TestSeparableWellThinning:
-    """The d > 1 thinned clocks of :func:`samplers._first_jump`: zig-zag runs
-    one clock per coordinate, BPS one clock along the velocity."""
+    """The d > 1 thinned clocks that :func:`samplers._flight_state` builds on
+    arrays: zig-zag runs one clock per coordinate, BPS one clock along the
+    velocity."""
 
     WELL2 = separable_well(2)
     M, T = 16, 400.0
