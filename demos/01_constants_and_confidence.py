@@ -48,7 +48,7 @@ delta = 0.1
 print(f"confidence radii at delta = {delta}:")
 for T in (50.0, 150.0, 500.0, 2000.0):
     r_minus, r_plus = confidence_radius(pair, pair, N, delta, T)
-    note = " (vacuous)" if r_plus >= 2.0 * observable.stats.sup_norm else ""
+    note = " (vacuous)" if observable.stats.vacuous(r_minus, r_plus) else ""
     print(f"  T = {T:7.0f}:  r = {r_plus:.4f}{note}")
 
 r_target = 0.25

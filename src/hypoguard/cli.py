@@ -46,6 +46,7 @@ from .validation import (
     ExperimentConfig,
     coverage_experiment,
     mgf_experiment,
+    start_norm,
     tail_experiment,
     uq_experiment,
     _simulate,
@@ -136,6 +137,14 @@ def _reject_nonfinite(node, path: str) -> None:
             _reject_nonfinite(child, f"{path}.{key}" if path else key)
 
 
+# the knobs each sampler reads, and their rules (ExperimentConfig holds the
+# defaults); hhmc's leapfrog step is unread: every CLI target takes the exact flow
+_SAMPLERS = {"zigzag": {"refresh_rate": ">= 0"},
+             "bps": {"refresh_rate": ">= 0", "mass": "> 0", "reflection_factor": None},
+             "hhmc": {"refresh_rate": "> 0", "mass": "> 0"},  # > 0: it resamples at this rate
+             "langevin": {"mass": "> 0", "gamma": "> 0", "step": "> 0"}}
+_PERTURBATIONS = {"linear_tilt": (linear_tilt, "delta"), "scale": (scale_potential, "factor")}
+
 # the keys some command reads, per config block ("" is the top level); the
 # target and observable blocks are checked by builtin_target/builtin_observable
 _KNOWN_KEYS = {
@@ -144,23 +153,24 @@ _KNOWN_KEYS = {
          "dim", "trials", "lambda_grid_size"},
     "hypo": {"lambda_p", "lambda_q", "lambda_q_from", "R0", "eps"},
     "hypo.lambda_q_from": {"C_nu", "kappa_p"},
-    "sampler": {"name", "refresh_rate", "mass", "gamma", "step", "reflection_factor"},
+    "sampler": {"name"}.union(*_SAMPLERS.values()),
     "initial": {"kind", "mean", "var"},
-    "perturbation": {"kind", "delta", "factor"},
+    "perturbation": {"kind"} | {key for _, key in _PERTURBATIONS.values()},
     "observable_stats": {"mean", "variance", "sup_norm"},
 }
 
 
-def _reject_unknown(cfg: dict) -> None:
-    """A key no command reads is most likely misspelt: reject it rather than
-    run with the default of the key that was meant."""
-    for block, known in _KNOWN_KEYS.items():
+def _reject_unread(cfg: dict, known: dict, reader: str) -> None:
+    """Reject a key outside ``known[block]``, the keys ``reader`` reads in block
+    ``block``: it is most likely misspelt, or it would change nothing."""
+    for block, read in known.items():
         node = cfg
         for key in filter(None, block.split(".")):
             node = node.get(key) if isinstance(node, dict) else None
-        if isinstance(node, dict) and not known.issuperset(node):
-            path = ".".join(filter(None, (block, min(set(node) - known))))
-            raise ConfigError(f"unknown config field '{path}' (known: {', '.join(sorted(known))})")
+        if isinstance(node, dict) and not read.issuperset(node):
+            path = ".".join(filter(None, (block, min(set(node) - read))))
+            raise ConfigError(f"config field '{path}' is not read by {reader} "
+                              f"(read: {', '.join(sorted(read))})")
 
 
 def _load_config(path: str | None) -> dict:
@@ -174,7 +184,7 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_nonfinite(cfg, "")
-    _reject_unknown(cfg)
+    _reject_unread(cfg, _KNOWN_KEYS, "any command")
     return cfg
 
 
@@ -187,8 +197,10 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 def _hypo_from_config(cfg: dict, eps_flag: str | None = None) -> HypoParams:
     lambda_p, R0 = _field(cfg, "hypo.lambda_p", "> 0"), _field(cfg, "hypo.R0", ">= 0")
-    if "lambda_q" in cfg["hypo"] or "lambda_q_from" not in cfg["hypo"]:
+    if "lambda_q_from" not in cfg["hypo"]:
         lambda_q = _field(cfg, "hypo.lambda_q", "in (0, 1]")
+    elif "lambda_q" in cfg["hypo"]:
+        raise ConfigError("config field 'hypo.lambda_q_from' conflicts with hypo.lambda_q")
     else:
         lambda_q = _checked("hypo.lambda_q_from", lambda_q_from_target,
                             _field(cfg, "hypo.lambda_q_from.C_nu"),
@@ -209,9 +221,19 @@ def _builtin(cfg: dict, block: str, build, *args):
     return _checked(block, build, name, *args, **params)
 
 
+def _initial(cfg: dict):
+    """The start in ``initial``: None (stationary) or a 1-D Gaussian (mean, var)."""
+    kind = _field(cfg, "initial.kind", _one_of("stationary", "gaussian"), "stationary", str)
+    if kind == "stationary" and not cfg.get("initial", {}).keys().isdisjoint({"mean", "var"}):
+        raise ConfigError("config field 'initial.kind' must be 'gaussian' where initial.mean "
+                          "or initial.var is given: a stationary start reads neither")
+    return None if kind == "stationary" else (_field(cfg, "initial.mean"),
+                                              _field(cfg, "initial.var", "> 0"))
+
+
 def _bernstein(cfg: dict, eps_flag: str | None = None) -> tuple:
     """(hypo, stats, dmu_norm, pair, N, derived constants) of the config."""
-    hypo = _hypo_from_config(cfg, eps_flag)
+    hypo, initial = _hypo_from_config(cfg, eps_flag), _initial(cfg)
     if "observable_stats" in cfg:
         stats = _checked("observable_stats", ObservableStats,
                          mean=_field(cfg, "observable_stats.mean", default=0.0),
@@ -220,21 +242,21 @@ def _bernstein(cfg: dict, eps_flag: str | None = None) -> tuple:
     else:
         stats = _builtin(cfg, "observable", builtin_observable,
                          _builtin(cfg, "target", builtin_target)).stats
-    dmu_norm = _field(cfg, "dmu_norm", ">= 1", 1.0)
+    if "initial" in cfg and "dmu_norm" in cfg:
+        raise ConfigError("config field 'dmu_norm' conflicts with initial, which sets it")
+    dmu_norm = (_field(cfg, "dmu_norm", ">= 1", 1.0) if initial is None else
+                _checked("initial", start_norm, _builtin(cfg, "target", builtin_target), initial))
     return (hypo, stats, dmu_norm, *bernstein_from_hypo(hypo, stats, dmu_norm))
 
 
 def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
     target = _builtin(cfg, "target", builtin_target)
-    name = _field(cfg, "sampler.name", _one_of("zigzag", "bps", "hhmc", "langevin"), cast=str)
-    initial = None
-    kind = _field(cfg, "initial.kind", _one_of("stationary", "gaussian"), "stationary", str)
-    if kind == "gaussian":
-        initial = (_field(cfg, "initial.mean"), _field(cfg, "initial.var", "> 0"))
-    elif not cfg.get("initial", {}).keys().isdisjoint({"mean", "var"}):
-        # a stationary start would silently ignore them
-        raise ConfigError("config field 'initial.kind' must be 'gaussian' where initial.mean "
-                          "or initial.var is given")
+    name = _field(cfg, "sampler.name", _one_of(*_SAMPLERS), cast=str)
+    knobs = {key: _field(cfg, f"sampler.{key}", rule)
+             for key, rule in _SAMPLERS[name].items() if key in cfg["sampler"]}
+    _reject_unread(cfg, {"sampler": {"name", *_SAMPLERS[name]}}, f"sampler '{name}'")
+    if "dmu_norm" in cfg:  # the checks compute it from initial
+        raise ConfigError("config field 'dmu_norm' is read by ci and constants only")
     config = ExperimentConfig(
         sampler=name,
         target=target,
@@ -244,14 +266,8 @@ def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
         delta=_field(cfg, "delta", "in (0, 1)", 0.1),
         replicas=_field(cfg, "replicas", ">= 2", 200, int),
         seed=seed,
-        # hhmc resamples its momentum at refresh_rate, which must then be > 0
-        refresh_rate=_field(cfg, "sampler.refresh_rate", "> 0" if name == "hhmc" else ">= 0",
-                            1.0),
-        mass=_field(cfg, "sampler.mass", "> 0", 1.0),
-        gamma=_field(cfg, "sampler.gamma", "> 0", 1.0),
-        step=_field(cfg, "sampler.step", "> 0", 0.01),
-        reflection_factor=_field(cfg, "sampler.reflection_factor", default=2.0),
-        initial=initial,
+        initial=_initial(cfg),
+        **knobs,
     )
     # the bounds need a finite chi-square norm of the start: 1-D, var < 2 sigma^2
     _checked("initial", config.dmu_norm)
@@ -316,10 +332,11 @@ def cmd_sample(args, cfg: dict, seed: int) -> tuple:
 def cmd_validate(args, cfg: dict, seed: int) -> tuple:
     config = _experiment_config(cfg, seed)
     if args.which == "uq":
-        kind = _field(cfg, "perturbation.kind", _one_of("linear_tilt", "scale"), cast=str)
-        build, key = ((linear_tilt, "delta") if kind == "linear_tilt"
-                      else (scale_potential, "factor"))
+        _field(cfg, "sampler.name", _one_of("zigzag", "langevin"), cast=str)  # has an entropy rate
+        kind = _field(cfg, "perturbation.kind", _one_of(*_PERTURBATIONS), cast=str)
+        build, key = _PERTURBATIONS[kind]
         alt = _checked("perturbation", build, config.target, _field(cfg, f"perturbation.{key}"))
+        _reject_unread(cfg, {"perturbation": {"kind", key}}, f"perturbation '{kind}'")
         # no simulation: the entropy rate and both means are closed form or quadrature
         report = _checked("perturbation", uq_experiment, config, alt)
         return {"report": report.to_dict()}, 0 if report.passed else 1

@@ -103,8 +103,8 @@ class ObservableStats:
             )
 
     def vacuous(self, *radii: float) -> bool:
-        """Whether every radius of a bound is at or above 2 ||f - mean||_inf."""
-        return all(r >= 2.0 * self.sup_norm for r in radii)
+        """Whether every radius is at or above ||f - mean||_inf, a bound on |F_T - mean|."""
+        return all(r >= self.sup_norm for r in radii)
 
 
 def lambda_of_eps(params: HypoParams) -> float:

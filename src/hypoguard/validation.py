@@ -83,10 +83,7 @@ class ExperimentConfig:
         return MomentumModel(kind=kind, mass=self.mass, beta=self.target.beta)
 
     def dmu_norm(self) -> float:
-        if self.initial is None:
-            return 1.0
-        mu0, s2 = _gaussian_initial(self)
-        return gaussian_chi_square_norm(mu0, s2, self.target.marginal_var(0))
+        return start_norm(self.target, self.initial)
 
     @functools.cached_property
     def averaged_functions(self) -> tuple:
@@ -127,11 +124,17 @@ class ValidationReport:
 _LANGEVIN_CHUNK = 64
 
 
-def _gaussian_initial(config: ExperimentConfig) -> tuple[float, float]:
-    """The (mean, var) of the config's Gaussian start, which is 1-D."""
-    if config.target.dim != 1:
+def _gaussian_initial(target: TargetModel, initial: tuple) -> tuple[float, float]:
+    """The (mean, var) of a Gaussian start, which is 1-D."""
+    if target.dim != 1:
         raise ValueError("non-stationary starts are supported in 1-D only")
-    return config.initial
+    return initial
+
+
+def start_norm(target: TargetModel, initial: Optional[tuple[float, float]]) -> float:
+    """||dmu/dmu*|| of the start ``initial`` (None: stationary) on ``target``."""
+    return 1.0 if initial is None else gaussian_chi_square_norm(
+        *_gaussian_initial(target, initial), target.marginal_var(0))
 
 
 def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +145,7 @@ def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
     if config.initial is None:
         q0 = config.target.sample_position(rng)
     else:
-        mu0, s2 = _gaussian_initial(config)
+        mu0, s2 = _gaussian_initial(config.target, config.initial)
         q0 = np.array([mu0 + math.sqrt(s2) * rng.standard_normal()])
     return q0, config.momentum().sample(rng, config.target.dim)
 

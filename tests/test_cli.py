@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -25,7 +26,8 @@ from hypoguard import (
     confidence_radius,
     optimal_eps,
 )
-from hypoguard.cli import _emit, main
+from hypoguard.cli import _PERTURBATIONS, _SAMPLERS, _emit, main
+from hypoguard.validation import ExperimentConfig
 
 BASE_CONFIG = {
     "hypo": {"lambda_p": 1.0, "lambda_q": 0.5, "R0": 1.0, "eps": "auto"},
@@ -351,7 +353,7 @@ def names_field(err, path):
                  id="lambda_grid-above-1/b"),
     pytest.param(["validate", "coverage"], {"sampler.reflection_factor": "x"}, {},
                  "sampler.reflection_factor", id="reflection_factor-x"),
-    pytest.param(["validate", "uq"], {"sampler.name": "hhmc", **TILT}, {}, "perturbation",
+    pytest.param(["validate", "uq"], {"sampler.name": "hhmc", **TILT}, {}, "sampler.name",
                  id="uq-hhmc"),
     pytest.param(["validate", "uq"], {"target.dim": 2, **TILT}, {}, "perturbation",
                  id="uq-2d-tilt"),
@@ -387,6 +389,14 @@ def names_field(err, path):
                  id="lambda_grid-negative"),
     pytest.param(["validate", "all"], {"lambda_grid": [-0.001]}, {}, "lambda_grid",
                  id="all-lambda_grid-negative"),
+    # ||dmu/dmu*|| has one source: dmu_norm (ci and constants only) or initial
+    pytest.param(["ci"], {"initial": GAUSSIAN_START, "dmu_norm": 1.5}, {}, "dmu_norm",
+                 id="ci-dmu_norm-with-initial"),
+    pytest.param(["constants"], {"initial": {"kind": "stationary"}, "dmu_norm": 1.5}, {},
+                 "dmu_norm", id="constants-dmu_norm-with-initial"),
+    *[pytest.param(argv, {"dmu_norm": 1.0}, {}, "dmu_norm", id=f"{argv[-1]}-dmu_norm")
+      for argv in (["sample"], ["validate", "coverage"], ["validate", "tail"],
+                   ["validate", "mgf"], ["validate", "all"], ["validate", "uq"])],
 ])
 def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json", env)
@@ -424,6 +434,9 @@ def test_validate_all_reads_every_grid_before_simulating(tmp_path):
         assert run_inprocess(["validate", "all"], dict(SMALL, lambda_grid=[100.0]), tmp_path) == 2
 
 
+# the sampler knobs and their defaults, which ExperimentConfig alone holds
+KNOB_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                 if f.default is not dataclasses.MISSING and f.name != "initial"}
 # One valid config per subcommand, and the leaves it reads that have no
 # default (deleting any other leaf leaves the config valid).
 VALID = {
@@ -435,12 +448,12 @@ VALID = {
                     "observable_stats": {"mean": 0.1, "variance": 0.2, "sup_norm": 0.9}},
            {"hypo.lambda_p", "hypo.lambda_q", "hypo.R0", "hypo.eps", "T", "delta",
             "observable_stats.variance", "observable_stats.sup_norm"}),
-    "sample": (["sample"], dict(SMALL, initial=GAUSSIAN_START, sampler={
-                   "name": "zigzag", "refresh_rate": 1.0, "mass": 1.0, "gamma": 1.0,
-                   "step": 0.01, "reflection_factor": 2.0}),
-               {"hypo.lambda_p", "hypo.lambda_q", "hypo.R0", "hypo.eps", "target.name",
-                "observable.name", "sampler.name", "T", "initial.kind", "initial.mean",
-                "initial.var"}),
+    # one sample config per sampler, with every knob it reads
+    **{f"sample {name}": (["sample"], dict(SMALL, initial=GAUSSIAN_START, sampler={
+        "name": name, **{knob: KNOB_DEFAULTS[knob] for knob in knobs}}),
+        {"hypo.lambda_p", "hypo.lambda_q", "hypo.R0", "hypo.eps", "target.name",
+         "observable.name", "sampler.name", "T", "initial.kind", "initial.mean", "initial.var"})
+       for name, knobs in _SAMPLERS.items()},
     "tail": (["validate", "tail"], dict(SMALL, r_grid=[0.1, 0.5]), {"T"}),
     "mgf": (["validate", "mgf"], dict(SMALL, lambda_grid=[0.0, 0.01]), {"T"}),
     "uq": (["validate", "uq"], dict(SMALL, sampler={"name": "langevin"}, **TILT),
@@ -499,3 +512,93 @@ def test_any_invalid_leaf_exits_2(mutation):
         code, err = run_config(argv, cfg, Path(tmp) / "cfg.json")
     assert code == 2
     assert names_field(err, path), err
+
+
+# ---------------------------------------------------------------------------
+# every key the CLI accepts acts: it changes the output, or it exits 2
+
+
+def outcome(argv, cfg, tmp_path):
+    """Exit code, report (stdout without the config echo) and stderr of an
+    in-process ``main`` call on ``cfg``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_inprocess(argv, cfg, tmp_path)
+    report = json.loads(out.getvalue()) if out.getvalue() else {}
+    report.pop("config", None)
+    return code, report, err.getvalue()
+
+
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_every_sampler_knob_acts_or_is_rejected(tmp_path, sampler):
+    assert set(KNOB_DEFAULTS) == {"refresh_rate", "mass", "gamma", "step", "reflection_factor"}
+    base = dict(SMALL, sampler={"name": sampler})
+    code, reference, _ = outcome(["sample"], base, tmp_path)
+    assert code == 0
+    for knob, default in KNOB_DEFAULTS.items():
+        code, report, err = outcome(["sample"], edited(base, {f"sampler.{knob}": 2 * default}),
+                                    tmp_path)
+        if knob in _SAMPLERS[sampler]:
+            assert code == 0 and report != reference, knob
+        else:
+            assert code == 2 and f"config field 'sampler.{knob}'" in err, err
+
+
+# two values of each perturbation key
+PERTURBATION_VALUES = {"delta": (0.1, 0.2), "factor": (1.2, 1.1)}
+
+
+@pytest.mark.parametrize("kind", sorted(_PERTURBATIONS))
+def test_every_perturbation_key_acts_or_is_rejected(tmp_path, kind):
+    assert set(PERTURBATION_VALUES) == {key for _, key in _PERTURBATIONS.values()}
+    read = _PERTURBATIONS[kind][1]
+    base = dict(SMALL, sampler={"name": "langevin"},
+                perturbation={"kind": kind, read: PERTURBATION_VALUES[read][0]})
+    reports = [outcome(["validate", "uq"], edited(base, {f"perturbation.{read}": value}),
+                       tmp_path) for value in PERTURBATION_VALUES[read]]
+    assert all(code in (0, 1) for code, _, _ in reports)
+    assert reports[0][1] != reports[1][1]
+    for key, (value, _) in PERTURBATION_VALUES.items():
+        if key != read:
+            code, _, err = outcome(["validate", "uq"],
+                                   edited(base, {f"perturbation.{key}": value}), tmp_path)
+            assert code == 2 and f"config field 'perturbation.{key}'" in err, err
+
+
+def test_each_lambda_q_source_acts_and_two_are_rejected(tmp_path):
+    sources = {"lambda_q": (0.5, 0.4),
+               "lambda_q_from": ({"C_nu": 1.0, "kappa_p": 1.0}, {"C_nu": 2.0, "kappa_p": 1.0})}
+    for key, values in sources.items():
+        reports = [outcome(["constants"], edited(SMALL, {"hypo.lambda_q": DELETE,
+                                                         f"hypo.{key}": value}), tmp_path)
+                   for value in values]
+        assert [code for code, _, _ in reports] == [0, 0]
+        assert reports[0][1] != reports[1][1], key
+    code, _, err = outcome(["constants"],
+                           edited(SMALL, {"hypo.lambda_q_from": sources["lambda_q_from"][0]}),
+                           tmp_path)
+    assert code == 2 and "config field 'hypo.lambda_q_from'" in err, err
+
+
+def test_ci_certifies_the_configured_start(tmp_path):
+    # ci and the coverage check take ||dmu/dmu*|| from the same Gaussian start
+    cfg = dict(SMALL, sampler={"name": "hhmc", "refresh_rate": 2.0, "mass": 1.5},
+               initial=GAUSSIAN_START)
+    code, ci, _ = outcome(["ci"], cfg, tmp_path)
+    assert code == 0
+    _, coverage, _ = outcome(["validate", "coverage"], cfg, tmp_path)
+    details = coverage["report"]["details"]
+    assert ([ci["report"][key] for key in ("N", "r_minus", "r_plus")]
+            == [details[key] for key in ("N", "r_minus", "r_plus")])
+
+
+def test_radius_at_or_above_the_sup_norm_is_vacuous(tmp_path):
+    # |F_T - mean| <= sup_norm = 0.9 on every path, so radii of about 1.63 certify nothing
+    cfg = dict(SMALL, T=80.0, dmu_norm=1.5,
+               hypo={"lambda_p": 1.0, "R0": 1.0, "eps": 0.3,
+                     "lambda_q_from": {"C_nu": 1.0, "kappa_p": 1.0}},
+               observable_stats={"mean": 0.1, "variance": 0.2, "sup_norm": 0.9})
+    code, ci, _ = outcome(["ci"], cfg, tmp_path)
+    assert code == 0
+    assert 0.9 <= ci["report"]["r_minus"] < 1.8 and 0.9 <= ci["report"]["r_plus"] < 1.8
+    assert ci["vacuous"] is True

@@ -220,8 +220,11 @@ class TestUQ:
         cfg = small(std_config, sampler="langevin", replicas=1)
         for delta in (0.02, 0.1, 0.4):
             rep = uq_experiment(cfg, linear_tilt(std_config.target, delta))
-            assert rep.passed and not rep.vacuous
             assert rep.details["bias"] <= rep.details["bound"]
+            if delta == 0.4:  # bound 2.39 >= ||f - mean||_inf = 1.61, which any bias meets
+                assert rep.vacuous and not rep.passed
+            else:
+                assert rep.passed and not rep.vacuous
 
     def test_zigzag_scale_sweep(self, std_config):
         for f in (1.05, 1.2):
