@@ -67,6 +67,9 @@ CALLS = {
     "validate uq scale": (["validate", "uq"], SCALE, {}),
     "lab eigen": (["lab", "eigen"], LAB, {}),
     "lab perturb": (["lab", "perturb", "--seed", "3"], LAB, {}),
+    # the default sizes, which the benchmark's fresh-process lab calls run
+    "lab eigen default": (["lab", "eigen", "--seed", "7"], {}, {}),
+    "lab perturb default": (["lab", "perturb", "--seed", "7"], {}, {}),
 }
 
 
