@@ -16,6 +16,13 @@ falling back to the HYPOGUARD_SEED environment variable, then to 0.  All
 reports are JSON with a schema_version field and echo the resolved
 configuration, so identical (config, seed) runs produce byte-identical
 output.
+
+Each command imports only the modules it runs.  ``ci`` and ``constants``
+compute closed forms on Python floats: on a ``gaussian_iso`` target with
+``sin`` or ``cos`` they load neither NumPy nor scipy (the other observables
+take the normal CDF from scipy, and the other targets and a Gaussian
+``initial`` start build NumPy models).  ``lab`` loads NumPy and the operator
+lab, and ``sample`` and ``validate`` load the samplers.
 """
 
 from __future__ import annotations
@@ -27,9 +34,8 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import __version__
+from .catalog import builtin_stats, gaussian_iso
 from .guarantees import confidence_radius
 from .hypocoercivity import (
     AdmissibilityError,
@@ -38,18 +44,6 @@ from .hypocoercivity import (
     bernstein_from_hypo,
     lambda_q_from_target,
     optimal_eps,
-)
-from .operator_lab import verify_lambda_eig, verify_perturb_lemma
-from .samplers import export_csv, time_average
-from .targets import builtin_observable, builtin_target, linear_tilt, scale_potential
-from .validation import (
-    ExperimentConfig,
-    coverage_experiment,
-    mgf_experiment,
-    start_norm,
-    tail_experiment,
-    uq_experiment,
-    _simulate,
 )
 
 SCHEMA_VERSION = 1
@@ -61,19 +55,25 @@ class ConfigError(ValueError):
 
 def _number(raw) -> float:
     value = float(raw)
-    if not math.isfinite(value):
+    if isinstance(raw, bool) or not math.isfinite(value):
         raise ValueError(f"{raw!r} is not finite")
     return value
 
 
-def _grid(raw) -> np.ndarray:
-    grid = np.asarray(raw, dtype=float)
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
-        raise ValueError(f"{raw!r} is not a list of finite numbers")
-    return grid
+def _integer(raw) -> int:
+    value = int(raw)
+    if isinstance(raw, bool) or value != float(raw):  # int() would truncate 2.5 to 2
+        raise ValueError(f"{raw!r} is not an integer")
+    return value
 
 
-_KINDS = {_number: "a finite number", int: "an integer", _grid: "a list of finite numbers"}
+def _grid(raw) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"{raw!r} is not a list")
+    return [_number(x) for x in raw]
+
+
+_KINDS = {_number: "a finite number", _integer: "an integer", _grid: "a list of finite numbers"}
 _RULES = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1,
           ">= 2": lambda x: x >= 2, "in (0, 1)": lambda x: 0 < x < 1,
           "in (0, 1]": lambda x: 0 < x <= 1}
@@ -105,12 +105,10 @@ def _field(cfg: dict, path: str, rule=None, default=_REQUIRED, cast=_number):
         node = node[key]
     try:
         value = cast(node)
-        if cast is int and value != float(node):  # int() would truncate 2.5 to 2
-            raise ValueError(node)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config field '{path}' must be {_KINDS[cast]}, got {node!r}") from None
     text, meets = (rule, _RULES[rule]) if isinstance(rule, str) else rule or ("", None)
-    if meets is not None and not np.all(meets(value)):
+    if meets is not None and not all(map(meets, value if cast is _grid else [value])):
         raise ConfigError(f"config field '{path}' must be {text}, got {node!r}")
     return value
 
@@ -143,10 +141,11 @@ _SAMPLERS = {"zigzag": {"refresh_rate": ">= 0"},
              "bps": {"refresh_rate": ">= 0", "mass": "> 0", "reflection_factor": None},
              "hhmc": {"refresh_rate": "> 0", "mass": "> 0"},  # > 0: it resamples at this rate
              "langevin": {"mass": "> 0", "gamma": "> 0", "step": "> 0"}}
-_PERTURBATIONS = {"linear_tilt": (linear_tilt, "delta"), "scale": (scale_potential, "factor")}
+# perturbation kind -> (its builder in targets, the key it reads)
+_PERTURBATIONS = {"linear_tilt": ("linear_tilt", "delta"), "scale": ("scale_potential", "factor")}
 
 # the keys some command reads, per config block ("" is the top level); the
-# target and observable blocks are checked by builtin_target/builtin_observable
+# target and observable blocks are checked against the parameter tables of catalog
 _KNOWN_KEYS = {
     "": {"hypo", "target", "observable", "observable_stats", "sampler", "initial",
          "perturbation", "T", "delta", "replicas", "seed", "dmu_norm", "r_grid", "lambda_grid",
@@ -190,9 +189,9 @@ def _load_config(path: str | None) -> dict:
 
 def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
-        return _field({"--seed": args.seed}, "--seed", ">= 0", cast=int)
+        return _field({"--seed": args.seed}, "--seed", ">= 0", cast=_integer)
     source, path = (cfg, "seed") if "seed" in cfg else (dict(os.environ), "HYPOGUARD_SEED")
-    return _field(source, path, ">= 0", 0, int)
+    return _field(source, path, ">= 0", 0, _integer)
 
 
 def _hypo_from_config(cfg: dict, eps_flag: str | None = None) -> HypoParams:
@@ -221,6 +220,16 @@ def _builtin(cfg: dict, block: str, build, *args):
     return _checked(block, build, name, *args, **params)
 
 
+def _stats_target(cfg: dict):
+    """The target of block ``target`` that the closed-form stats read: the
+    NumPy-free law of ``gaussian_iso``, or the model of any other target."""
+    if _field(cfg, "target.name", cast=str) == "gaussian_iso":
+        return _builtin(cfg, "target", lambda _, **params: gaussian_iso(**params))
+    from .targets import builtin_target
+
+    return _builtin(cfg, "target", builtin_target)
+
+
 def _initial(cfg: dict):
     """The start in ``initial``: None (stationary) or a 1-D Gaussian (mean, var)."""
     kind = _field(cfg, "initial.kind", _one_of("stationary", "gaussian"), "stationary", str)
@@ -240,16 +249,24 @@ def _bernstein(cfg: dict, eps_flag: str | None = None) -> tuple:
                          variance=_field(cfg, "observable_stats.variance"),
                          sup_norm=_field(cfg, "observable_stats.sup_norm"))
     else:
-        stats = _builtin(cfg, "observable", builtin_observable,
-                         _builtin(cfg, "target", builtin_target)).stats
+        stats = _builtin(cfg, "observable", builtin_stats, _stats_target(cfg))[1]
     if "initial" in cfg and "dmu_norm" in cfg:
         raise ConfigError("config field 'dmu_norm' conflicts with initial, which sets it")
-    dmu_norm = (_field(cfg, "dmu_norm", ">= 1", 1.0) if initial is None else
-                _checked("initial", start_norm, _builtin(cfg, "target", builtin_target), initial))
+    if initial is None:
+        dmu_norm = _field(cfg, "dmu_norm", ">= 1", 1.0)
+    else:
+        from .targets import builtin_target
+        from .validation import start_norm
+
+        dmu_norm = _checked("initial", start_norm, _builtin(cfg, "target", builtin_target), initial)
     return (hypo, stats, dmu_norm, *bernstein_from_hypo(hypo, stats, dmu_norm))
 
 
-def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
+def _experiment_config(cfg: dict, seed: int):
+    """The validation.ExperimentConfig of the config."""
+    from .targets import builtin_observable, builtin_target
+    from .validation import ExperimentConfig
+
     target = _builtin(cfg, "target", builtin_target)
     name = _field(cfg, "sampler.name", _one_of(*_SAMPLERS), cast=str)
     knobs = {key: _field(cfg, f"sampler.{key}", rule)
@@ -264,7 +281,7 @@ def _experiment_config(cfg: dict, seed: int) -> ExperimentConfig:
         hypo=_hypo_from_config(cfg),
         T=_field(cfg, "T", "> 0"),
         delta=_field(cfg, "delta", "in (0, 1)", 0.1),
-        replicas=_field(cfg, "replicas", ">= 2", 200, int),
+        replicas=_field(cfg, "replicas", ">= 2", 200, _integer),
         seed=seed,
         initial=_initial(cfg),
         **knobs,
@@ -307,7 +324,38 @@ def cmd_ci(args, cfg: dict, seed: int) -> tuple:
     return {"report": report, "vacuous": stats.vacuous(r_minus, r_plus)}, 0
 
 
+# The simulating modules load inside the commands that run them.  These
+# forwarders keep the names the commands call on this module, so a caller can
+# wrap them here.
+
+
+def time_average(traj, f):
+    from .samplers import time_average
+
+    return time_average(traj, f)
+
+
+def export_csv(traj, path):
+    from .samplers import export_csv
+
+    return export_csv(traj, path)
+
+
+def verify_lambda_eig(**kwargs):
+    from .operator_lab import verify_lambda_eig
+
+    return verify_lambda_eig(**kwargs)
+
+
+def verify_perturb_lemma(**kwargs):
+    from .operator_lab import verify_perturb_lemma
+
+    return verify_perturb_lemma(**kwargs)
+
+
 def cmd_sample(args, cfg: dict, seed: int) -> tuple:
+    from .validation import _simulate
+
     config = _experiment_config(cfg, seed)
     if args.format == "csv" and not args.out:
         raise ConfigError("--format csv requires --out PATH")
@@ -330,12 +378,16 @@ def cmd_sample(args, cfg: dict, seed: int) -> tuple:
 
 
 def cmd_validate(args, cfg: dict, seed: int) -> tuple:
+    from . import targets
+    from .validation import coverage_experiment, mgf_experiment, tail_experiment, uq_experiment
+
     config = _experiment_config(cfg, seed)
     if args.which == "uq":
         _field(cfg, "sampler.name", _one_of("zigzag", "langevin"), cast=str)  # has an entropy rate
         kind = _field(cfg, "perturbation.kind", _one_of(*_PERTURBATIONS), cast=str)
         build, key = _PERTURBATIONS[kind]
-        alt = _checked("perturbation", build, config.target, _field(cfg, f"perturbation.{key}"))
+        alt = _checked("perturbation", getattr(targets, build), config.target,
+                       _field(cfg, f"perturbation.{key}"))
         _reject_unread(cfg, {"perturbation": {"kind", key}}, f"perturbation '{kind}'")
         # no simulation: the entropy rate and both means are closed form or quadrature
         report = _checked("perturbation", uq_experiment, config, alt)
@@ -364,13 +416,14 @@ def cmd_validate(args, cfg: dict, seed: int) -> tuple:
 def cmd_lab(args, cfg: dict, seed: int) -> tuple:
     if args.which == "perturb":
         report = verify_perturb_lemma(
-            dim=_field(cfg, "dim", ">= 2", 5, int),
-            trials=_field(cfg, "trials", ">= 1", 200, int),
-            lambda_grid_size=_field(cfg, "lambda_grid_size", ">= 1", 50, int),
+            dim=_field(cfg, "dim", ">= 2", 5, _integer),
+            trials=_field(cfg, "trials", ">= 1", 200, _integer),
+            lambda_grid_size=_field(cfg, "lambda_grid_size", ">= 1", 50, _integer),
             seed=seed,
         )
     else:
-        report = verify_lambda_eig(trials=_field(cfg, "trials", ">= 1", 10_000, int), seed=seed)
+        report = verify_lambda_eig(trials=_field(cfg, "trials", ">= 1", 10_000, _integer),
+                                   seed=seed)
     return {"report": report.to_dict()}, 0 if report.passed else 1
 
 

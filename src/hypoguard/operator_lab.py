@@ -124,9 +124,11 @@ def verify_perturb_lemma(
         K = max(0.0, float(np.linalg.eigvalsh(sym_m)[-1]))
         pair = BernsteinPair(v=2.0 * prob.alpha * V, b=prob.alpha * K)
         lam_hi = 0.999 / (prob.alpha * K) if K > 0 else 2.0 / (prob.alpha * math.sqrt(V) + 1e-12)
-        for lam in np.linspace(0.0, lam_hi, lambda_grid_size):
-            lhs = float(np.linalg.eigvalsh(0.5 * (prob.A + prob.A.T) + lam * sym_m)[-1])
-            rhs = psi(pair, float(lam))
+        lams = np.linspace(0.0, lam_hi, lambda_grid_size)
+        # the largest eigenvalue of sym(A + lam M) at every lam, in one call
+        tops = np.linalg.eigvalsh(0.5 * (prob.A + prob.A.T) + lams[:, None, None] * sym_m)[:, -1]
+        for lam, lhs in zip(lams.tolist(), tops.tolist()):
+            rhs = psi(pair, lam)
             gap = rhs - lhs
             worst_gap = min(worst_gap, gap)
             if lhs > rhs + _TOL:
@@ -168,12 +170,11 @@ def verify_lambda_eig(trials: int = 10_000, seed: int = 0) -> EigReport:
     if trials < 1:
         raise ValueError("need trials >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    # one row (lambda_q, lambda_p, R0, eps) per trial: the bits of four scalar
+    # draws per trial, in that order
+    draws = rng.uniform([1e-3, 1e-3, 0.0, 1e-6], [1.0, 5.0, 5.0, 1.0 - 1e-6], size=(trials, 4))
     worst = 0.0
-    for _ in range(trials):
-        lq = float(rng.uniform(1e-3, 1.0))
-        lp = float(rng.uniform(1e-3, 5.0))
-        r0 = float(rng.uniform(0.0, 5.0))
-        eps = float(rng.uniform(1e-6, 1.0 - 1e-6))
+    for lq, lp, r0, eps in draws.tolist():
         closed = lambda_of_eps(HypoParams(lambda_p=lp, lambda_q=lq, R0=r0, eps=eps))
         eig = smallest_eig_2x2(lq, lp, r0, eps)
         worst = max(worst, abs(closed - eig))

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .catalog import _TARGET_PARAMS, _check_params, builtin_stats, gaussian_iso
 from .hypocoercivity import ObservableStats
 
 __all__ = [
@@ -137,27 +138,6 @@ class Observable:
 # ---------------------------------------------------------------------------
 # built-in targets
 
-# the parameter names each built-in target and observable takes
-_TARGET_PARAMS = {"gaussian_iso": {"dim", "h", "beta"}, "gaussian_aniso": {"H", "beta"},
-                  "double_well": {"beta", "poincare_const"}}
-_OBSERVABLE_PARAMS = {"sin": {"omega"}, "cos": {"omega"}, "indicator": {"a", "b"},
-                      "clipped_coord": {"L"}}
-
-
-def _check_params(kind: str, name: str, params: dict, takes: dict) -> None:
-    """Reject an unknown built-in ``name``, parameters it does not take
-    (which would otherwise be ignored in favour of their defaults) and
-    parameter values that are not finite numbers or arrays of them."""
-    if name not in takes:
-        raise ValueError(f"unknown {kind} '{name}'")
-    unknown = sorted(set(params) - takes[name])
-    if unknown:
-        raise ValueError(f"{kind} '{name}' takes no parameter {', '.join(unknown)} "
-                         f"(it takes {', '.join(sorted(takes[name]))})")
-    for key, value in params.items():
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValueError(f"{kind} parameter {key} must be finite, got {value!r}")
-
 
 def builtin_target(name: str, **params) -> TargetModel:
     """Construct one of the built-in targets.
@@ -171,14 +151,9 @@ def builtin_target(name: str, **params) -> TargetModel:
     Unknown names and parameters, and parameter values that are not finite,
     raise ``ValueError``.
     """
-    _check_params("target", name, params, _TARGET_PARAMS)
     if name == "gaussian_iso":
-        dim = float(params.get("dim", 1))
-        h = float(params.get("h", 1.0))
-        beta = float(params.get("beta", 1.0))
-        if h <= 0 or beta <= 0 or dim < 1 or dim != int(dim):
-            raise ValueError("gaussian_iso requires h > 0, beta > 0 and an integer dim >= 1")
-        dim = int(dim)
+        law = gaussian_iso(**params)
+        dim, h, beta = law.dim, law.h, law.beta
         H = h * np.eye(dim)
         return TargetModel(
             name="gaussian_iso",
@@ -190,6 +165,7 @@ def builtin_target(name: str, **params) -> TargetModel:
             hessian=H,
         )
 
+    _check_params("target", name, params, _TARGET_PARAMS)
     if name == "gaussian_aniso":
         H = np.atleast_2d(np.asarray(params["H"], dtype=float))
         beta = float(params.get("beta", 1.0))
@@ -257,88 +233,40 @@ def _ndtr(x: float) -> float:
     return cdf(x)
 
 
-def _gaussian_coord_var(target: TargetModel, coord: int) -> float:
-    if not target.is_quadratic:
-        raise ValueError("closed-form stats require a Gaussian target")
-    return target.marginal_var(coord)
-
-
 def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params) -> Observable:
-    """Bounded built-in observables of a single position coordinate.
+    """Bounded built-in observables of a single position coordinate, with
+    their statistics from :func:`hypoguard.catalog.builtin_stats`, which
+    raises ``ValueError`` for every input it rejects.
 
-    sin(omega), cos(omega): trig observables with characteristic-function
-        statistics under Gaussian targets.
+    sin(omega), cos(omega): trig observables.
     indicator(a, b): 1_{[a,b]}(q_coord).
     clipped_coord(L): clip(q_coord, -L, L).
-
-    Raw (unclipped) coordinates are rejected; the guarantees require bounded
-    observables.  Unknown names and parameters, parameter values that are not
-    finite, and a ``coord`` that is not an index of the target's coordinates
-    raise ``ValueError``.
     """
-    if name in ("coord", "raw_coord", "identity"):
-        raise ValueError(
-            "unbounded observables are not admitted; use clipped_coord(L)"
-        )
-    _check_params("observable", name, params, _OBSERVABLE_PARAMS)
-    if not (isinstance(coord, (int, np.integer)) and not isinstance(coord, bool)
-            and 0 <= coord < target.dim):
-        raise ValueError(f"coord must be an integer in [0, {target.dim}), got {coord!r}")
-
-    if name == "sin":
-        omega = float(params.get("omega", 1.0))
-        s2 = _gaussian_coord_var(target, coord)
-        mean = 0.0
-        var = 0.5 * (1.0 - math.exp(-2.0 * omega * omega * s2))
+    values, stats = builtin_stats(name, target, coord, **params)
+    if name in ("sin", "cos"):
+        omega, trig = values["omega"], np.sin if name == "sin" else np.cos
         return Observable(
-            name=f"sin({omega}*q{coord})",
-            f=lambda q: np.sin(omega * np.asarray(q)[..., coord]),
-            stats=ObservableStats(mean=mean, variance=var, sup_norm=1.0),
-        )
-
-    if name == "cos":
-        omega = float(params.get("omega", 1.0))
-        s2 = _gaussian_coord_var(target, coord)
-        mean = math.exp(-omega * omega * s2 / 2.0)
-        var = 0.5 * (1.0 + math.exp(-2.0 * omega * omega * s2)) - mean * mean
-        return Observable(
-            name=f"cos({omega}*q{coord})",
-            f=lambda q: np.cos(omega * np.asarray(q)[..., coord]),
-            stats=ObservableStats(mean=mean, variance=var, sup_norm=1.0 + abs(mean)),
+            name=f"{name}({omega}*q{coord})",
+            f=lambda q: trig(omega * np.asarray(q)[..., coord]),
+            stats=stats,
         )
 
     if name == "indicator":
-        a, b = float(params["a"]), float(params["b"])
-        if not a < b:
-            raise ValueError("indicator requires a < b")
-        s2 = _gaussian_coord_var(target, coord)
-        s = math.sqrt(s2)
-        mean = float(_ndtr(b / s) - _ndtr(a / s))
-        var = mean * (1.0 - mean)
+        a, b = values["a"], values["b"]
         return Observable(
             name=f"indicator[{a},{b}](q{coord})",
             f=lambda q: (
                 (np.asarray(q)[..., coord] >= a) & (np.asarray(q)[..., coord] <= b)
             ).astype(float),
-            stats=ObservableStats(mean=mean, variance=var, sup_norm=max(mean, 1.0 - mean)),
+            stats=stats,
         )
 
-    if name == "clipped_coord":
-        L = float(params["L"])
-        if L <= 0:
-            raise ValueError("clipped_coord requires L > 0")
-        s2 = _gaussian_coord_var(target, coord)
-        s = math.sqrt(s2)
-        # E[X^2 1{|X|<=L}] + L^2 P(|X|>L) for X ~ N(0, s^2)
-        z = L / s
-        phi = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-        inner = s2 * (2.0 * _ndtr(z) - 1.0) - 2.0 * L * s * phi
-        var = float(inner + L * L * 2.0 * (1.0 - _ndtr(z)))
-        return Observable(
-            name=f"clip(q{coord},{L})",
-            f=lambda q: np.clip(np.asarray(q)[..., coord], -L, L),
-            stats=ObservableStats(mean=0.0, variance=var, sup_norm=L),
-        )
+    L = values["L"]
+    return Observable(
+        name=f"clip(q{coord},{L})",
+        f=lambda q: np.clip(np.asarray(q)[..., coord], -L, L),
+        stats=stats,
+    )
 
 
 _QUAD_LIM = 40.0

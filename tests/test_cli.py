@@ -197,7 +197,9 @@ def test_uq_tilt_beyond_the_float_range_exits_2(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # the closed-form commands (ci, constants, lab, sample) need none of scipy
+    # importing the CLI loads no scipy (nor NumPy, tests/test_imports.py): each
+    # command imports what it runs, and only indicator and clipped_coord
+    # statistics and the quadratures of targets call into scipy
     code = "import sys, hypoguard.cli; print('scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -404,6 +406,24 @@ def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     assert names_field(err, named), err
 
 
+@pytest.mark.parametrize("argv,path,value,named", [
+    (["ci"], "T", True, "config field 'T'"),
+    (["constants"], "hypo.R0", False, "config field 'hypo.R0'"),
+    (["constants"], "hypo.eps", True, "config field 'hypo.eps'"),
+    (["ci"], "seed", True, "config field 'seed'"),
+    (["ci"], "target.h", True, "invalid target: target parameter h"),
+    (["constants"], "target.dim", True, "invalid target: target parameter dim"),
+    (["ci"], "observable.omega", True, "invalid observable: observable parameter omega"),
+    (["sample"], "sampler.refresh_rate", True, "config field 'sampler.refresh_rate'"),
+    (["validate", "tail"], "r_grid", [0.1, True], "config field 'r_grid'"),
+    (["lab", "eigen"], "trials", True, "config field 'trials'"),
+])
+def test_json_booleans_are_not_numbers(tmp_path, argv, path, value, named):
+    # JSON true is not the number 1: a number the CLI reads rejects it
+    code, err = run_config(argv, edited(SMALL, {path: value}), tmp_path / "cfg.json")
+    assert code == 2 and named in err, err
+
+
 @pytest.mark.parametrize("path,value", [("hypo.lambda_p", 0.0), ("hypo.lambda_p", -1.0),
                                         ("hypo.lambda_q", 0.0), ("hypo.R0", -1.0)])
 def test_bad_hypo_constant_is_one_config_error(tmp_path, path, value):
@@ -494,7 +514,7 @@ def invalid_mutations(draw):
     command = draw(st.sampled_from(sorted(VALID)))
     argv, cfg, required = VALID[command]
     path = draw(st.sampled_from(leaves(cfg))).rstrip(".")
-    values = [st.just(None), st.lists(words, min_size=1, max_size=2),
+    values = [st.just(None), st.booleans(), st.lists(words, min_size=1, max_size=2),
               st.dictionaries(words, st.integers(), max_size=2), words,
               st.sampled_from([math.nan, math.inf, -math.inf, OVERFLOW])]
     if path in required:

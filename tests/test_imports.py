@@ -1,0 +1,79 @@
+"""What a fresh interpreter loads: the lazy package surface, the modules each
+command imports, and the README quick start run as written."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the reference config of ROADMAP and the benchmark: zig-zag on the 1-D
+# standard Gaussian, cos, lambda_q derived from the target
+REFERENCE = {
+    "hypo": {"lambda_p": 1.0, "lambda_q_from": {"C_nu": 1.0, "kappa_p": 1.0},
+             "R0": 1.0, "eps": "auto"},
+    "target": {"name": "gaussian_iso", "dim": 1, "h": 1.0, "beta": 1.0},
+    "observable": {"name": "cos", "omega": 1.0},
+    "sampler": {"name": "zigzag", "refresh_rate": 1.0},
+    "T": 150.0, "delta": 0.1, "replicas": 200, "seed": 42,
+}
+SIMULATING = {"hypoguard.samplers", "hypoguard.targets", "hypoguard.validation"}
+
+
+def run_python(code: str) -> str:
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def loaded_after(argv: list, cfg: dict, tmp_path) -> set:
+    """The modules a fresh interpreter holds after ``cli.main(argv)`` on ``cfg``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = ("import contextlib, io, json, sys\n"
+            "from hypoguard.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({[*argv, '--config', str(path)]!r})\n"
+            "assert code == 0, code\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    return set(json.loads(run_python(code)))
+
+
+@pytest.mark.parametrize("command", ["ci", "constants"])
+@pytest.mark.parametrize("observable", ["cos", "sin"])
+def test_closed_form_commands_load_neither_numpy_nor_scipy(tmp_path, command, observable):
+    cfg = dict(REFERENCE, observable={"name": observable, "omega": 1.0})
+    modules = loaded_after([command], cfg, tmp_path)
+    assert not {"numpy", "scipy"} & modules
+    assert not SIMULATING & modules
+
+
+@pytest.mark.parametrize("which", ["eigen", "perturb"])
+def test_lab_loads_no_simulating_module(tmp_path, which):
+    modules = loaded_after(["lab", which, "--seed", "7"], REFERENCE, tmp_path)
+    assert "hypoguard.operator_lab" in modules and "numpy" in modules
+    assert not SIMULATING & modules
+
+
+def test_every_public_name_resolves_through_the_lazy_package():
+    code = ("import sys, hypoguard\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert all(getattr(hypoguard, name) is not None for name in hypoguard.__all__)\n"
+            "assert set(hypoguard.__all__) <= set(dir(hypoguard))\n"
+            "from hypoguard import simulate_zigzag\n"
+            "from hypoguard.samplers import simulate_zigzag as direct\n"
+            "assert simulate_zigzag is direct\n"
+            "try:\n"
+            "    hypoguard.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('ok')\n")
+    assert run_python(code) == "ok\n"
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    assert run_python(block) == "0.5733 in [-0.8273, 2.0404] with probability >= 0.9\n"

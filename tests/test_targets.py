@@ -17,6 +17,7 @@ from hypoguard import (
     scale_potential,
     simulate_zigzag,
 )
+from hypoguard.catalog import builtin_stats, gaussian_iso
 from hypoguard.samplers import stream_rng
 
 
@@ -159,6 +160,9 @@ def test_unbounded_observable_rejected():
     ("double_well", {"poincare_const": 1.0, "beta": 0.0}),
     ("gaussian", {}),
     ("gaussian_iso", {"dim": 1.5}),                   # formerly truncated to dim 1
+    ("gaussian_iso", {"h": True}),                    # JSON true, formerly read as h = 1
+    ("gaussian_aniso", {"H": [[True]]}),
+    ("double_well", {"poincare_const": True}),
 ])
 def test_bad_target_parameters_rejected(name, params):
     with pytest.raises(ValueError):
@@ -173,11 +177,37 @@ def test_bad_target_parameters_rejected(name, params):
     ("sin", {"coord": -1}),
     ("clipped_coord", {"L": 1.0, "coord": 0.0}),
     ("square", {}),
+    ("cos", {"omega": True}),
+    ("clipped_coord", {"L": np.True_}),
 ])
 def test_bad_observable_parameters_rejected(name, params):
     t = builtin_target("gaussian_iso", dim=2, h=1.0, beta=1.0)
     with pytest.raises(ValueError):
         builtin_observable(name, t, **params)
+
+
+def test_numpy_parameters_pass_the_check():
+    t = builtin_target("gaussian_aniso", H=np.array([[2.0, 0.5], [0.5, 1.0]]), beta=np.float64(2))
+    assert builtin_observable("cos", t, coord=np.int64(1), omega=np.float32(0.5)).stats.mean < 1
+
+
+def test_gaussian_iso_law_is_the_model_bit_for_bit():
+    # the NumPy-free law that ci and constants read: 1/(beta h) equals the
+    # diagonal of inv(h I)/beta, and every observable's stats follow
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        params = {"dim": int(rng.integers(1, 7)), "h": float(np.exp(rng.uniform(-8, 8))),
+                  "beta": float(np.exp(rng.uniform(-8, 8)))}
+        law, model = gaussian_iso(**params), builtin_target("gaussian_iso", **params)
+        assert law.dim == model.dim
+        for coord in range(law.dim):
+            assert law.marginal_var(coord) == model.marginal_var(coord)
+    for name, params in [("sin", {"omega": 1.3}), ("cos", {}), ("indicator", {"a": -0.7, "b": 0.4}),
+                         ("clipped_coord", {"L": 1.2})]:
+        law = gaussian_iso(dim=2, h=1.5, beta=0.8)
+        model = builtin_target("gaussian_iso", dim=2, h=1.5, beta=0.8)
+        assert builtin_stats(name, law, 1, **params)[1] == builtin_observable(
+            name, model, 1, **params).stats
 
 
 def test_chi_square_norm_oracle():
