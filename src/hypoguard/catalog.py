@@ -25,13 +25,13 @@ _OBSERVABLE_PARAMS = {"sin": {"omega"}, "cos": {"omega"}, "indicator": {"a", "b"
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a finite number other than a bool, or an array or
-    a (nested) list of them."""
+    """Whether ``value`` is a finite number other than a bool or a string, or
+    an array or a (nested) list of them."""
     if hasattr(value, "tolist"):  # a NumPy array or scalar
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         return False
     try:
         return math.isfinite(float(value))

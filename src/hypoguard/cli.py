@@ -53,18 +53,27 @@ class ConfigError(ValueError):
     pass
 
 
+# JSON true and "1.0" are not numbers, though float() reads both
 def _number(raw) -> float:
     value = float(raw)
-    if isinstance(raw, bool) or not math.isfinite(value):
+    if isinstance(raw, (bool, str)) or not math.isfinite(value):
         raise ValueError(f"{raw!r} is not finite")
     return value
 
 
 def _integer(raw) -> int:
     value = int(raw)
-    if isinstance(raw, bool) or value != float(raw):  # int() would truncate 2.5 to 2
+    if isinstance(raw, (bool, str)) or value != float(raw):  # int() would truncate 2.5 to 2
         raise ValueError(f"{raw!r} is not an integer")
     return value
+
+
+def _parsed(text: str, parse):
+    """``parse(text)`` for a flag or variable, or ``text`` for _field to reject."""
+    try:
+        return parse(text)
+    except ValueError:
+        return text
 
 
 def _grid(raw) -> list:
@@ -136,7 +145,7 @@ def _reject_nonfinite(node, path: str) -> None:
 
 
 # the knobs each sampler reads, and their rules (ExperimentConfig holds the
-# defaults); hhmc's leapfrog step is unread: every CLI target takes the exact flow
+# defaults); hhmc runs only its exact flow, so it has no step
 _SAMPLERS = {"zigzag": {"refresh_rate": ">= 0"},
              "bps": {"refresh_rate": ">= 0", "mass": "> 0", "reflection_factor": None},
              "hhmc": {"refresh_rate": "> 0", "mass": "> 0"},  # > 0: it resamples at this rate
@@ -190,7 +199,8 @@ def _load_config(path: str | None) -> dict:
 def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return _field({"--seed": args.seed}, "--seed", ">= 0", cast=_integer)
-    source, path = (cfg, "seed") if "seed" in cfg else (dict(os.environ), "HYPOGUARD_SEED")
+    env = {k: _parsed(v, int) for k, v in os.environ.items() if k == "HYPOGUARD_SEED"}
+    source, path = (cfg, "seed") if "seed" in cfg else (env, "HYPOGUARD_SEED")
     return _field(source, path, ">= 0", 0, _integer)
 
 
@@ -204,7 +214,8 @@ def _hypo_from_config(cfg: dict, eps_flag: str | None = None) -> HypoParams:
         lambda_q = _checked("hypo.lambda_q_from", lambda_q_from_target,
                             _field(cfg, "hypo.lambda_q_from.C_nu"),
                             _field(cfg, "hypo.lambda_q_from.kappa_p"))
-    source, path = (cfg, "hypo.eps") if eps_flag is None else ({"--eps": eps_flag}, "--eps")
+    source, path = ((cfg, "hypo.eps") if eps_flag is None
+                    else ({"--eps": _parsed(eps_flag, float)}, "--eps"))
     if _field(source, path, cast=str) == "auto":
         eps = optimal_eps(lambda_q, lambda_p, R0)
     else:

@@ -22,7 +22,8 @@ general potentials the clocks are simulated by thinning against an affine
 envelope of the rate, certified by the target's Hessian bound on a sliding
 window, up to the next refresh, by :func:`sample_by_thinning` in every
 dimension.  A violated envelope is a
-hard error, never a silent acceptance.
+hard error, never a silent acceptance.  Hybrid HMC follows the exact
+Hamiltonian flow of a quadratic potential and refuses any other target.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ class Trajectory:
     flights tile [0, horizon].  ``events`` has one row per event, fields
     ``time`` and ``kind`` (bounce | flip | refresh | hhmc-resample); on a
     flow path event k ends flight k, so the momenta on either side of it are
-    ``segments.p0[k]`` and ``segments.p0[k + 1]``.  Discretized trajectories
-    (``discretized``: ``times`` is set) store the step grid in
-    ``times``/``qs``/``ps`` and have no flights.
+    ``segments.p0[k]`` and ``segments.p0[k + 1]``.  Langevin trajectories,
+    the only discretized ones (``discretized``: ``times`` is set), store the
+    step grid in ``times``/``qs``/``ps`` and have no flights or events.
     """
 
     sampler: str
@@ -516,74 +517,53 @@ def simulate_hhmc(
     resample_rate: float,
     T: float,
     seed: int,
-    step: float = 0.01,
     q0: Optional[np.ndarray] = None,
     p0: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Hybrid HMC: Hamiltonian flow for Exp(resample_rate) durations, then
-    full momentum resample from rho*.
+    """Hybrid HMC: exact Hamiltonian flow (a phase-space rotation) for
+    Exp(resample_rate) durations, then full momentum resample from rho*.
 
-    The flow is exact (phase-space rotation) for quadratic potentials; for
-    general potentials a leapfrog integrator with the given step is used and
-    the trajectory is marked discretized.  The durations and the resampled
-    momenta do not depend on the state, so the exact route draws them all
-    first and then moves the positions by one recurrence per eigen-coordinate.
-    At d = 1 this equals flowing one flight at a time bit for bit; at d > 1
-    the positions differ from that by rounding only (about 3e-14 at d = 50).
+    Only quadratic potentials have this exact flow, so any other target is
+    rejected, by name, before a stream is built.  The durations and the
+    resampled momenta do not depend on the state, so they are all drawn
+    first, and the positions then move by one recurrence per
+    eigen-coordinate.  At d = 1 this equals flowing one flight at a time bit
+    for bit; at d > 1 the positions differ from that by rounding only (about
+    3e-14 at d = 50).
     """
-    _check_params(T=T, resample_rate=resample_rate, step=step)
+    _check_params(T=T, resample_rate=resample_rate)
+    if not target.is_quadratic:
+        raise ValueError(f"target '{target.name}' is not quadratic: hybrid HMC runs "
+                         "only its exact flow")
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, seed, q0, p0)
     m, d = momentum.mass, target.dim
-    # each stream draws one kind only, so it is drawn in blocks, which equal
-    # the same number of single draws
+    # the duration stream draws one kind only, so it is drawn in blocks,
+    # which equal the same number of single draws
     durations = _draws(lambda n: rng_dur.exponential(size=n).tolist())
-    momenta = lambda n: momentum.sample(rng_refresh, n * d).reshape(n, d)
-
-    if target.is_quadratic:
-        starts, taus, t = [], [], 0.0
-        while t < T:
-            tau = min(next(durations) / resample_rate, T - t)
-            starts.append(t)
-            taus.append(tau)
-            t += tau
-        k = len(taus) - 1
-        ps = np.concatenate([p[None], momenta(k)])
-        # in eigen-coordinates y = q U each flight is y -> y cos(omega tau) + b
-        # with b = (p U / m) sin(omega tau) / omega, one recurrence per
-        # coordinate; the momentum at the end of a flight is resampled unread
-        flow = HamiltonianFlow(target.hessian, m)
-        th = np.multiply.outer(taus[:k], flow.omega)
-        cs = np.cos(th).T.tolist()
-        bs = ((ps[:k] @ flow.U) / m * (np.sin(th) / flow.omega)).T.tolist()
-        ys = [itertools.accumulate(zip(c, b), lambda y, cb: y * cb[0] + cb[1], initial=y0)
-              for y0, c, b in zip((q @ flow.U).tolist(), cs, bs)]
-        qs = np.array(list(zip(*ys))) @ flow.U.T
-        qs[0] = q  # the start itself, not its round trip through U
-        q, p = flow(qs[-1], ps[-1], taus[-1])
-        segments, events = _tables(d, (starts, taus, qs, ps), (starts[1:], "hhmc-resample"))
-        return Trajectory("hhmc", T, m, segments, events, final_q=q, final_p=p, flow=flow)
-
-    # leapfrog route: discretized step grid with resamples snapped to steps
-    refreshes, events = _draws(momenta), []
-    n_steps = int(math.ceil(T / step))
-    times = np.linspace(0.0, n_steps * step, n_steps + 1)
-    qs = np.empty((n_steps + 1, target.dim))
-    ps = np.empty((n_steps + 1, target.dim))
-    qs[0], ps[0] = q, p
-    next_resample = next(durations) / resample_rate
-    for k in range(n_steps):
-        if times[k] >= next_resample:
-            p = next(refreshes)
-            events.append((times[k], "hhmc-resample"))
-            next_resample += next(durations) / resample_rate
-        p = p - 0.5 * step * target.gradient(q)
-        q = q + step * p / m
-        p = p - 0.5 * step * target.gradient(q)
-        qs[k + 1], ps[k + 1] = q, p
-    return Trajectory("hhmc", float(times[-1]), m, *_tables(d, (), tuple(zip(*events))),
-                      final_q=q, final_p=p, times=times, qs=qs, ps=ps)
+    starts, taus, t = [], [], 0.0
+    while t < T:
+        tau = min(next(durations) / resample_rate, T - t)
+        starts.append(t)
+        taus.append(tau)
+        t += tau
+    k = len(taus) - 1
+    ps = np.concatenate([p[None], momentum.sample(rng_refresh, k * d).reshape(k, d)])
+    # in eigen-coordinates y = q U each flight is y -> y cos(omega tau) + b
+    # with b = (p U / m) sin(omega tau) / omega, one recurrence per
+    # coordinate; the momentum at the end of a flight is resampled unread
+    flow = HamiltonianFlow(target.hessian, m)
+    th = np.multiply.outer(taus[:k], flow.omega)
+    cs = np.cos(th).T.tolist()
+    bs = ((ps[:k] @ flow.U) / m * (np.sin(th) / flow.omega)).T.tolist()
+    ys = [itertools.accumulate(zip(c, b), lambda y, cb: y * cb[0] + cb[1], initial=y0)
+          for y0, c, b in zip((q @ flow.U).tolist(), cs, bs)]
+    qs = np.array(list(zip(*ys))) @ flow.U.T
+    qs[0] = q  # the start itself, not its round trip through U
+    q, p = flow(qs[-1], ps[-1], taus[-1])
+    segments, events = _tables(d, (starts, taus, qs, ps), (starts[1:], "hhmc-resample"))
+    return Trajectory("hhmc", T, m, segments, events, final_q=q, final_p=p, flow=flow)
 
 
 def simulate_langevin(

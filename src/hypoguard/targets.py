@@ -383,11 +383,17 @@ def gaussian_chi_square_norm(mu0: float, s2: float, sigma2: float) -> float:
     # int mu(x)^2 / mu*(x) dx via Gaussian integral algebra
     a = 1.0 / s2 - 1.0 / (2.0 * sigma2)
     sigma = math.sqrt(sigma2)
-    val = (
-        sigma / (math.sqrt(2.0 * math.pi) * s2)
-        * math.sqrt(math.pi / a)
-        * math.exp(mu0 * mu0 * (1.0 / (s2 * s2 * a) - 1.0 / s2))
-    )
+    try:
+        val = (
+            sigma / (math.sqrt(2.0 * math.pi) * s2)
+            * math.sqrt(math.pi / a)
+            * math.exp(mu0 * mu0 * (1.0 / (s2 * s2 * a) - 1.0 / s2))
+        )
+    except OverflowError:
+        val = math.inf
+    if val == math.inf:
+        raise ValueError(f"||dmu/dmu*|| overflows: initial mean {mu0} is too far out for "
+                         f"variance {s2} against {sigma2}")
     return math.sqrt(val)
 
 

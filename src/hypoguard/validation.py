@@ -72,7 +72,7 @@ class ExperimentConfig:
     refresh_rate: float = 1.0
     mass: float = 1.0
     gamma: float = 1.0
-    step: float = 0.01
+    step: float = 0.01  # Langevin's, the one discretized sampler
     reflection_factor: float = 2.0
     # initial distribution: None = stationary start; otherwise a 1-D Gaussian
     # (mean, var) on the position with momentum drawn from rho*
@@ -168,8 +168,8 @@ def _simulate(config: ExperimentConfig, seeds: list[int]) -> list[Trajectory]:
                              reflection_factor=c.reflection_factor)
                 for seed, (q0, p0) in zip(seeds, starts)]
     if c.sampler == "hhmc":
-        return [simulate_hhmc(c.target, c.momentum(), c.refresh_rate, c.T, seed, step=c.step,
-                              q0=q0, p0=p0) for seed, (q0, p0) in zip(seeds, starts)]
+        return [simulate_hhmc(c.target, c.momentum(), c.refresh_rate, c.T, seed, q0=q0, p0=p0)
+                for seed, (q0, p0) in zip(seeds, starts)]
     raise ValueError(f"unknown sampler '{c.sampler}'")
 
 

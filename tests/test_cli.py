@@ -315,6 +315,9 @@ def names_field(err, path):
                  id="initial-var-zero"),
     pytest.param(["validate", "coverage"], {"initial": dict(GAUSSIAN_START, var=2.0)}, {},
                  "initial", id="initial-var-diverges"),
+    *[pytest.param(argv, {"initial": dict(GAUSSIAN_START, mean=1000.0)}, {}, "initial",
+                   id=f"{argv[-1]}-initial-norm-overflows")
+      for argv in (["ci"], ["validate", "coverage"])],
     pytest.param(["sample"], {"initial": GAUSSIAN_START, "target.dim": 2}, {}, "initial",
                  id="initial-2d"),
     pytest.param(["constants"], {"hypo.lambda_q": DELETE, "hypo.lambda_q_from": {"C_nu": 1.0}},
@@ -417,9 +420,21 @@ def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     (["sample"], "sampler.refresh_rate", True, "config field 'sampler.refresh_rate'"),
     (["validate", "tail"], "r_grid", [0.1, True], "config field 'r_grid'"),
     (["lab", "eigen"], "trials", True, "config field 'trials'"),
+    # nor is a JSON string that spells a number
+    *[(argv, path, value, named) for argv in (["ci"], ["sample"]) for path, value, named in [
+        ("T", "20", "config field 'T'"),
+        ("delta", "0.1", "config field 'delta'"),
+        ("hypo.eps", "0.3", "config field 'hypo.eps'"),
+        ("target.h", "1.0", "invalid target: target parameter h"),
+        ("observable.omega", "1.0", "invalid observable: observable parameter omega")]],
+    (["sample"], "replicas", "10", "config field 'replicas'"),
+    (["sample"], "sampler.refresh_rate", "1.0", "config field 'sampler.refresh_rate'"),
+    (["lab", "eigen"], "trials", "5", "config field 'trials'"),
+    (["validate", "tail"], "r_grid", [0.1, "0.5"], "config field 'r_grid'"),
 ])
 def test_json_booleans_are_not_numbers(tmp_path, argv, path, value, named):
-    # JSON true is not the number 1: a number the CLI reads rejects it
+    # JSON true is not the number 1, nor "1.0" the number 1.0: a number the
+    # CLI reads rejects both
     code, err = run_config(argv, edited(SMALL, {path: value}), tmp_path / "cfg.json")
     assert code == 2 and named in err, err
 
@@ -488,7 +503,8 @@ OUT_OF_RULE = {
     "hypo.lambda_p": [0.0, -1.0], "hypo.lambda_q": [0.0, 1.5], "hypo.R0": [-1.0],
     "hypo.eps": [0.0, 1.0], "target.dim": [0], "target.h": [0.0], "target.beta": [-1.0],
     "sampler.refresh_rate": [-1.0], "sampler.mass": [0.0], "sampler.gamma": [0.0],
-    "sampler.step": [0.0], "initial.var": [0.0, 2.0], "dmu_norm": [0.5],
+    "sampler.step": [0.0], "initial.mean": [1000.0], "initial.var": [0.0, 2.0],
+    "dmu_norm": [0.5],
     "observable_stats.variance": [-1.0, 4.0], "observable_stats.sup_norm": [-1.0],
     "r_grid": [[-1.0]], "lambda_grid": [[100.0], [-0.001]],
     "dim": [1, 4.5], "trials": [0, 2.5], "lambda_grid_size": [0, 2.5],
@@ -506,6 +522,8 @@ def leaves(node, path=""):
 
 words = st.text(alphabet=string.ascii_letters, min_size=1, max_size=8).filter(
     lambda s: s not in VALID_WORDS)
+# a number written as a JSON string is not a number
+numerals = st.one_of(st.integers(-5, 50), st.floats(allow_nan=False)).map(str)
 
 
 @st.composite
@@ -515,7 +533,7 @@ def invalid_mutations(draw):
     argv, cfg, required = VALID[command]
     path = draw(st.sampled_from(leaves(cfg))).rstrip(".")
     values = [st.just(None), st.booleans(), st.lists(words, min_size=1, max_size=2),
-              st.dictionaries(words, st.integers(), max_size=2), words,
+              st.dictionaries(words, st.integers(), max_size=2), words, numerals,
               st.sampled_from([math.nan, math.inf, -math.inf, OVERFLOW])]
     if path in required:
         values.append(st.just(DELETE))

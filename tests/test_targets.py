@@ -235,6 +235,15 @@ def test_chi_square_norm_diverges():
     assert gaussian_chi_square_norm(0.0, 1.0, 1.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("mu0", [1000.0, -1000.0, 32.627])
+def test_chi_square_norm_that_overflows_is_a_value_error(mu0):
+    # the norm^2 is about 1.155 exp(mu0^2 / 1.5) at s2 = 0.5: at |mu0| = 1000
+    # math.exp overflows, and at 32.627 the exp is finite but the product is not
+    with pytest.raises(ValueError, match=r"^\|\|dmu/dmu\*\|\| overflows: initial mean"):
+        gaussian_chi_square_norm(mu0, 0.5, 1.0)
+    assert math.isfinite(gaussian_chi_square_norm(32.62, 0.5, 1.0))
+
+
 def test_momentum_models():
     rng = np.random.default_rng(33)
     g = MomentumModel(kind="gaussian", mass=2.0, beta=0.5)
