@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 # module -> the public names it exports through the package
 _EXPORTS = {
     "bernstein": ("BernsteinPair", "psi", "psi_star", "psi_star_inv"),
+    "catalog": ("gaussian_chi_square_norm",),
     "guarantees": ("concentration_bound", "confidence_radius", "eta_T", "min_time_for_radius",
                    "transient_term", "uq_bias_bound"),
     "hypocoercivity": ("AdmissibilityError", "DerivedConstants", "HypoParams", "ObservableStats",
@@ -27,9 +28,8 @@ _EXPORTS = {
                  "sample_by_thinning", "simulate_bps", "simulate_hhmc", "simulate_langevin",
                  "simulate_zigzag", "time_average"),
     "targets": ("MomentumModel", "Observable", "TargetModel", "builtin_observable",
-                "builtin_target", "estimate_poincare_1d", "gaussian_chi_square_norm",
-                "linear_tilt", "observable_stats_quadrature", "scale_potential",
-                "stationary_expectation_1d"),
+                "builtin_target", "estimate_poincare_1d", "linear_tilt",
+                "observable_stats_quadrature", "scale_potential", "stationary_expectation_1d"),
     "validation": ("ExperimentConfig", "ValidationReport", "coverage_experiment",
                    "girsanov_entropy_rate_langevin", "jump_entropy_rate_zigzag",
                    "mgf_experiment", "tail_experiment", "uq_experiment"),

@@ -1,12 +1,14 @@
 """The built-in targets and observables by name, on plain floats.
 
 This module holds the parameters each built-in takes, their checks, the
-law of ``gaussian_iso`` and the exact statistics of every built-in
-observable under a Gaussian coordinate marginal.  It imports no NumPy, so
-the closed-form commands (``hypoguard ci`` and ``constants``) on a
-``gaussian_iso`` target with ``sin`` or ``cos`` run without it.
-:mod:`hypoguard.targets` builds its models on the same checks and takes
-each observable's statistics from :func:`builtin_stats`.
+law of ``gaussian_iso``, the exact statistics of every built-in observable
+under a Gaussian coordinate marginal and the rules of a Gaussian start.
+It imports no NumPy, so the closed-form commands (``hypoguard ci`` and
+``constants``) on a ``gaussian_iso`` target with ``sin`` or ``cos`` run
+without it, from either start.  :mod:`hypoguard.targets` builds its models on
+the same checks and takes each observable's statistics from
+:func:`builtin_stats`; :mod:`hypoguard.validation` draws its starts with
+:func:`gaussian_start` and certifies them with :func:`start_norm`.
 """
 
 from __future__ import annotations
@@ -144,3 +146,40 @@ def builtin_stats(name: str, target, coord: int = 0, **params) -> tuple[dict, Ob
     inner = s2 * (2.0 * _ndtr(z) - 1.0) - 2.0 * L * s * phi
     var = float(inner + L * L * 2.0 * (1.0 - _ndtr(z)))
     return {"L": L}, ObservableStats(mean=0.0, variance=var, sup_norm=L)
+
+
+
+def gaussian_chi_square_norm(mu0: float, s2: float, sigma2: float) -> float:
+    """||dmu/dmu*|| in L^2(mu*) for mu = N(mu0, s2), mu* = N(0, sigma2).
+
+    Finite iff s2 < 2 sigma2; equals 1 iff mu = mu*.
+    """
+    if not (s2 > 0.0 and sigma2 > 0.0):
+        raise ValueError("variances must be > 0")
+    if s2 >= 2.0 * sigma2:
+        raise ValueError(f"||dmu/dmu*|| diverges: initial variance {s2} >= 2 * {sigma2}")
+    # int mu(x)^2 / mu*(x) dx via Gaussian integral algebra
+    a = 1.0 / s2 - 1.0 / (2.0 * sigma2)
+    try:
+        val = (math.sqrt(sigma2) / (math.sqrt(2.0 * math.pi) * s2) * math.sqrt(math.pi / a)
+               * math.exp(mu0 * mu0 * (1.0 / (s2 * s2 * a) - 1.0 / s2)))
+    except OverflowError:
+        val = math.inf
+    if val == math.inf:
+        raise ValueError(f"||dmu/dmu*|| overflows: initial mean {mu0} is too far out for "
+                         f"variance {s2} against {sigma2}")
+    return math.sqrt(val)
+
+
+def gaussian_start(target, initial: tuple[float, float]) -> tuple[float, float]:
+    """The (mean, var) of the Gaussian start ``initial`` on a 1-D ``target``."""
+    if target.dim != 1:
+        raise ValueError("non-stationary starts are supported in 1-D only")
+    return initial
+
+
+def start_norm(target, initial: tuple[float, float] | None) -> float:
+    """||dmu/dmu*|| of the start ``initial`` (None: stationary) on ``target``,
+    a :class:`GaussianIso` or a Gaussian ``targets.TargetModel``."""
+    return 1.0 if initial is None else gaussian_chi_square_norm(
+        *gaussian_start(target, initial), target.marginal_var(0))

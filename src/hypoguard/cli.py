@@ -19,10 +19,11 @@ output.
 
 Each command imports only the modules it runs.  ``ci`` and ``constants``
 compute closed forms on Python floats: on a ``gaussian_iso`` target with
-``sin`` or ``cos`` they load neither NumPy nor scipy (the other observables
-take the normal CDF from scipy, and the other targets and a Gaussian
-``initial`` start build NumPy models).  ``lab`` loads NumPy and the operator
-lab, and ``sample`` and ``validate`` load the samplers.
+``sin`` or ``cos`` they load neither NumPy nor scipy, from either ``initial``
+start (the other observables take the normal CDF from scipy, and the other
+targets build NumPy models); they alone read ``dmu_norm`` and
+``observable_stats``.  ``lab`` loads NumPy and the operator lab, and
+``sample`` and ``validate`` load the samplers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .catalog import builtin_stats, gaussian_iso
+from .catalog import builtin_stats, gaussian_iso, start_norm
 from .guarantees import confidence_radius
 from .hypocoercivity import (
     AdmissibilityError,
@@ -187,7 +188,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -266,10 +267,7 @@ def _bernstein(cfg: dict, eps_flag: str | None = None) -> tuple:
     if initial is None:
         dmu_norm = _field(cfg, "dmu_norm", ">= 1", 1.0)
     else:
-        from .targets import builtin_target
-        from .validation import start_norm
-
-        dmu_norm = _checked("initial", start_norm, _builtin(cfg, "target", builtin_target), initial)
+        dmu_norm = _checked("initial", start_norm, _stats_target(cfg), initial)
     return (hypo, stats, dmu_norm, *bernstein_from_hypo(hypo, stats, dmu_norm))
 
 
@@ -283,8 +281,9 @@ def _experiment_config(cfg: dict, seed: int):
     knobs = {key: _field(cfg, f"sampler.{key}", rule)
              for key, rule in _SAMPLERS[name].items() if key in cfg["sampler"]}
     _reject_unread(cfg, {"sampler": {"name", *_SAMPLERS[name]}}, f"sampler '{name}'")
-    if "dmu_norm" in cfg:  # the checks compute it from initial
-        raise ConfigError("config field 'dmu_norm' is read by ci and constants only")
+    for key in ("dmu_norm", "observable_stats"):  # the checks compute both from the config
+        if key in cfg:
+            raise ConfigError(f"config field '{key}' is read by ci and constants only")
     config = ExperimentConfig(
         sampler=name,
         target=target,
@@ -486,6 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out_dir = os.path.dirname(args.out or "") or "."  # refused before any work is done
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(out_dir)
+                         or not os.access(out_dir, os.W_OK)):
+            raise ConfigError(f"--out {args.out} is not a file in a writable directory")
         cfg = _load_config(args.config)
         seed = _resolve_seed(args, cfg)
         fields, code = args.func(args, cfg, seed)

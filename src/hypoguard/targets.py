@@ -26,7 +26,6 @@ __all__ = [
     "builtin_observable",
     "observable_stats_quadrature",
     "stationary_expectation_1d",
-    "gaussian_chi_square_norm",
     "estimate_poincare_1d",
     "linear_tilt",
     "scale_potential",
@@ -363,38 +362,6 @@ def scale_potential(target: TargetModel, factor: float) -> TargetModel:
         hessian_bound=None if base_bound is None else (
             lambda center, radius: factor * base_bound(center, radius)),
     )
-
-
-# ---------------------------------------------------------------------------
-# chi-square prefactor
-
-
-def gaussian_chi_square_norm(mu0: float, s2: float, sigma2: float) -> float:
-    """||dmu/dmu*|| in L^2(mu*) for mu = N(mu0, s2), mu* = N(0, sigma2).
-
-    Finite iff s2 < 2 sigma2; equals 1 iff mu = mu*.
-    """
-    if not (s2 > 0.0 and sigma2 > 0.0):
-        raise ValueError("variances must be > 0")
-    if s2 >= 2.0 * sigma2:
-        raise ValueError(
-            f"||dmu/dmu*|| diverges: initial variance {s2} >= 2 * {sigma2}"
-        )
-    # int mu(x)^2 / mu*(x) dx via Gaussian integral algebra
-    a = 1.0 / s2 - 1.0 / (2.0 * sigma2)
-    sigma = math.sqrt(sigma2)
-    try:
-        val = (
-            sigma / (math.sqrt(2.0 * math.pi) * s2)
-            * math.sqrt(math.pi / a)
-            * math.exp(mu0 * mu0 * (1.0 / (s2 * s2 * a) - 1.0 / s2))
-        )
-    except OverflowError:
-        val = math.inf
-    if val == math.inf:
-        raise ValueError(f"||dmu/dmu*|| overflows: initial mean {mu0} is too far out for "
-                         f"variance {s2} against {sigma2}")
-    return math.sqrt(val)
 
 
 # ---------------------------------------------------------------------------

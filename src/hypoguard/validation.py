@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bernstein import psi
+from .catalog import gaussian_start, start_norm
 from .guarantees import concentration_bound, confidence_radius, uq_bias_bound
 from .hypocoercivity import HypoParams, bernstein_from_hypo
 from .samplers import (
@@ -36,8 +37,7 @@ from .samplers import (
     stream_rng,
     time_average,
 )
-from .targets import (_QUAD_LIM, MomentumModel, Observable, TargetModel, gaussian_chi_square_norm,
-                      stationary_expectation_1d)
+from .targets import _QUAD_LIM, MomentumModel, Observable, TargetModel, stationary_expectation_1d
 
 __all__ = [
     "ExperimentConfig",
@@ -124,19 +124,6 @@ class ValidationReport:
 _LANGEVIN_CHUNK = 64
 
 
-def _gaussian_initial(target: TargetModel, initial: tuple) -> tuple[float, float]:
-    """The (mean, var) of a Gaussian start, which is 1-D."""
-    if target.dim != 1:
-        raise ValueError("non-stationary starts are supported in 1-D only")
-    return initial
-
-
-def start_norm(target: TargetModel, initial: Optional[tuple[float, float]]) -> float:
-    """||dmu/dmu*|| of the start ``initial`` (None: stationary) on ``target``."""
-    return 1.0 if initial is None else gaussian_chi_square_norm(
-        *_gaussian_initial(target, initial), target.marginal_var(0))
-
-
 def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A replica's start, drawn from its ``init`` stream: the position from
     nu* (stationary start) or from the 1-D Gaussian ``initial``, then the
@@ -145,7 +132,7 @@ def _start(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]
     if config.initial is None:
         q0 = config.target.sample_position(rng)
     else:
-        mu0, s2 = _gaussian_initial(config.target, config.initial)
+        mu0, s2 = gaussian_start(config.target, config.initial)
         q0 = np.array([mu0 + math.sqrt(s2) * rng.standard_normal()])
     return q0, config.momentum().sample(rng, config.target.dim)
 
@@ -221,10 +208,10 @@ def _stationarity_gate(config: ExperimentConfig, reps: dict) -> dict:
 
 
 def _bounds(config: ExperimentConfig):
-    """(stats, pair, N, der): the observable's statistics and the Bernstein
-    constants for the config's initial distribution."""
-    stats = config.observable.stats
-    return (stats, *bernstein_from_hypo(config.hypo, stats, config.dmu_norm()))
+    """(stats, dmu_norm, pair, N, der): the observable's statistics, the
+    start's ||dmu/dmu*|| and the Bernstein constants they give."""
+    stats, dmu_norm = config.observable.stats, config.dmu_norm()
+    return (stats, dmu_norm, *bernstein_from_hypo(config.hypo, stats, dmu_norm))
 
 
 def _report(kind: str, config: ExperimentConfig, reps: dict, ok: bool, vacuous: bool,
@@ -245,7 +232,7 @@ def coverage_experiment(config: ExperimentConfig) -> ValidationReport:
     requires empirical coverage >= 1 - delta - 3 sqrt(delta(1-delta)/M).
     The replicas are the config's shared pass, ``config.averages``.
     """
-    stats, pair, N, der = _bounds(config)
+    stats, _, pair, N, der = _bounds(config)
     r_minus, r_plus = confidence_radius(pair, pair, N, config.delta, config.T)
     reps = config.averages
     dev = reps["F"] - stats.mean
@@ -263,7 +250,7 @@ def tail_experiment(config: ExperimentConfig, r_grid=None) -> ValidationReport:
     """Tail domination: empirical P(+-(F_T - mu*[f]) >= r) must stay below
     the theoretical bound plus 3 binomial standard errors at every r, over
     the config's shared replica pass, ``config.averages``."""
-    stats, pair, N, der = _bounds(config)
+    stats, dmu_norm, pair, N, der = _bounds(config)
     if r_grid is None:
         r_minus, r_plus = confidence_radius(pair, pair, N, config.delta, config.T)
         r_grid = np.linspace(0.0, max(r_plus, r_minus), 10)
@@ -272,7 +259,7 @@ def tail_experiment(config: ExperimentConfig, r_grid=None) -> ValidationReport:
     M = config.replicas
     rows = []
     for r in r_grid:
-        bound = concentration_bound(pair, der.c, config.dmu_norm(), float(r), config.T)
+        bound = concentration_bound(pair, der.c, dmu_norm, float(r), config.T)
         for sign, data in (("+", dev), ("-", -dev)):
             emp = float(np.mean(data >= r))
             se = math.sqrt(emp * (1.0 - emp) / M)
@@ -291,7 +278,7 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
     must stay below psi(lam) + (1/T) log(||dmu/dmu*|| / c) + MC slack for
     every lam in the grid (all grid points must satisfy 0 <= lam < 1/b), over
     the config's shared replica pass, ``config.averages``."""
-    stats, pair, _, der = _bounds(config)
+    stats, dmu_norm, pair, _, der = _bounds(config)
     if lambda_grid is None:
         hi = 0.5 / pair.b if pair.b > 0 else 1.0
         lambda_grid = np.linspace(0.0, hi, 5)
@@ -303,7 +290,7 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
     reps = config.averages
     dev = reps["F"] - stats.mean
     T, M = config.T, config.replicas
-    prefactor = math.log(config.dmu_norm() / der.c) / T
+    prefactor = math.log(dmu_norm / der.c) / T
     rows = []
     for lam in lambda_grid:
         y = np.exp(lam * T * dev)

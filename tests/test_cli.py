@@ -394,19 +394,58 @@ def names_field(err, path):
                  id="lambda_grid-negative"),
     pytest.param(["validate", "all"], {"lambda_grid": [-0.001]}, {}, "lambda_grid",
                  id="all-lambda_grid-negative"),
-    # ||dmu/dmu*|| has one source: dmu_norm (ci and constants only) or initial
+    # ||dmu/dmu*|| has one source: dmu_norm (ci and constants only) or initial; the
+    # statistics too: observable_stats (ci and constants only) or the observable
     pytest.param(["ci"], {"initial": GAUSSIAN_START, "dmu_norm": 1.5}, {}, "dmu_norm",
                  id="ci-dmu_norm-with-initial"),
     pytest.param(["constants"], {"initial": {"kind": "stationary"}, "dmu_norm": 1.5}, {},
                  "dmu_norm", id="constants-dmu_norm-with-initial"),
-    *[pytest.param(argv, {"dmu_norm": 1.0}, {}, "dmu_norm", id=f"{argv[-1]}-dmu_norm")
+    *[pytest.param(argv, {key: value}, {}, key, id=f"{argv[-1]}-{key}")
       for argv in (["sample"], ["validate", "coverage"], ["validate", "tail"],
-                   ["validate", "mgf"], ["validate", "all"], ["validate", "uq"])],
+                   ["validate", "mgf"], ["validate", "all"], ["validate", "uq"])
+      for key, value in (("dmu_norm", 1.0),
+                         ("observable_stats", {"variance": 0.2, "sup_norm": 1.0}))],
 ])
 def test_malformed_config_exits_2(tmp_path, argv, edits, env, named):
     code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json", env)
     assert code == 2
     assert names_field(err, named), err
+
+
+@pytest.mark.parametrize("edits", [{"target.dim": 2}, {"initial.var": 2.0},
+                                   {"initial.mean": 1000.0}],
+                         ids=["2d", "var-diverges", "norm-overflows"])
+def test_a_bad_start_is_one_error_in_every_command(tmp_path, edits):
+    # ci and constants take the norm from catalog's law, validate from the model
+    cfg = edited(dict(SMALL, initial=GAUSSIAN_START), edits)
+    errors = {run_config(argv, cfg, tmp_path / "cfg.json")
+              for argv in (["ci"], ["constants"], ["validate", "coverage"])}
+    assert len(errors) == 1, errors
+    code, err = errors.pop()
+    assert code == 2 and names_field(err, "initial"), err
+
+
+def test_config_nested_too_deep_exits_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"note": ' + "[" * 3000 + "]" * 3000 + "}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert main(["ci", "--config", str(path)]) == 2
+    assert stderr.getvalue().startswith(f"config error: cannot read config file {path}:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ci", "--out", "{missing}/x.json"],
+    ["validate", "coverage", "--out", "{missing}/x.json"],
+    ["sample", "--format", "csv", "--out", "{directory}"],
+], ids=["ci-missing-directory", "validate-missing-directory", "sample-csv-directory"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, argv):
+    argv = [arg.format(missing=tmp_path / "missing", directory=tmp_path) for arg in argv]
+    with mock.patch("hypoguard.validation.run_replicas", side_effect=AssertionError), \
+            mock.patch("hypoguard.validation._simulate", side_effect=AssertionError):
+        code, err = run_config(argv, SMALL, tmp_path / "cfg.json")
+    assert code == 2 and err.startswith("config error: --out "), err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("argv,path,value,named", [

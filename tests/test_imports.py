@@ -46,10 +46,12 @@ def loaded_after(argv: list, cfg: dict, tmp_path) -> set:
 @pytest.mark.parametrize("command", ["ci", "constants"])
 @pytest.mark.parametrize("observable", ["cos", "sin"])
 def test_closed_form_commands_load_neither_numpy_nor_scipy(tmp_path, command, observable):
-    cfg = dict(REFERENCE, observable={"name": observable, "omega": 1.0})
-    modules = loaded_after([command], cfg, tmp_path)
-    assert not {"numpy", "scipy"} & modules
-    assert not SIMULATING & modules
+    # from the stationary start and from a Gaussian one, whose norm is a closed form too
+    for start in ({}, {"initial": {"kind": "gaussian", "mean": 0.5, "var": 0.5}}):
+        cfg = dict(REFERENCE, observable={"name": observable, "omega": 1.0}, **start)
+        modules = loaded_after([command], cfg, tmp_path)
+        assert not {"numpy", "scipy"} & modules, start
+        assert not SIMULATING & modules, start
 
 
 @pytest.mark.parametrize("which", ["eigen", "perturb"])
