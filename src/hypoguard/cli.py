@@ -297,7 +297,7 @@ def _experiment_config(cfg: dict, seed: int):
         **knobs,
     )
     # the bounds need a finite chi-square norm of the start: 1-D, var < 2 sigma^2
-    _checked("initial", config.dmu_norm)
+    _checked("initial", lambda: config.dmu_norm)
     return config
 
 
@@ -411,7 +411,7 @@ def cmd_validate(args, cfg: dict, seed: int) -> tuple:
         r_grid = _field(cfg, "r_grid", ">= 0", (), _grid)
         checks["tail"] = lambda: tail_experiment(config, r_grid if len(r_grid) else None)
     if "mgf" in which:
-        b = bernstein_from_hypo(config.hypo, config.observable.stats, config.dmu_norm())[0].b
+        b = bernstein_from_hypo(config.hypo, config.observable.stats, config.dmu_norm)[0].b
         lam_grid = _field(cfg, "lambda_grid", (f"in [0, 1/b) for b = {b!r}",
                                                lambda x: (x >= 0) & (x * b < 1)), (), _grid)
         checks["mgf"] = lambda: mgf_experiment(config, lam_grid if len(lam_grid) else None)

@@ -604,39 +604,48 @@ def simulate_langevin_batch(
     Replica r starts at (q0[r], p0[r]) (arrays of shape (R, d)) and draws its
     noise from its own ``stream_rng(seeds[r], "noise")``, so it follows the
     path that ``simulate_langevin`` gives for ``seeds[r]`` and that start.
-    ``target.gradient`` is called on (R, d) batches.  The path is stored as
-    one (R, n + 1, d) array; replica r's trajectory holds its contiguous
-    (n + 1, d) slice.
+    ``target.gradient`` is called on (R, d) batches, once per step plus once
+    at the start: a step's closing half kick is the next step's opening one.
+    The path is stored time-major, as one (n + 1, R, d) array whose row k+1
+    each step writes in place; replica r's trajectory holds the (n + 1, d)
+    view ``qs[:, r]``.
     """
     _check_params(T=T, step=step, gamma=gamma)
     R, d = len(seeds), target.dim
     q, p = _checked_start(q0, p0, (R, d))
     rngs = [stream_rng(seed, "noise") for seed in seeds]
-    m, beta = momentum.mass, momentum.beta
     n_steps = int(math.ceil(T / step))
     times = np.linspace(0.0, n_steps * step, n_steps + 1)
-    qs = np.empty((R, n_steps + 1, d))
-    ps = np.empty((R, n_steps + 1, d))
-    qs[:, 0], ps[:, 0] = q, p
-    half = 0.5 * step
-    c1 = math.exp(-gamma * step / m)
-    c2 = math.sqrt(m / beta * (1.0 - c1 * c1))
-    for k in range(n_steps):
-        j = k % _NOISE_BLOCK
-        if j == 0:
-            # a block of draws from a stream equals the same number of
-            # per-step draws, so each replica keeps its noise bit for bit
-            size = (min(_NOISE_BLOCK, n_steps - k), d)
-            noise = np.stack([rng.standard_normal(size) for rng in rngs], axis=1)
-        p = p - half * target.gradient(q)
-        q = q + half * p / m
-        p = c1 * p + c2 * noise[j]
-        q = q + half * p / m
-        p = p - half * target.gradient(q)
-        qs[:, k + 1], ps[:, k + 1] = q, p
+    qs = np.empty((n_steps + 1, R, d))
+    ps = np.empty((n_steps + 1, R, d))
+    qs[0], ps[0] = q, p
+    c1 = math.exp(-gamma * step / momentum.mass)
+    c2 = math.sqrt(momentum.mass / momentum.beta * (1.0 - c1 * c1))
+    # 0-d arrays give the IEEE results of the Python floats, with less
+    # overhead per operation on small arrays
+    half, m, c1 = np.array(0.5 * step), np.array(momentum.mass), np.array(c1)
+    noise = np.empty((min(_NOISE_BLOCK, n_steps), R, d))
+    gradient = target.gradient
+    kick = half * gradient(q)
+    for k in range(0, n_steps, _NOISE_BLOCK):
+        # a block of draws from a stream equals the same number of per-step
+        # draws, so each replica keeps its noise bit for bit
+        size = min(_NOISE_BLOCK, n_steps - k)
+        block = noise[:size]
+        for r, rng in enumerate(rngs):
+            block[:, r] = rng.standard_normal((size, d))
+        block *= c2  # in place: no second block is held
+        for z, q_next, p_next in zip(block, qs[k + 1:k + 1 + size], ps[k + 1:k + 1 + size]):
+            p = p - kick
+            q = q + half * p / m
+            p = c1 * p + z
+            q = np.add(q, half * p / m, out=q_next)
+            kick = half * gradient(q)
+            p = np.subtract(p, kick, out=p_next)
     segments, events = _tables(d)
-    return [Trajectory("langevin", float(times[-1]), m, segments, events,
-                       final_q=qs[r, -1], final_p=ps[r, -1], times=times, qs=qs[r], ps=ps[r])
+    return [Trajectory("langevin", float(times[-1]), momentum.mass, segments, events,
+                       final_q=qs[-1, r], final_p=ps[-1, r], times=times,
+                       qs=qs[:, r], ps=ps[:, r])
             for r in range(R)]
 
 

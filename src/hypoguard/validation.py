@@ -57,8 +57,8 @@ class ExperimentConfig:
     """Everything needed to replay a validation experiment.
 
     Frozen, so that the checks on one config share its replica pass
-    (``averages``); ``dataclasses.replace`` builds a new config, which
-    simulates its own replicas.
+    (``averages``) and its start norm (``dmu_norm``); ``dataclasses.replace``
+    builds a new config, which simulates its own replicas.
     """
 
     sampler: str  # zigzag | bps | hhmc | langevin
@@ -82,7 +82,9 @@ class ExperimentConfig:
         kind = "rademacher" if self.sampler == "zigzag" else "gaussian"
         return MomentumModel(kind=kind, mass=self.mass, beta=self.target.beta)
 
+    @functools.cached_property
     def dmu_norm(self) -> float:
+        """The start's ||dmu/dmu*||, computed on first use and shared."""
         return start_norm(self.target, self.initial)
 
     @functools.cached_property
@@ -210,7 +212,7 @@ def _stationarity_gate(config: ExperimentConfig, reps: dict) -> dict:
 def _bounds(config: ExperimentConfig):
     """(stats, dmu_norm, pair, N, der): the observable's statistics, the
     start's ||dmu/dmu*|| and the Bernstein constants they give."""
-    stats, dmu_norm = config.observable.stats, config.dmu_norm()
+    stats, dmu_norm = config.observable.stats, config.dmu_norm
     return (stats, dmu_norm, *bernstein_from_hypo(config.hypo, stats, dmu_norm))
 
 

@@ -508,6 +508,19 @@ def test_validate_all_reads_every_grid_before_simulating(tmp_path):
         assert run_inprocess(["validate", "all"], dict(SMALL, lambda_grid=[100.0]), tmp_path) == 2
 
 
+def test_validate_all_computes_the_start_norm_once(tmp_path, capsys):
+    # the config check, the lambda_grid rule and the three checks share it
+    from hypoguard import catalog
+
+    with mock.patch.object(catalog, "gaussian_chi_square_norm",
+                           wraps=catalog.gaussian_chi_square_norm) as norm:
+        code = run_inprocess(["validate", "all"], dict(SMALL, initial=GAUSSIAN_START,
+                                                       lambda_grid=[0.0, 0.01]), tmp_path)
+    assert code in (0, 1)
+    assert sorted(json.loads(capsys.readouterr().out)["reports"]) == ["coverage", "mgf", "tail"]
+    assert norm.call_count == 1
+
+
 # the sampler knobs and their defaults, which ExperimentConfig alone holds
 KNOB_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
                  if f.default is not dataclasses.MISSING and f.name != "initial"}

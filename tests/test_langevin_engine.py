@@ -6,12 +6,14 @@ streams.  Its per-replica averages must equal those of one
 ``simulate_langevin`` call per replica: bit for bit in 1-D, where every
 operation is elementwise, and to 1e-12 at d = 3, where the gradient is a
 matrix product whose summation order may depend on the batch shape.
-``simulate_langevin`` itself must follow the former one-replica step loop,
-transcribed below.
+``simulate_langevin`` itself, and each replica of a batch, must follow the
+former one-replica step loop, transcribed below, while the batch evaluates
+the gradient once per step and holds little more than its path.
 """
 
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,7 +28,7 @@ from hypoguard import (
     simulate_langevin,
     time_average,
 )
-from hypoguard.samplers import replica_seed, stream_rng
+from hypoguard.samplers import replica_seed, simulate_langevin_batch, stream_rng
 from hypoguard.validation import _LANGEVIN_CHUNK, run_replicas
 
 ISO = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
@@ -78,15 +80,14 @@ def test_batch_matches_one_by_one_at_d3():
         assert np.allclose(batch[key], single[key], rtol=0.0, atol=1e-12), key
 
 
-def former_step_loop(target, momentum, gamma, T, step, seed):
-    """The one-replica Langevin loop that the batched engine replaced."""
-    rng_init, rng_noise = stream_rng(seed, "init"), stream_rng(seed, "noise")
-    q = np.array(target.sample_position(rng_init))
-    p = momentum.sample(rng_init, target.dim)
+def former_loop_from(target, momentum, gamma, T, step, seed, q, p):
+    """The one-replica Langevin loop that the batched engine replaced, from
+    the start (q, p): its positions and momenta at every step."""
+    rng_noise = stream_rng(seed, "noise")
     m, beta = momentum.mass, momentum.beta
     n_steps = int(math.ceil(T / step))
-    qs = np.empty((n_steps + 1, target.dim))
-    qs[0] = q
+    qs, ps = np.empty((n_steps + 1, target.dim)), np.empty((n_steps + 1, target.dim))
+    qs[0], ps[0] = q, p
     c1 = math.exp(-gamma * step / m)
     c2 = math.sqrt(m / beta * (1.0 - c1 * c1))
     for k in range(n_steps):
@@ -95,8 +96,17 @@ def former_step_loop(target, momentum, gamma, T, step, seed):
         p = c1 * p + c2 * rng_noise.standard_normal(target.dim)
         q = q + 0.5 * step * p / m
         p = p - 0.5 * step * target.gradient(q)
-        qs[k + 1] = q
-    return qs, p
+        qs[k + 1], ps[k + 1] = q, p
+    return qs, ps
+
+
+def former_step_loop(target, momentum, gamma, T, step, seed):
+    """The former loop from the start that ``simulate_langevin`` draws."""
+    rng_init = stream_rng(seed, "init")
+    q = np.array(target.sample_position(rng_init))
+    p = momentum.sample(rng_init, target.dim)
+    qs, ps = former_loop_from(target, momentum, gamma, T, step, seed, q, p)
+    return qs, ps[-1]
 
 
 @pytest.mark.parametrize("target,exact", [(ISO, True), (ANISO, False)], ids=["iso", "aniso"])
@@ -130,3 +140,54 @@ def test_one_chunk_of_paths_at_a_time(monkeypatch):
     monkeypatch.setattr(validation, "simulate_langevin_batch", spy)
     run_replicas(dataclasses.replace(config(ISO, 2), replicas=2 * _LANGEVIN_CHUNK + 1, T=0.05))
     assert sizes == [_LANGEVIN_CHUNK, _LANGEVIN_CHUNK, 1]
+
+
+WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+
+
+def batch_from(target, replicas, T, seed=4):
+    """simulate_langevin_batch of ``replicas`` replicas from drawn starts,
+    with the seeds and starts it was given."""
+    seeds = [replica_seed(seed, r) for r in range(replicas)]
+    rng = np.random.default_rng(seed)
+    q0, p0 = rng.standard_normal((2, replicas, target.dim))
+    mom = MomentumModel(kind="gaussian", mass=1.2, beta=target.beta)
+    return simulate_langevin_batch(target, mom, 1.3, T, 0.01, seeds, q0, p0), seeds, q0, p0
+
+
+def test_batch_follows_the_former_loop_replica_by_replica():
+    # 2500 steps: more than two noise blocks
+    trajs, seeds, q0, p0 = batch_from(WELL, 10, T=25.0)
+    mom = MomentumModel(kind="gaussian", mass=1.2, beta=WELL.beta)
+    for traj, seed, q, p in zip(trajs, seeds, q0, p0):
+        qs, ps = former_loop_from(WELL, mom, 1.3, 25.0, 0.01, seed, q, p)
+        assert traj.qs.shape == traj.ps.shape == (2501, 1) and traj.times.shape == (2501,)
+        assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
+        assert np.array_equal(traj.final_q, qs[-1]) and np.array_equal(traj.final_p, ps[-1])
+
+
+def test_one_gradient_per_step():
+    calls = []
+
+    def gradient(q):
+        calls.append(q.shape)
+        return WELL.gradient(q)
+
+    counted = dataclasses.replace(WELL, gradient=gradient)
+    trajs, *_ = batch_from(counted, 3, T=25.0)
+    n_steps = len(trajs[0].times) - 1
+    assert n_steps == 2500 and calls == [(3, 1)] * (n_steps + 1)
+
+
+def test_batch_memory_is_its_paths():
+    # no copy of the path and no second noise block: the peak stays within
+    # 10% of the two stored (n + 1, R, d) arrays
+    tracemalloc.start()
+    try:
+        trajs, *_ = batch_from(ISO, 64, T=150.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path_bytes = 2 * 15_001 * 64 * 8
+    assert trajs[0].qs.shape == (15_001, 1)
+    assert peak <= 1.1 * path_bytes, peak / path_bytes

@@ -296,6 +296,22 @@ def test_one_draw_takes_the_bits_of_a_one_component_sized_draw(kind):
         assert v.dtype == np.float64 and np.array_equal(v, sized(twin, d))
 
 
+@pytest.mark.parametrize("seed", [3, 10])
+def test_rademacher_draw_takes_the_bits_of_integers(seed):
+    # draw() reads bit 31 of one 32-bit draw, as integers(0, 2) does; runs
+    # of 1, 2 and 3 draws between exponentials put each draw on either half
+    # of the generator's buffered 64-bit output
+    mom = MomentumModel(kind="rademacher")
+    rng, twin = stream_rng(seed, "refresh"), stream_rng(seed, "refresh")
+    draws, expected = [], []
+    for k in range(10_000):
+        for _ in range(1 + k % 3):
+            draws.append(mom.draw(rng))
+            expected.append((-1.0, 1.0)[twin.integers(0, 2)])
+        assert rng.exponential() == twin.exponential()
+    assert draws == expected and set(draws) == {-1.0, 1.0}
+
+
 def test_poincare_estimate_gaussian():
     # the estimator and builtin_target share one convention: the spectral gap
     t = builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.0)

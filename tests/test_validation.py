@@ -107,7 +107,7 @@ class TestCoverage:
 
     def test_nonstationary_start_prefactor(self, std_config):
         cfg = small(std_config, replicas=30, initial=(0.5, 0.7))
-        assert cfg.dmu_norm() > 1.0
+        assert cfg.dmu_norm > 1.0
         rep = coverage_experiment(cfg)
         assert rep.passed
 
