@@ -9,7 +9,9 @@ otherwise.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -271,36 +273,106 @@ def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params)
 
 
 _QUAD_LIM = 40.0
+_QUAD_PANELS = 32  # the uniform start partition of [-_QUAD_LIM, _QUAD_LIM]
+_QUAD_MAX_PANELS = 2000
+_QUAD_RTOL = 1e-13
+
+# Gauss-Kronrod 7/15 on [-1, 1], as in QUADPACK's dqk15 (Piessens, de
+# Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer 1983): the
+# Kronrod nodes from the outermost in, their weights, and the Gauss weights
+# of the nodes of odd index (0 is the last).
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# the 15 nodes as (sign, index into _XGK), the centre last, and each one's
+# Gauss weight (0.0 off the Gauss nodes)
+_GK_NODES = tuple((s, j) for j in range(7) for s in (-1.0, 1.0)) + ((1.0, 7),)
+_GK_WEIGHTS = tuple(_WGK[j] for _, j in _GK_NODES)
+_G_WEIGHTS = tuple(_WG[j // 2] if j % 2 else 0.0 for _, j in _GK_NODES)
+
+
+def _kronrod_panels(panel_values, a: float, b: float, cuts=()):
+    """Integrate over [a, b] from the start partition of ``_QUAD_PANELS``
+    equal panels plus ``cuts``: ``panel_values(nodes)`` returns the
+    integrand at the 15 Kronrod nodes of a panel.  The panel with the
+    largest |K15 - G7| is bisected until the sum of those differences is at
+    most ``_QUAD_RTOL`` times the K15 integral of |integrand|, or until
+    ``_QUAD_MAX_PANELS`` panels; the result is the exactly rounded sum of
+    the panels' K15 values.  Deterministic: ties go to the earlier panel."""
+    step = (b - a) / _QUAD_PANELS
+    edges = sorted({a + k * step for k in range(_QUAD_PANELS)} | {b}
+                   | {float(c) for c in cuts if a < c < b})
+    heap, panels = [], []
+
+    def add(lo: float, hi: float) -> None:
+        c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = [c + s * hw * _XGK[j] for s, j in _GK_NODES]
+        fs = panel_values(nodes)
+        k15 = hw * math.fsum(w * f for w, f in zip(_GK_WEIGHTS, fs))
+        g7 = hw * math.fsum(w * f for w, f in zip(_G_WEIGHTS, fs))
+        k_abs = hw * math.fsum(w * abs(f) for w, f in zip(_GK_WEIGHTS, fs))
+        panels.append((k15, abs(k15 - g7), k_abs))
+        heapq.heappush(heap, (-abs(k15 - g7), len(panels) - 1, lo, hi))
+
+    for lo, hi in zip(edges, edges[1:]):
+        add(lo, hi)
+    err = math.fsum(p[1] for p in panels)
+    scale = math.fsum(p[2] for p in panels)
+    while err > _QUAD_RTOL * scale and len(heap) < _QUAD_MAX_PANELS:
+        _, i, lo, hi = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the worst panel cannot be split in floating point
+        add(lo, mid)
+        add(mid, hi)
+        _, e, s = panels[i]
+        panels[i] = (0.0, 0.0, 0.0)
+        err += panels[-1][1] + panels[-2][1] - e
+        scale += panels[-1][2] + panels[-2][2] - s
+    return math.fsum(p[0] for p in panels)
 
 
 def stationary_expectation_1d(target: TargetModel) -> Callable[..., float]:
-    """The map ``expect(g, **options)`` = E_nu*[g], g a function of a scalar
-    x, for a 1-D target: exp(-beta V) is normalised once, here, by adaptive
-    quadrature on [-40, 40], and each call integrates g against it there,
-    passing ``options`` to ``scipy.integrate.quad`` (imported on first use)."""
+    """The map ``expect(g, points=())`` = E_nu*[g], g a function of a scalar
+    x, for a 1-D target, by adaptive Gauss-Kronrod 7/15 quadrature on
+    [-40, 40] (:func:`_kronrod_panels`): it starts from 32 equal panels plus
+    the breakpoints ``points`` (where g jumps or kinks), and bisects until
+    the |K15 - G7| estimates sum to at most 1e-13 of the integral of |g|
+    against nu*, under a cap of 2000 panels.  exp(-beta V) is normalised
+    once, here, the same way."""
     if target.dim != 1:
         raise ValueError(f"quadrature expectations are 1-D only, not dim {target.dim}")
-    from scipy.integrate import quad
 
-    def raw(x: float) -> float:
-        try:
-            return math.exp(-target.beta * float(target.potential(np.array([x]))))
-        except OverflowError:
-            raise ValueError(f"target '{target.name}': -beta V exceeds the float range on "
-                             f"[-{_QUAD_LIM:g}, {_QUAD_LIM:g}]") from None
+    def raw(nodes: list) -> list:
+        with np.errstate(over="ignore"):
+            w = np.exp(-target.beta * target.potential(np.array(nodes)[:, None]))
+        if np.any(np.isinf(w)):
+            raise ValueError(f"target '{target.name}': -beta V exceeds the float range "
+                             f"on [-{_QUAD_LIM:g}, {_QUAD_LIM:g}]")
+        return w.tolist()
 
-    Z = quad(raw, -_QUAD_LIM, _QUAD_LIM)[0]
+    Z = _kronrod_panels(raw, -_QUAD_LIM, _QUAD_LIM)
 
-    def expect(g: Callable[[float], float], **options) -> float:
-        return quad(lambda x: g(x) * (raw(x) / Z), -_QUAD_LIM, _QUAD_LIM, **options)[0]
+    def expect(g: Callable[[float], float], points=()) -> float:
+        def values(nodes):
+            return [g(x) * w for x, w in zip(nodes, raw(nodes))]
+        return _kronrod_panels(values, -_QUAD_LIM, _QUAD_LIM, points) / Z
 
     return expect
 
 
 def observable_stats_quadrature(f: Callable[[np.ndarray], np.ndarray],
                                 target: TargetModel) -> ObservableStats:
-    """Mean/variance of a 1-D observable by adaptive quadrature against nu*
-    (:func:`stationary_expectation_1d`); ``f`` maps positions of shape
+    """Mean/variance of a 1-D observable by the adaptive Gauss-Kronrod
+    quadrature of :func:`stationary_expectation_1d`, with no breakpoints (a
+    jump of ``f`` is found by bisection); ``f`` maps positions of shape
     (n, 1) to values of shape (n,), as :func:`time_average` requires.
 
     The sup norm is estimated on a dense grid, in one call of ``f``
@@ -311,8 +383,8 @@ def observable_stats_quadrature(f: Callable[[np.ndarray], np.ndarray],
     def f1(x):
         return float(f(np.array([x])))
 
-    mean = expect(f1, limit=200)
-    second = expect(lambda x: f1(x) ** 2, limit=200)
+    mean = expect(f1)
+    second = expect(lambda x: f1(x) ** 2)
     grid = np.linspace(-_QUAD_LIM, _QUAD_LIM, 20001)
     sup = float(np.max(np.abs(np.asarray(f(grid[:, None]), dtype=float) - mean)))
     return ObservableStats(mean=mean, variance=max(second - mean * mean, 0.0), sup_norm=sup)
@@ -377,7 +449,9 @@ def estimate_poincare_1d(target: TargetModel) -> float:
     uniform grid of 2000 points on [-6, 6] and returns the second-smallest
     generalized eigenvalue (the smallest is 0 for constants): the spectral
     gap, the convention of ``TargetModel.poincare_const`` (beta h for
-    ``gaussian_iso``).  This is an estimate, not a certified bound.
+    ``gaussian_iso``).  That eigenvalue is found by Sturm-count bisection of
+    the symmetric tridiagonal form (:func:`_tridiagonal_eigenvalue`).  This
+    is an estimate, not a certified bound.
     """
     if target.dim != 1:
         raise ValueError("estimator is 1-D only")
@@ -386,16 +460,51 @@ def estimate_poincare_1d(target: TargetModel) -> float:
     dx = x[1] - x[0]
     # stiffness K: sum w_mid (g_{k+1}-g_k)^2 / dx, tridiagonal, with w = exp(-beta V)
     # and w_mid its cell means; mass M: sum w_k g_k^2 dx, diagonal.  K g = lambda M g
-    # is the symmetric tridiagonal problem of M^(-1/2) K M^(-1/2), solved in O(n)
-    # for its two smallest eigenvalues.  Its entries are ratios of w, taken from
-    # differences of beta V, since w itself underflows where beta V is large.
+    # is the symmetric tridiagonal problem of M^(-1/2) K M^(-1/2), whose second
+    # eigenvalue bisection finds at O(n) per Sturm count.  Its entries are ratios
+    # of w, taken from differences of beta V, since w itself underflows where
+    # beta V is large.
     du = np.diff(target.beta * target.potential(x[:, None]))
     diag = np.zeros(n)
     diag[:-1] += 0.5 * (1.0 + np.exp(-du))  # w_mid[k] / w[k]
     diag[1:] += 0.5 * (1.0 + np.exp(du))  # w_mid[k] / w[k + 1]
     off = -np.cosh(0.5 * du)  # -w_mid[k] / sqrt(w[k] w[k + 1])
-    from scipy.linalg import eigh_tridiagonal
+    return _tridiagonal_eigenvalue((diag / (dx * dx)).tolist(), (off / (dx * dx)).tolist(), 1)
 
-    vals = eigh_tridiagonal(diag / (dx * dx), off / (dx * dx),
-                            eigvals_only=True, select="i", select_range=(0, 1))
-    return float(vals[1])
+
+def _tridiagonal_eigenvalue(diag: list, off: list, k: int) -> float:
+    """The (k+1)-th smallest eigenvalue of the symmetric tridiagonal matrix
+    with diagonal ``diag`` and off-diagonal ``off``, by bisection of the
+    Gershgorin interval on the Sturm count (Barth, Martin & Wilkinson,
+    Numer. Math. 9, 1967; LAPACK's dstebz), on Python floats.
+
+    The count of eigenvalues below x is the number of negative pivots of the
+    LDL^T factorisation of T - x I.  A pivot at most ``pivmin`` (as in
+    dstebz) counts as negative and is moved to -pivmin, so a zero pivot
+    divides by no zero.  Bisection stops when the bracket is at most 2 eps
+    of its larger end, or cannot be split."""
+    e2 = [0.0] + [e * e for e in off]
+    pivmin = sys.float_info.min * max(1.0, *e2)
+    rad = [abs(lo) + abs(hi) for lo, hi in zip([0.0, *off], [*off, 0.0])]
+    lo = min(d - r for d, r in zip(diag, rad))
+    hi = max(d + r for d, r in zip(diag, rad))
+
+    def below(x: float) -> int:
+        count, pivot = 0, 1.0
+        for d, b2 in zip(diag, e2):
+            pivot = d - x - b2 / pivot
+            if pivot <= pivmin:
+                count += 1
+                pivot = min(pivot, -pivmin)
+        return count
+
+    tol = 2.0 * sys.float_info.epsilon
+    while hi - lo > tol * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid) > k:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

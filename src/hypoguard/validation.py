@@ -338,7 +338,7 @@ def girsanov_entropy_rate_langevin(base: TargetModel, alt: TargetModel, gamma: f
         d = float(alt.gradient(np.array([x]))[0] - base.gradient(np.array([x]))[0])
         return d * d
 
-    val = stationary_expectation_1d(alt)(integrand, limit=200)
+    val = stationary_expectation_1d(alt)(integrand)
     return base.beta / (4.0 * gamma) * val
 
 
@@ -382,7 +382,7 @@ def jump_entropy_rate_zigzag(base: TargetModel, alt: TargetModel) -> float:
                 return 0.0
             return rt * math.log(rt / r) - rt + r
 
-        total += 0.5 * expect(integrand, limit=400, points=[0.0])
+        total += 0.5 * expect(integrand, points=[0.0])
     return total
 
 
@@ -408,7 +408,7 @@ def uq_experiment(config: ExperimentConfig, alt_target: TargetModel) -> Validati
     else:
         raise ValueError(f"no entropy-rate formula for sampler '{config.sampler}'")
     alt_mean = stationary_expectation_1d(alt_target)(
-        lambda x: float(config.observable.f(np.array([[x]]))[0]), limit=200)
+        lambda x: float(config.observable.f(np.array([[x]]))[0]))
     bias = abs(alt_mean - stats.mean)
     if math.isinf(entropy_rate):
         return ValidationReport(

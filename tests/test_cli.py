@@ -196,10 +196,28 @@ def test_uq_tilt_beyond_the_float_range_exits_2(tmp_path):
     assert "exceeds the float range" in err, err
 
 
+def test_uq_langevin_scale_on_a_stiff_gaussian_gets_its_entropy_rate(tmp_path):
+    # N(0, 1/50) against the 1.01-scaled alternative: QUADPACK from one panel
+    # on [-40, 40] saw none of the mass, reported rate 0 and bound 0, and exit 1
+    h, factor, gamma = 50.0, 1.01, 1.0
+    cfg = edited(SMALL, {"target.h": h, "sampler": {"name": "langevin", "gamma": gamma},
+                         "perturbation": {"kind": "scale", "factor": factor}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["validate", "uq", "--config", str(path)])
+    details = json.loads(stdout.getvalue())["report"]["details"]
+    assert code == 0, details
+    exact = (factor - 1.0) ** 2 * h / (4.0 * gamma * factor)
+    assert details["entropy_rate"] == pytest.approx(exact, rel=1e-12)
+    assert details["bias"] <= details["bound"]
+
+
 def test_cli_import_loads_no_scipy():
     # importing the CLI loads no scipy (nor NumPy, tests/test_imports.py): each
     # command imports what it runs, and only indicator and clipped_coord
-    # statistics and the quadratures of targets call into scipy
+    # statistics call into scipy
     code = "import sys, hypoguard.cli; print('scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

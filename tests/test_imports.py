@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli_golden import CALLS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -79,3 +80,20 @@ def test_every_public_name_resolves_through_the_lazy_package():
 def test_readme_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
     assert run_python(block) == "0.5733 in [-0.8273, 2.0404] with probability >= 0.9\n"
+
+
+def test_gibbs_quadrature_and_poincare_estimate_load_no_scipy(tmp_path):
+    # 1-D quadrature and the tridiagonal eigenvalue are in the package; only
+    # the Gaussian indicator and clipped_coord statistics read scipy's ndtr
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from hypoguard import builtin_target, estimate_poincare_1d, "
+            "observable_stats_quadrature\n"
+            "well = builtin_target('double_well', beta=1.5, poincare_const=1.0)\n"
+            "assert estimate_poincare_1d(well) > 0\n"
+            "observable_stats_quadrature(lambda q: np.cos(q[..., 0]), well)\n"
+            "print('scipy' in sys.modules)\n")
+    assert run_python(code) == "False\n"
+    for name in ("validate uq", "validate uq scale"):
+        argv, cfg, _ = CALLS[name]
+        assert "scipy" not in loaded_after(argv, cfg, tmp_path), name

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -16,9 +17,11 @@ from hypoguard import (
     observable_stats_quadrature,
     scale_potential,
     simulate_zigzag,
+    stationary_expectation_1d,
 )
 from hypoguard.catalog import builtin_stats, gaussian_iso
 from hypoguard.samplers import stream_rng
+from hypoguard.targets import _tridiagonal_eigenvalue
 
 
 def finite_diff_grad(V, q, h=1e-6):
@@ -350,3 +353,63 @@ def test_poincare_estimate_where_the_density_underflows():
     assert math.isfinite(well) and well > 0.0
     stiff = builtin_target("gaussian_iso", dim=1, h=50.0, beta=1.0)
     assert estimate_poincare_1d(stiff) == pytest.approx(50.0, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("a,b", [(2.0, -1.0), (-1.5, 0.75)])
+def test_sturm_bisection_meets_the_toeplitz_spectrum(n, a, b):
+    # T = tridiag(b, a, b) has eigenvalues a + 2b cos(k pi/(n+1)), k = 1..n.
+    # The Gershgorin interval is [a - 2|b|, a + 2|b|], so the first bisection
+    # point is a itself: the first pivot a - x is an exact zero, and for odd
+    # n the point is also the middle eigenvalue
+    exact = sorted(a + 2.0 * b * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
+    for k, lam in enumerate(exact):
+        assert _tridiagonal_eigenvalue([a] * n, [b] * (n - 1), k) == pytest.approx(lam, abs=1e-14)
+
+
+def _mp_gibbs_mean(potential, beta, g, breaks):
+    """E[g] under exp(-beta V) on [-40, 40], by 40-digit tanh-sinh quadrature
+    split at ``breaks``."""
+    with mpmath.workdps(40):
+        w = lambda x: mpmath.exp(-beta * potential(x))  # noqa: E731
+        pts = [-40, *breaks, 40]
+        return mpmath.quad(lambda x: g(x) * w(x), pts) / mpmath.quad(w, pts)
+
+
+WELL_BREAKS = [-1.5, -1, -0.5, 0, 0.5, 1, 1.5]
+WELL_CASES = {
+    "1": (lambda x: 1.0, lambda x: 1, {}),
+    "q^2": (lambda x: x * x, lambda x: x * x, {}),
+    "cos": (math.cos, mpmath.cos, {}),
+    "1[0.5,1.5]": (lambda x: float(0.5 <= x <= 1.5), lambda x: 1 if 0.5 <= x <= 1.5 else 0, {}),
+    "1[0.5,1.5] cut": (lambda x: float(0.5 <= x <= 1.5), lambda x: 1 if 0.5 <= x <= 1.5 else 0,
+                       {"points": (0.5, 1.5)}),
+}
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 3.0, 6.0])
+@pytest.mark.parametrize("name", WELL_CASES)
+def test_well_expectations_meet_a_40_digit_oracle(beta, name):
+    # QUADPACK from one panel on [-40, 40] returned 0 for q^2 at beta >= 3
+    # and for the uncut indicator at every beta
+    g, g_mp, options = WELL_CASES[name]
+    target = builtin_target("double_well", beta=beta, poincare_const=1.0)
+    got = stationary_expectation_1d(target)(g, **options)
+    oracle = _mp_gibbs_mean(lambda x: (x * x - 1) ** 2 / 4, beta, g_mp, WELL_BREAKS)
+    assert abs(got - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [1.0, 100.0, 1e4])
+@pytest.mark.parametrize("mu", [0.0, -0.37])
+def test_narrow_gaussian_second_moment_meets_a_40_digit_oracle(h, mu):
+    # N(mu, 1/h) as the tilt V = h q^2/2 + delta q of the centred law, delta = -mu h;
+    # one QUADPACK panel missed the whole mass at h >= 100
+    delta = -mu * h
+    alt = linear_tilt(builtin_target("gaussian_iso", dim=1, h=h, beta=1.0), delta)
+    got = stationary_expectation_1d(alt)(lambda x: x * x)
+    with mpmath.workdps(40):
+        centre = -mpmath.mpf(delta) / h
+        oracle = _mp_gibbs_mean(lambda x: h * x * x / 2 + delta * x, 1.0, lambda x: x * x,
+                                [centre - 0.5, centre, centre + 0.5])
+        assert abs(oracle - (centre ** 2 + 1 / mpmath.mpf(h))) <= 1e-30
+    assert abs(got - oracle) <= 1e-12

@@ -61,6 +61,25 @@ class TestEntropyRates:
             pytest.approx(oracle, rel=1e-6)
         )
 
+    @pytest.mark.parametrize("h,beta", [(1.0, 1.0), (50.0, 1.0), (4.0, 2.5)])
+    def test_girsanov_tilt_meets_its_closed_form_on_a_grid(self, h, beta):
+        # grad Vtilt - grad V = delta, so the rate is beta delta^2 / (4 gamma)
+        base = builtin_target("gaussian_iso", dim=1, h=h, beta=beta)
+        for delta in (-0.3, 0.05, 0.1, 1.0):
+            for gamma in (0.5, 1.0, 2.0):
+                rate = girsanov_entropy_rate_langevin(base, linear_tilt(base, delta), gamma)
+                assert rate == pytest.approx(beta * delta * delta / (4.0 * gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("h,beta", [(1.0, 1.0), (50.0, 1.0), (1e4, 1.0), (4.0, 2.5)])
+    def test_girsanov_scale_meets_its_closed_form_on_a_grid(self, h, beta):
+        # (f - 1)^2 h^2 E_alt[q^2] with E_alt[q^2] = 1/(beta f h): the rate is
+        # (f - 1)^2 h / (4 gamma f), whatever beta
+        base = builtin_target("gaussian_iso", dim=1, h=h, beta=beta)
+        for f in (0.8, 1.01, 1.2, 2.0):
+            for gamma in (0.5, 1.0, 2.0):
+                rate = girsanov_entropy_rate_langevin(base, scale_potential(base, f), gamma)
+                assert rate == pytest.approx((f - 1.0) ** 2 * h / (4.0 * gamma * f), rel=1e-12)
+
     def test_jump_rate_scale_oracle(self, std_target):
         # scaled rates r~ = s r pointwise: rate is E_alt[r] (s log s - s + 1)
         s = 1.2
