@@ -4,9 +4,9 @@ This module holds the parameters each built-in takes, their checks, the
 law of ``gaussian_iso``, the exact statistics of every built-in observable
 under a Gaussian coordinate marginal and the rules of a Gaussian start.
 It imports no NumPy, so the closed-form commands (``hypoguard ci`` and
-``constants``) on a ``gaussian_iso`` target with ``sin`` or ``cos`` run
-without it, from either start.  :mod:`hypoguard.targets` builds its models on
-the same checks and takes each observable's statistics from
+``constants``) on a ``gaussian_iso`` target run without it, from either
+start.  :mod:`hypoguard.targets` builds its models on the same checks and
+takes each observable's statistics from
 :func:`builtin_stats`; :mod:`hypoguard.validation` draws its starts with
 :func:`gaussian_start` and certifies them with :func:`start_norm`.
 """
@@ -83,6 +83,12 @@ def gaussian_iso(**params) -> GaussianIso:
     return GaussianIso(dim=int(dim), h=h, beta=beta)
 
 
+def _normal_cdf(x: float) -> float:
+    """Phi(x), the standard normal CDF, through the platform's ``erfc``; the
+    upper tail 1 - Phi(x) is ``_normal_cdf(-x)``, with no cancellation."""
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+
 def _gaussian_coord_var(target, coord: int) -> float:
     if not target.is_quadratic:
         raise ValueError("closed-form stats require a Gaussian target")
@@ -95,8 +101,7 @@ def builtin_stats(name: str, target, coord: int = 0, **params) -> tuple[dict, Ob
     ``target`` (a :class:`GaussianIso` or a ``targets.TargetModel``).
 
     sin(omega), cos(omega): characteristic-function statistics.
-    indicator(a, b): 1_{[a,b]}; clipped_coord(L): clip(q, -L, L); both read
-        the normal CDF from scipy (imported on first use).
+    indicator(a, b): 1_{[a,b]}; clipped_coord(L): clip(q, -L, L).
 
     Raw (unclipped) coordinates are rejected; the guarantees require bounded
     observables.  Unknown names and parameters, parameter values that are not
@@ -123,17 +128,18 @@ def builtin_stats(name: str, target, coord: int = 0, **params) -> tuple[dict, Ob
         return {"omega": omega}, ObservableStats(mean=mean, variance=var,
                                                  sup_norm=1.0 + abs(mean))
 
-    from .targets import _ndtr
-
     if name == "indicator":
         a, b = float(params["a"]), float(params["b"])
         if not a < b:
             raise ValueError("indicator requires a < b")
         s = math.sqrt(_gaussian_coord_var(target, coord))
-        mean = float(_ndtr(b / s) - _ndtr(a / s))
-        var = mean * (1.0 - mean)
-        return {"a": a, "b": b}, ObservableStats(mean=mean, variance=var,
-                                                 sup_norm=max(mean, 1.0 - mean))
+        if a >= 0:  # two upper tails, so that far out the mean keeps its digits
+            mean = _normal_cdf(-a / s) - _normal_cdf(-b / s)
+        else:
+            mean = _normal_cdf(b / s) - _normal_cdf(a / s)
+        outside = _normal_cdf(a / s) + _normal_cdf(-b / s)  # 1 - mean, with its digits
+        return {"a": a, "b": b}, ObservableStats(mean=mean, variance=mean * outside,
+                                                 sup_norm=max(mean, outside))
 
     L = float(params["L"])
     if L <= 0:
@@ -143,10 +149,9 @@ def builtin_stats(name: str, target, coord: int = 0, **params) -> tuple[dict, Ob
     # E[X^2 1{|X|<=L}] + L^2 P(|X|>L) for X ~ N(0, s^2)
     z = L / s
     phi = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-    inner = s2 * (2.0 * _ndtr(z) - 1.0) - 2.0 * L * s * phi
-    var = float(inner + L * L * 2.0 * (1.0 - _ndtr(z)))
+    inner = s2 * (2.0 * _normal_cdf(z) - 1.0) - 2.0 * L * s * phi
+    var = inner + L * L * 2.0 * _normal_cdf(-z)
     return {"L": L}, ObservableStats(mean=0.0, variance=var, sup_norm=L)
-
 
 
 def gaussian_chi_square_norm(mu0: float, s2: float, sigma2: float) -> float:

@@ -18,12 +18,11 @@ configuration, so identical (config, seed) runs produce byte-identical
 output.
 
 Each command imports only the modules it runs.  ``ci`` and ``constants``
-compute closed forms on Python floats: on a ``gaussian_iso`` target with
-``sin`` or ``cos`` they load neither NumPy nor scipy, from either ``initial``
-start (the other observables take the normal CDF from scipy, and the other
-targets build NumPy models); they alone read ``dmu_norm`` and
-``observable_stats``.  ``lab`` loads NumPy and the operator lab, and
-``sample`` and ``validate`` load the samplers.
+compute closed forms on Python floats: on a ``gaussian_iso`` target they
+load no NumPy, from either ``initial`` start (the other targets build NumPy
+models); they alone read ``dmu_norm`` and ``observable_stats``.  ``lab``
+loads NumPy and the operator lab, and ``sample`` and ``validate`` load the
+samplers.  No command loads scipy.
 """
 
 from __future__ import annotations

@@ -228,14 +228,6 @@ def builtin_target(name: str, **params) -> TargetModel:
 # observables
 
 
-def _ndtr(x: float) -> float:
-    """Standard normal CDF.  scipy is imported on first use, so that commands
-    that need none of it (the CLI's closed-form ones) do not load it."""
-    from scipy.special import ndtr as cdf
-
-    return cdf(x)
-
-
 def builtin_observable(name: str, target: TargetModel, coord: int = 0, **params) -> Observable:
     """Bounded built-in observables of a single position coordinate, with
     their statistics from :func:`hypoguard.catalog.builtin_stats`, which

@@ -100,8 +100,8 @@ def test_ci_report_is_the_radii_and_their_inputs(tmp_path, capsys):
 
 
 def test_clipped_coord_mgf_report_is_json(tmp_path, capsys):
-    # the observable's variance comes through scipy's ndtr; as a NumPy scalar
-    # it made each mgf row's "passed" a NumPy bool, which json cannot encode
+    # the observable's variance was once a NumPy scalar, which made each mgf
+    # row's "passed" a NumPy bool, which json cannot encode
     cfg = dict(BASE_CONFIG, observable={"name": "clipped_coord", "L": 1.0}, replicas=10, T=20.0)
     run_inprocess(["validate", "mgf"], cfg, tmp_path)
     report = json.loads(capsys.readouterr().out)["report"]
@@ -215,9 +215,8 @@ def test_uq_langevin_scale_on_a_stiff_gaussian_gets_its_entropy_rate(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # importing the CLI loads no scipy (nor NumPy, tests/test_imports.py): each
-    # command imports what it runs, and only indicator and clipped_coord
-    # statistics call into scipy
+    # importing the CLI loads no scipy (nor NumPy, tests/test_imports.py), and
+    # no command loads it (test_every_command_runs_where_scipy_cannot_be_imported)
     code = "import sys, hypoguard.cli; print('scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -45,11 +45,16 @@ def loaded_after(argv: list, cfg: dict, tmp_path) -> set:
 
 
 @pytest.mark.parametrize("command", ["ci", "constants"])
-@pytest.mark.parametrize("observable", ["cos", "sin"])
+@pytest.mark.parametrize("observable", [
+    {"name": "cos", "omega": 1.0},
+    {"name": "sin", "omega": 1.0},
+    {"name": "indicator", "a": -0.5, "b": 0.5},
+    {"name": "clipped_coord", "L": 1.0},
+], ids=lambda obs: obs["name"])
 def test_closed_form_commands_load_neither_numpy_nor_scipy(tmp_path, command, observable):
     # from the stationary start and from a Gaussian one, whose norm is a closed form too
     for start in ({}, {"initial": {"kind": "gaussian", "mean": 0.5, "var": 0.5}}):
-        cfg = dict(REFERENCE, observable={"name": observable, "omega": 1.0}, **start)
+        cfg = dict(REFERENCE, observable=observable, **start)
         modules = loaded_after([command], cfg, tmp_path)
         assert not {"numpy", "scipy"} & modules, start
         assert not SIMULATING & modules, start
@@ -83,8 +88,7 @@ def test_readme_quick_start_runs():
 
 
 def test_gibbs_quadrature_and_poincare_estimate_load_no_scipy(tmp_path):
-    # 1-D quadrature and the tridiagonal eigenvalue are in the package; only
-    # the Gaussian indicator and clipped_coord statistics read scipy's ndtr
+    # 1-D quadrature and the tridiagonal eigenvalue are in the package
     code = ("import sys\n"
             "import numpy as np\n"
             "from hypoguard import builtin_target, estimate_poincare_1d, "
@@ -97,3 +101,36 @@ def test_gibbs_quadrature_and_poincare_estimate_load_no_scipy(tmp_path):
     for name in ("validate uq", "validate uq scale"):
         argv, cfg, _ = CALLS[name]
         assert "scipy" not in loaded_after(argv, cfg, tmp_path), name
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported():
+    # scipy is a test oracle only: in an interpreter whose import system
+    # refuses it, every command runs on the observables that read the normal
+    # CDF, and the BPS call keeps its golden digest
+    calls = {"sample bps aniso": CALLS["sample bps aniso"]}
+    for observable in ({"name": "indicator", "a": -0.5, "b": 0.5}, {"name": "clipped_coord", "L": 1.0}):
+        # at T = 500 both radii are below the trivial bound, so coverage can pass
+        cfg = dict(REFERENCE, observable=observable, T=500.0, replicas=10,
+                   perturbation={"kind": "scale", "factor": 1.2})
+        for argv in (["ci"], ["constants"], ["sample"], ["validate", "all"], ["validate", "uq"]):
+            calls[f"{' '.join(argv)} {observable['name']}"] = (argv, cfg, {})
+    code = ("import json, sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is refused')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "try:\n"
+            "    import scipy.special\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('scipy was imported')\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import test_cli_golden as golden\n"
+            f"golden.CALLS = json.loads({json.dumps(calls)!r})\n"
+            "print(json.dumps({name: golden.record(name) for name in golden.CALLS}))\n")
+    records = json.loads(run_python(code))
+    assert {name: rec["exit"] for name, rec in records.items()} == dict.fromkeys(calls, 0)
+    expected = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    assert records["sample bps aniso"] == expected["sample bps aniso"]

@@ -1,6 +1,7 @@
 """Target models, observables, and closed-form statistics vs quadrature oracles."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from hypoguard import (
     simulate_zigzag,
     stationary_expectation_1d,
 )
-from hypoguard.catalog import builtin_stats, gaussian_iso
+from hypoguard.catalog import _normal_cdf, builtin_stats, gaussian_iso
 from hypoguard.samplers import stream_rng
 from hypoguard.targets import _tridiagonal_eigenvalue
 
@@ -211,6 +212,48 @@ def test_gaussian_iso_law_is_the_model_bit_for_bit():
         model = builtin_target("gaussian_iso", dim=2, h=1.5, beta=0.8)
         assert builtin_stats(name, law, 1, **params)[1] == builtin_observable(
             name, model, 1, **params).stats
+
+
+def _upper_tail(x) -> mpmath.mpf:
+    """1 - Phi(x) at the working precision."""
+    return mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
+
+
+def test_normal_cdf_is_as_accurate_as_scipys_ndtr():
+    # a 50-digit oracle on 10^4 points in [-38, 38], plus points around
+    # |x| = 1/sqrt(2), where scipy's ndtr switches from erf to erfc; below
+    # x = -37.5 Phi is subnormal, so the relative errors are also compared
+    # where it is a normal float
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(26)
+    near = [sign * (math.sqrt(0.5) + k * 1e-4) for k in range(-100, 101) for sign in (1, -1)]
+    xs = rng.uniform(-38.0, 38.0, 10_000).tolist() + near
+    with mpmath.workdps(50):
+        exact = [_upper_tail(-x) for x in xs]
+
+        def worst(cdf, smallest):
+            return max(float(abs(cdf(x) - e) / e) for x, e in zip(xs, exact) if e >= smallest)
+
+        for smallest in (0.0, sys.float_info.min):
+            assert worst(_normal_cdf, smallest) <= worst(lambda x: float(ndtr(x)), smallest)
+
+
+def test_indicator_stats_meet_a_50_digit_oracle_far_out():
+    # [a, b] on N(0, 1) with ends on a half-unit grid in [-9, 9]: with both
+    # ends in the upper tail Phi(b) - Phi(a) cancels (7% off on [8, 9]), and
+    # 1 - mean rounded the variance on [-9, 9] to 0
+    grid = [k / 2 for k in range(-18, 19)]
+    pairs = [(a, b) for a in grid for b in grid if a < b]
+    assert {(5.0, 6.0), (8.0, 9.0), (-9.0, -8.0), (-0.5, 0.5), (-9.0, 9.0)} <= set(pairs)
+    law = gaussian_iso(dim=1, h=1.0, beta=1.0)
+    with mpmath.workdps(50):
+        for a, b in pairs:
+            stats = builtin_stats("indicator", law, a=a, b=b)[1]
+            mean = _upper_tail(a) - _upper_tail(b)
+            variance = mean * (1 - mean)
+            assert abs(stats.mean - mean) <= 1e-14 * mean, (a, b)
+            assert abs(stats.variance - variance) <= 1e-14 * variance, (a, b)
 
 
 def test_chi_square_norm_oracle():
