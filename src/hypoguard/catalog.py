@@ -148,8 +148,13 @@ def builtin_stats(name: str, target, coord: int = 0, **params) -> tuple[dict, Ob
     s = math.sqrt(s2)
     # E[X^2 1{|X|<=L}] + L^2 P(|X|>L) for X ~ N(0, s^2)
     z = L / s
-    phi = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-    inner = s2 * (2.0 * _normal_cdf(z) - 1.0) - 2.0 * L * s * phi
+    if z < 0.5:  # the closed form below cancels to its z^3 term; its series does not
+        inner = s2 * math.sqrt(2.0 / math.pi) * math.fsum(
+            (-1) ** (n + 1) * 2 * n * z ** (2 * n + 1) / ((2 * n + 1) * 2 ** n * math.factorial(n))
+            for n in range(1, 16))
+    else:
+        phi = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+        inner = s2 * (2.0 * _normal_cdf(z) - 1.0) - 2.0 * L * s * phi
     var = inner + L * L * 2.0 * _normal_cdf(-z)
     return {"L": L}, ObservableStats(mean=0.0, variance=var, sup_norm=L)
 

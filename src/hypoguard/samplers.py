@@ -675,7 +675,7 @@ def time_average(traj: Trajectory, f, order: int = 5):
     gives a tuple of their averages from one pass over the path, each equal
     bit for bit to the average of that function alone.
     """
-    funcs = [g.f if hasattr(g, "f") else g for g in (f if isinstance(f, tuple) else (f,))]
+    funcs = f if isinstance(f, tuple) else (f,)
     if traj.discretized:
         avgs = [float(np.trapezoid(np.asarray(func(traj.qs), dtype=float), traj.times)
                       / traj.times[-1]) for func in funcs]

@@ -292,9 +292,9 @@ _G_WEIGHTS = tuple(_WG[j // 2] if j % 2 else 0.0 for _, j in _GK_NODES)
 
 def _kronrod_panels(panel_values, a: float, b: float, cuts=()):
     """Integrate over [a, b] from the start partition of ``_QUAD_PANELS``
-    equal panels plus ``cuts``: ``panel_values(nodes)`` returns the
-    integrand at the 15 Kronrod nodes of a panel.  The panel with the
-    largest |K15 - G7| is bisected until the sum of those differences is at
+    equal panels plus ``cuts``: ``panel_values(q)`` returns the integrand at
+    a panel's 15 Kronrod nodes, positions q of shape (15, 1).  The panel with
+    the largest |K15 - G7| is bisected until the sum of those differences is at
     most ``_QUAD_RTOL`` times the K15 integral of |integrand|, or until
     ``_QUAD_MAX_PANELS`` panels; the result is the exactly rounded sum of
     the panels' K15 values.  Deterministic: ties go to the earlier panel."""
@@ -305,8 +305,7 @@ def _kronrod_panels(panel_values, a: float, b: float, cuts=()):
 
     def add(lo: float, hi: float) -> None:
         c, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = [c + s * hw * _XGK[j] for s, j in _GK_NODES]
-        fs = panel_values(nodes)
+        fs = panel_values(np.array([c + s * hw * _XGK[j] for s, j in _GK_NODES])[:, None]).tolist()
         k15 = hw * math.fsum(w * f for w, f in zip(_GK_WEIGHTS, fs))
         g7 = hw * math.fsum(w * f for w, f in zip(_G_WEIGHTS, fs))
         k_abs = hw * math.fsum(w * abs(f) for w, f in zip(_GK_WEIGHTS, fs))
@@ -332,29 +331,33 @@ def _kronrod_panels(panel_values, a: float, b: float, cuts=()):
 
 
 def stationary_expectation_1d(target: TargetModel) -> Callable[..., float]:
-    """The map ``expect(g, points=())`` = E_nu*[g], g a function of a scalar
-    x, for a 1-D target, by adaptive Gauss-Kronrod 7/15 quadrature on
-    [-40, 40] (:func:`_kronrod_panels`): it starts from 32 equal panels plus
-    the breakpoints ``points`` (where g jumps or kinks), and bisects until
-    the |K15 - G7| estimates sum to at most 1e-13 of the integral of |g|
-    against nu*, under a cap of 2000 panels.  exp(-beta V) is normalised
-    once, here, the same way."""
+    """The map ``expect(g, points=())`` = E_nu*[g] for a 1-D target, g mapping
+    positions of shape (n, 1) to values of shape (n,) as an :class:`Observable`
+    does (any other shape raises ``ValueError``), by adaptive Gauss-Kronrod 7/15
+    quadrature on [-40, 40] (:func:`_kronrod_panels`), one call of g per panel:
+    from 32 equal panels plus the breakpoints ``points`` (where g jumps or
+    kinks), it bisects until the |K15 - G7| estimates sum to at most 1e-13 of
+    the integral of |g| against nu*, under a cap of 2000 panels."""
     if target.dim != 1:
         raise ValueError(f"quadrature expectations are 1-D only, not dim {target.dim}")
 
-    def raw(nodes: list) -> list:
+    def density(q: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            w = np.exp(-target.beta * target.potential(np.array(nodes)[:, None]))
+            w = np.exp(-target.beta * target.potential(q))
         if np.any(np.isinf(w)):
             raise ValueError(f"target '{target.name}': -beta V exceeds the float range "
                              f"on [-{_QUAD_LIM:g}, {_QUAD_LIM:g}]")
-        return w.tolist()
+        return w
 
-    Z = _kronrod_panels(raw, -_QUAD_LIM, _QUAD_LIM)
+    Z = _kronrod_panels(density, -_QUAD_LIM, _QUAD_LIM)
 
-    def expect(g: Callable[[float], float], points=()) -> float:
-        def values(nodes):
-            return [g(x) * w for x, w in zip(nodes, raw(nodes))]
+    def expect(g: Callable[[np.ndarray], np.ndarray], points=()) -> float:
+        def values(q):
+            gq = np.asarray(g(q), dtype=float)
+            if gq.shape != (len(q),):
+                raise ValueError(f"g of positions of shape {q.shape} must have shape "
+                                 f"({len(q)},), not {gq.shape}")
+            return gq * density(q)
         return _kronrod_panels(values, -_QUAD_LIM, _QUAD_LIM, points) / Z
 
     return expect
@@ -365,18 +368,14 @@ def observable_stats_quadrature(f: Callable[[np.ndarray], np.ndarray],
     """Mean/variance of a 1-D observable by the adaptive Gauss-Kronrod
     quadrature of :func:`stationary_expectation_1d`, with no breakpoints (a
     jump of ``f`` is found by bisection); ``f`` maps positions of shape
-    (n, 1) to values of shape (n,), as :func:`time_average` requires.
+    (n, 1) to values of shape (n,), as the quadrature and time averages take.
 
     The sup norm is estimated on a dense grid, in one call of ``f``
     (diagnostic quality; built-in observables ship exact sup norms instead).
     """
     expect = stationary_expectation_1d(target)
-
-    def f1(x):
-        return float(f(np.array([x])))
-
-    mean = expect(f1)
-    second = expect(lambda x: f1(x) ** 2)
+    mean = expect(f)
+    second = expect(lambda q: np.square(f(q)))
     grid = np.linspace(-_QUAD_LIM, _QUAD_LIM, 20001)
     sup = float(np.max(np.abs(np.asarray(f(grid[:, None]), dtype=float) - mean)))
     return ObservableStats(mean=mean, variance=max(second - mean * mean, 0.0), sup_norm=sup)
@@ -403,7 +402,7 @@ def linear_tilt(target: TargetModel, delta: float) -> TargetModel:
         dim=1,
         beta=target.beta,
         potential=lambda q: base_pot(q) + delta * np.asarray(q)[..., 0],
-        gradient=lambda q: base_grad(q) + np.array([delta]),
+        gradient=lambda q: base_grad(q) + delta,
         poincare_const=target.poincare_const,
         hessian=None,
         hessian_bound=target.hessian_bound,

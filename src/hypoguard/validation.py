@@ -334,11 +334,8 @@ def girsanov_entropy_rate_langevin(base: TargetModel, alt: TargetModel, gamma: f
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
 
-    def integrand(x: float) -> float:
-        d = float(alt.gradient(np.array([x]))[0] - base.gradient(np.array([x]))[0])
-        return d * d
-
-    val = stationary_expectation_1d(alt)(integrand)
+    val = stationary_expectation_1d(alt)(
+        lambda q: np.square(alt.gradient(q)[:, 0] - base.gradient(q)[:, 0]))
     return base.beta / (4.0 * gamma) * val
 
 
@@ -371,16 +368,14 @@ def jump_entropy_rate_zigzag(base: TargetModel, alt: TargetModel) -> float:
     expect = stationary_expectation_1d(alt)
     total = 0.0
     for v in (-1.0, 1.0):
-        def integrand(x: float) -> float:
-            r = beta * max(0.0, v * float(base.gradient(np.array([x]))[0]))
-            rt = beta * max(0.0, v * float(alt.gradient(np.array([x]))[0]))
-            if rt <= 1e-300:
-                return r
-            if r <= 1e-300:
-                # measure-zero boundary point: AC scan above already ruled
-                # out positive-measure support violations
-                return 0.0
-            return rt * math.log(rt / r) - rt + r
+        def integrand(q: np.ndarray) -> np.ndarray:
+            r = beta * np.maximum(0.0, v * base.gradient(q)[:, 0])
+            rt = beta * np.maximum(0.0, v * alt.gradient(q)[:, 0])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                kl = rt * np.log(rt / r) - rt + r
+            # r = 0 < rt is a measure-zero boundary point: the AC scan above
+            # already ruled out positive-measure support violations
+            return np.where(rt <= 1e-300, r, np.where(r <= 1e-300, 0.0, kl))
 
         total += 0.5 * expect(integrand, points=[0.0])
     return total
@@ -407,8 +402,7 @@ def uq_experiment(config: ExperimentConfig, alt_target: TargetModel) -> Validati
         entropy_rate = girsanov_entropy_rate_langevin(config.target, alt_target, config.gamma)
     else:
         raise ValueError(f"no entropy-rate formula for sampler '{config.sampler}'")
-    alt_mean = stationary_expectation_1d(alt_target)(
-        lambda x: float(config.observable.f(np.array([[x]]))[0]))
+    alt_mean = stationary_expectation_1d(alt_target)(config.observable)
     bias = abs(alt_mean - stats.mean)
     if math.isinf(entropy_rate):
         return ValidationReport(

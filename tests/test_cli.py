@@ -169,6 +169,12 @@ def test_sample_csv(config_path, tmp_path):
     float(rows[1].split(",")[1])  # numeric payload
 
 
+def test_sample_csv_without_out_exits_2(tmp_path, capsys):
+    assert run_inprocess(["sample", "--format", "csv"], BASE_CONFIG, tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--format csv requires --out PATH" in err
+
+
 def test_lab_subcommands(config_path):
     for sub in ("perturb", "eigen"):
         res = run_cli("lab", sub, "--seed", "3")

@@ -905,7 +905,7 @@ class TestSeparableWellThinning:
                                       np.array([1.0, -1.0]) * (-1.0) ** i), funcs)
                 for i in range(self.M)]
         well = builtin_target("double_well", beta=self.WELL2.beta, poincare_const=1.0)
-        expected = stationary_expectation_1d(well)(math.cos)
+        expected = stationary_expectation_1d(well)(lambda q: np.cos(q[:, 0]))
         for j in range(2):
             stationary_moment_check([a[j] for a in avgs], expected, f"{sampler} E[cos q{j}]")
 
@@ -961,6 +961,20 @@ def test_export_csv_round_trip(tmp_path):
     # numeric columns parse back to floats
     t0, q0, p0, _ = rows[1].split(",")
     float(t0), float(q0), float(p0)
+
+
+def test_export_csv_langevin_writes_one_row_per_step(tmp_path):
+    t = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
+    mom = MomentumModel(kind="gaussian", mass=1.0, beta=1.0)
+    traj = simulate_langevin(t, mom, gamma=1.0, T=0.5, step=0.1, seed=5)
+    path = tmp_path / "traj.csv"
+    export_csv(traj, path)
+    rows = [row.split(",") for row in path.read_text().strip().split("\n")]
+    assert rows[0] == ["t", "q0", "p0", "event"]
+    assert len(rows) == len(traj.times) + 1  # header + one row per grid time
+    for row, t_k, q_k, p_k in zip(rows[1:], traj.times, traj.qs, traj.ps):
+        assert [float(x) for x in row[:3]] == [t_k, q_k[0], p_k[0]]
+        assert row[3] == ""
 
 
 def zigzag_sigma2(f, mean, rho, breaks=(), lim=10.0, h=1e-3):

@@ -1,6 +1,7 @@
 """Target models, observables, and closed-form statistics vs quadrature oracles."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -256,6 +257,27 @@ def test_indicator_stats_meet_a_50_digit_oracle_far_out():
             assert abs(stats.variance - variance) <= 1e-14 * variance, (a, b)
 
 
+def test_clipped_coord_variance_meets_a_50_digit_oracle():
+    # E[clip(X, -L, L)^2] for X ~ N(0, s^2) and L/s from 1e-6 to 12, more
+    # densely around the switch to the series at L/s = 0.5: the closed form
+    # s^2 (2 Phi(z) - 1) - 2 L s phi(z) of E[X^2 1{|X| <= L}], z = L/s,
+    # cancels to its z^3 term (5.5e-9 relative error at L = 1e-4 on N(0, 1),
+    # and a variance above L^2 at L = 1e-6)
+    zs = [10 ** (-6 + k * (math.log10(12) + 6) / 200) for k in range(201)]
+    zs += [0.5 + k * 1e-3 for k in range(-10, 11)]
+    for h in (1.0, 0.3, 7.0):
+        law = gaussian_iso(dim=1, h=h, beta=1.0)
+        for z in zs:
+            L = z / math.sqrt(h)
+            got = builtin_stats("clipped_coord", law, L=L)[1].variance
+            with mpmath.workdps(50):
+                L_mp, s = mpmath.mpf(L), 1 / mpmath.sqrt(h)
+                inner = (s * s * mpmath.erf(L_mp / (s * mpmath.sqrt(2)))
+                         - 2 * L_mp * s * mpmath.npdf(L_mp / s))
+                exact = inner + 2 * L_mp * L_mp * _upper_tail(L_mp / s)
+                assert abs(got - exact) <= 1e-14 * exact, (h, z)
+
+
 def test_chi_square_norm_oracle():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -419,13 +441,17 @@ def _mp_gibbs_mean(potential, beta, g, breaks):
         return mpmath.quad(lambda x: g(x) * w(x), pts) / mpmath.quad(w, pts)
 
 
+def _in_band(q):
+    return ((0.5 <= q[:, 0]) & (q[:, 0] <= 1.5)).astype(float)
+
+
 WELL_BREAKS = [-1.5, -1, -0.5, 0, 0.5, 1, 1.5]
 WELL_CASES = {
-    "1": (lambda x: 1.0, lambda x: 1, {}),
-    "q^2": (lambda x: x * x, lambda x: x * x, {}),
-    "cos": (math.cos, mpmath.cos, {}),
-    "1[0.5,1.5]": (lambda x: float(0.5 <= x <= 1.5), lambda x: 1 if 0.5 <= x <= 1.5 else 0, {}),
-    "1[0.5,1.5] cut": (lambda x: float(0.5 <= x <= 1.5), lambda x: 1 if 0.5 <= x <= 1.5 else 0,
+    "1": (lambda q: np.ones(len(q)), lambda x: 1, {}),
+    "q^2": (lambda q: q[:, 0] * q[:, 0], lambda x: x * x, {}),
+    "cos": (lambda q: np.cos(q[:, 0]), mpmath.cos, {}),
+    "1[0.5,1.5]": (_in_band, lambda x: 1 if 0.5 <= x <= 1.5 else 0, {}),
+    "1[0.5,1.5] cut": (_in_band, lambda x: 1 if 0.5 <= x <= 1.5 else 0,
                        {"points": (0.5, 1.5)}),
 }
 
@@ -449,10 +475,23 @@ def test_narrow_gaussian_second_moment_meets_a_40_digit_oracle(h, mu):
     # one QUADPACK panel missed the whole mass at h >= 100
     delta = -mu * h
     alt = linear_tilt(builtin_target("gaussian_iso", dim=1, h=h, beta=1.0), delta)
-    got = stationary_expectation_1d(alt)(lambda x: x * x)
+    got = stationary_expectation_1d(alt)(lambda q: q[:, 0] * q[:, 0])
     with mpmath.workdps(40):
         centre = -mpmath.mpf(delta) / h
         oracle = _mp_gibbs_mean(lambda x: h * x * x / 2 + delta * x, 1.0, lambda x: x * x,
                                 [centre - 0.5, centre, centre + 0.5])
         assert abs(oracle - (centre ** 2 + 1 / mpmath.mpf(h))) <= 1e-30
     assert abs(got - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("integrand,shape", [
+    (lambda q: np.cos(q), "(15, 1)"),  # a column, once broadcast to (15, 15)
+    (lambda q: 1.0, "()"),
+    (lambda q: np.cos(q[:3, 0]), "(3,)"),
+], ids=["column", "scalar", "short"])
+def test_expectation_rejects_an_integrand_of_the_wrong_shape(integrand, shape):
+    expect = stationary_expectation_1d(BASE_1D)
+    message = f"g of positions of shape (15, 1) must have shape (15,), not {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expect(integrand)
+    assert expect(lambda q: np.cos(q[:, 0])) == pytest.approx(math.exp(-0.5), abs=1e-14)
