@@ -21,19 +21,26 @@ potentials the rate is affine in s and inverted in closed form; for
 general potentials the clocks are simulated by thinning against an affine
 envelope of the rate, certified by the target's Hessian bound on a sliding
 window, up to the next refresh, by :func:`sample_by_thinning` in every
-dimension.  A violated envelope is a
-hard error, never a silent acceptance.  Hybrid HMC follows the exact
-Hamiltonian flow of a quadratic potential and refuses any other target.
+dimension.  A violated envelope is a hard error, never a silent
+acceptance.  In one dimension the jumps act on floats too: a flip is -p,
+and a bounce makes the IEEE operations of :func:`reflect` on 1-vectors.
+Hybrid HMC follows the exact Hamiltonian flow of a quadratic potential and
+refuses any other target; its flight starts come from one running sum per
+block of 64 duration draws, and its eigenbasis from the target, which
+computes it once.
+
+A :class:`Trajectory` keeps its flights and events as the columns the
+simulation collects; its ``segments`` and ``events`` record arrays are
+built on first read, so averaging a path builds neither.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,9 +106,11 @@ class HamiltonianFlow:
     measure to sample.
     """
 
-    def __init__(self, hessian: np.ndarray, mass: float):
+    def __init__(self, modes: tuple[np.ndarray, np.ndarray], mass: float):
+        """``modes`` = (eigenvalues, eigenvectors) of H, as ``np.linalg.eigh``
+        returns them (a target computes them once: ``hessian_modes``)."""
         self.mass = mass
-        evals, self.U = np.linalg.eigh(hessian)
+        evals, self.U = modes
         if evals[0] <= 0.0:
             raise ValueError("exact flow requires a positive definite Hessian")
         self.omega = np.sqrt(evals / mass)
@@ -138,22 +147,24 @@ class HamiltonianFlow:
 class Trajectory:
     """Seed-reproducible record of a simulated path on [0, horizon].
 
-    ``segments`` is a record array with one row per flight, fields ``t0``,
-    ``duration``, ``q0`` and ``p0`` (the last two of shape (d,), so
-    ``segments.q0`` is an (n, d) array); on PDMP and exact-flow paths the
-    flights tile [0, horizon].  ``events`` has one row per event, fields
-    ``time`` and ``kind`` (bounce | flip | refresh | hhmc-resample); on a
-    flow path event k ends flight k, so the momenta on either side of it are
-    ``segments.p0[k]`` and ``segments.p0[k + 1]``.  Langevin trajectories,
-    the only discretized ones (``discretized``: ``times`` is set), store the
+    ``flights`` holds the columns of the flights: ``t0`` and ``duration`` of
+    shape (n,), ``q0`` and ``p0`` of shape (n, d); on PDMP and exact-flow
+    paths the flights tile [0, horizon].  ``kinds`` lists the kind of each
+    event (bounce | flip | refresh | hhmc-resample); event k ends flight k,
+    at time ``t0[k + 1]``, so the momenta on either side of it are
+    ``p0[k]`` and ``p0[k + 1]``.  ``segments`` (fields ``t0``, ``duration``,
+    ``q0``, ``p0``) and ``events`` (fields ``time``, ``kind``) are record
+    arrays of these columns, built on first read and then kept: the replica
+    engine reads the columns and builds neither.  Langevin trajectories, the
+    only discretized ones (``discretized``: ``times`` is set), store the
     step grid in ``times``/``qs``/``ps`` and have no flights or events.
     """
 
     sampler: str
     horizon: float
     mass: float
-    segments: np.recarray
-    events: np.recarray
+    flights: tuple
+    kinds: Sequence[str] = ()
     final_q: Optional[np.ndarray] = None
     final_p: Optional[np.ndarray] = None
     flow: Optional[HamiltonianFlow] = None
@@ -165,20 +176,24 @@ class Trajectory:
     def discretized(self) -> bool:
         return self.times is not None
 
+    @functools.cached_property
+    def segments(self) -> np.recarray:
+        d = np.shape(self.flights[2])[1]
+        return _record_array([("t0", float), ("duration", float), ("q0", float, (d,)),
+                              ("p0", float, (d,))], self.flights)
 
-def _tables(d: int, segments=(), events=()) -> tuple[np.recarray, np.recarray]:
-    """The record arrays of a path in dimension d from its columns: t0,
-    duration, q0 and p0 of the flights, time and kind of the events."""
-    tables = []
-    for columns, fields in (
-        (segments, [("t0", float), ("duration", float), ("q0", float, (d,)), ("p0", float, (d,))]),
-        (events, [("time", float), ("kind", "U13")]),
-    ):
-        table = np.empty(len(columns[0]) if columns else 0, fields)
-        for name, column in zip(table.dtype.names, columns):
-            table[name] = column
-        tables.append(table.view(np.recarray))
-    return tables[0], tables[1]
+    @functools.cached_property
+    def events(self) -> np.recarray:
+        return _record_array([("time", float), ("kind", "U13")],
+                             (self.flights[0][1:len(self.kinds) + 1], self.kinds))
+
+
+def _record_array(fields: list, columns: tuple) -> np.recarray:
+    """The record array with these fields, filled from their columns."""
+    table = np.empty(len(columns[0]), fields)
+    for name, column in zip(table.dtype.names, columns):
+        table[name] = column
+    return table.view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +345,31 @@ def _check_params(**params: float) -> None:
             raise ValueError(f"need {name} {sign} 0, got {value}")
 
 
-def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
+def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jumps: tuple,
                    target: TargetModel, momentum: MomentumModel, refresh_rate: float,
                    T: float, seed: int, q0, p0) -> Trajectory:
     """Linear flight between refreshes and the jumps of the ``clock`` stream.
 
     ``slopes(v, w)`` lists u_i . w over the jump clocks' directions u_i (see
-    :func:`_flight_state`).  ``jump(p, grad, i)`` returns the momentum after
-    clock i fires, or None where the jump is undefined, in which case the
-    momentum is refreshed.  grad V is evaluated once per event point and
-    shared by the next clocks and the jump.  The refresh time, drawn first,
-    ends the clocks' horizon (a later jump is never used); the two streams
-    are separate, so the order of the draws changes no quadratic-target
-    path.  :func:`_flight_state` builds the clocks and holds the state on
-    (d,) arrays, or on Python floats, with the same bits, for every target
-    in one dimension.
+    :func:`_flight_state`).  ``jumps`` holds the map ``jump(p, grad, i)`` on
+    (d,) arrays and on Python floats: the momentum after clock i fires, or
+    None where the jump is undefined, in which case the momentum is
+    refreshed.  grad V is evaluated once per event point and shared by the
+    next clocks and the jump.  The refresh time, drawn first, ends the
+    clocks' horizon (a later jump is never used); the two streams are
+    separate, so the order of the draws changes no quadratic-target path.
+    :func:`_flight_state` builds the clocks and holds the state on (d,)
+    arrays, or on Python floats, with the same bits, for every target in one
+    dimension.  The flights are kept as columns and the events as their
+    kinds (:class:`Trajectory`).
     """
     _check_params(T=T, refresh_rate=refresh_rate)
     gradient, first_jump, jump, refresh, lift = _flight_state(
-        clock, slopes, jump, target, momentum, seed, target.dim == 1)
+        clock, slopes, jumps, target, momentum, seed, target.dim == 1)
     q, p = lift(*_initial_state(target, momentum, seed, q0, p0))
     rng_refresh = stream_rng(seed, "refresh")
     m, d = momentum.mass, target.dim
-    segments, events = [], []
+    segments, kinds = [], []
     grad = gradient(q)
     t = 0.0
     while t < T:
@@ -371,14 +388,13 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jump: Callable,
         kind, p = clock, (jump(p, grad, i) if tau_c <= tau_r else None)
         if p is None:
             kind, p = "refresh", refresh(rng_refresh)
-        events.append((t, kind))
+        kinds.append(kind)
     t0s, taus, qs, ps = zip(*segments)
-    tables = _tables(d, (t0s, taus, np.reshape(qs, (-1, d)), np.reshape(ps, (-1, d))),
-                     tuple(zip(*events)))
-    return Trajectory(sampler, T, m, *tables, np.reshape(q, d), np.reshape(p, d))
+    flights = (np.array(t0s), np.array(taus), np.reshape(qs, (-1, d)), np.reshape(ps, (-1, d)))
+    return Trajectory(sampler, T, m, flights, kinds, np.reshape(q, d), np.reshape(p, d))
 
 
-def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetModel,
+def _flight_state(clock: str, slopes: Callable, jumps: tuple, target: TargetModel,
                   momentum: MomentumModel, seed: int, floats: bool) -> tuple:
     """The jump clocks of :func:`_simulate_pdmp`, and its state: on (d,)
     arrays, or with ``floats`` on Python floats with the same operations in
@@ -400,8 +416,9 @@ def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetMo
     non-quadratic target without one is rejected before any clock is drawn.
     On floats (every target in one dimension) the affine slope is a + b s,
     a = v grad V(q) and b = v (h v) for the 1 x 1 Hessian h, and the reach
-    is beta sqrt(v^2 v^2); the gradient, the Hessian bound and each jump
-    still act on 1-element arrays, as user callables expect.
+    is beta sqrt(v^2 v^2); the gradient and the Hessian bound still act on
+    1-element arrays, as user callables expect, and the jump is the float
+    map of ``jumps``.
     """
     quadratic = target.is_quadratic
     if not quadratic and target.hessian_bound is None:
@@ -435,7 +452,7 @@ def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetMo
             tau = min(taus)
             return tau, taus.index(tau)
 
-        return (gradient, first_jump, jump, lambda rng: momentum.sample(rng, target.dim),
+        return (gradient, first_jump, jumps[0], lambda rng: momentum.sample(rng, target.dim),
                 lambda q, p: (q, p))
     if quadratic:
         h = float(target.hessian[0, 0])
@@ -456,11 +473,7 @@ def _flight_state(clock: str, slopes: Callable, jump: Callable, target: TargetMo
 
             return sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng_clock, horizon), 0
 
-    def jump_float(p, grad, i):
-        p_jump = jump(np.array([p]), grad, i)
-        return None if p_jump is None else float(p_jump[0])
-
-    return (lambda q: target.gradient(np.array([q])), first_jump, jump_float, momentum.draw,
+    return (lambda q: target.gradient(np.array([q])), first_jump, jumps[1], momentum.draw,
             lambda q, p: (float(q[0]), float(p[0])))
 
 
@@ -484,9 +497,20 @@ def simulate_bps(
         # reflection is undefined at a critical point of V
         return reflect(p, grad, factor=reflection_factor) if np.any(grad) else None
 
+    def bounce_float(p, grad, i):
+        # the IEEE operations of bounce on the 1-vectors [p] and grad
+        g = float(grad[0])
+        if g == 0.0:
+            return None
+        g2 = g * g
+        if g2 == 0.0:
+            raise ValueError("degenerate gradient: reflection undefined")
+        return p - reflection_factor * (p * g / g2) * g
+
     # one bounce clock, direction u = v
-    return _simulate_pdmp("bps", "bounce", lambda v, w: [float(np.dot(v, w))], bounce,
-                          target, momentum, refresh_rate, T, seed, q0, p0)
+    return _simulate_pdmp("bps", "bounce", lambda v, w: [float(np.dot(v, w))],
+                          (bounce, bounce_float), target, momentum, refresh_rate, T, seed,
+                          q0, p0)
 
 
 def simulate_zigzag(
@@ -507,8 +531,8 @@ def simulate_zigzag(
     momentum = MomentumModel(kind="rademacher", beta=target.beta)
     # one flip clock per component i, direction u_i = v_i e_i
     return _simulate_pdmp("zigzag", "flip", lambda v, w: (v * w).tolist(),
-                          lambda p, grad, i: flip(p, i), target, momentum,
-                          refresh_rate, T, seed, q0, v0)
+                          (lambda p, grad, i: flip(p, i), lambda p, grad, i: -p),
+                          target, momentum, refresh_rate, T, seed, q0, v0)
 
 
 def simulate_hhmc(
@@ -539,31 +563,66 @@ def simulate_hhmc(
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, seed, q0, p0)
     m, d = momentum.mass, target.dim
-    # the duration stream draws one kind only, so it is drawn in blocks,
-    # which equal the same number of single draws
-    durations = _draws(lambda n: rng_dur.exponential(size=n).tolist())
-    starts, taus, t = [], [], 0.0
-    while t < T:
-        tau = min(next(durations) / resample_rate, T - t)
-        starts.append(t)
-        taus.append(tau)
-        t += tau
+    starts, taus = _flight_times(rng_dur, resample_rate, T)
     k = len(taus) - 1
     ps = np.concatenate([p[None], momentum.sample(rng_refresh, k * d).reshape(k, d)])
     # in eigen-coordinates y = q U each flight is y -> y cos(omega tau) + b
     # with b = (p U / m) sin(omega tau) / omega, one recurrence per
     # coordinate; the momentum at the end of a flight is resampled unread
-    flow = HamiltonianFlow(target.hessian, m)
+    flow = HamiltonianFlow(target.hessian_modes, m)
     th = np.multiply.outer(taus[:k], flow.omega)
     cs = np.cos(th).T.tolist()
     bs = ((ps[:k] @ flow.U) / m * (np.sin(th) / flow.omega)).T.tolist()
-    ys = [itertools.accumulate(zip(c, b), lambda y, cb: y * cb[0] + cb[1], initial=y0)
-          for y0, c, b in zip((q @ flow.U).tolist(), cs, bs)]
-    qs = np.array(list(zip(*ys))) @ flow.U.T
+    ys = []
+    for y, c_col, b_col in zip((q @ flow.U).tolist(), cs, bs):
+        col = [y]
+        for c, b in zip(c_col, b_col):
+            y = y * c + b
+            col.append(y)
+        ys.append(col)
+    qs = np.ascontiguousarray(np.array(ys).T) @ flow.U.T
     qs[0] = q  # the start itself, not its round trip through U
     q, p = flow(qs[-1], ps[-1], taus[-1])
-    segments, events = _tables(d, (starts, taus, qs, ps), (starts[1:], "hhmc-resample"))
-    return Trajectory("hhmc", T, m, segments, events, final_q=q, final_p=p, flow=flow)
+    return Trajectory("hhmc", T, m, (starts, taus, qs, ps), ["hhmc-resample"] * k,
+                      final_q=q, final_p=p, flow=flow)
+
+
+def _flight_times(rng: np.random.Generator, rate: float, T: float) -> tuple:
+    """Starts and durations, as (n,) arrays, of flights of Exp(rate)
+    duration drawn from ``rng`` that tile [0, T], the last one cut at T:
+    bit for bit those of the single-draw loop
+
+        t = 0.0
+        while t < T:
+            tau = min(rng.exponential() / rate, T - t)
+            (a flight of duration tau starts at t)
+            t += tau
+
+    The draws come in blocks of 64, equal to 64 single draws.  One
+    ``np.cumsum`` per block, a left-to-right float sum and so the bits of
+    ``t += tau``, gives the starts of the flights that the loop leaves
+    uncut; from the first flight it cuts at T (t + (T - t) may round below
+    T, so that one need not be the last), the draws left in the block take
+    the loop's own step.
+    """
+    starts, taus, t = [], [], 0.0
+    while t < T:
+        draws = rng.exponential(size=_DRAW_BLOCK) / rate
+        ends = np.cumsum(np.concatenate(([t], draws)))
+        begins = ends[:-1]
+        stops = ~((begins < T) & (draws <= T - begins))
+        n = int(stops.argmax()) if stops.any() else len(draws)
+        starts.append(begins[:n])
+        taus.append(draws[:n])
+        t = float(ends[n])
+        for tau in draws[n:].tolist():
+            if not t < T:
+                break
+            tau = min(tau, T - t)
+            starts.append([t])
+            taus.append([tau])
+            t += tau
+    return np.concatenate(starts), np.concatenate(taus)
 
 
 def simulate_langevin(
@@ -642,8 +701,8 @@ def simulate_langevin_batch(
             q = np.add(q, half * p / m, out=q_next)
             kick = half * gradient(q)
             p = np.subtract(p, kick, out=p_next)
-    segments, events = _tables(d)
-    return [Trajectory("langevin", float(times[-1]), momentum.mass, segments, events,
+    no_flights = (np.empty(0), np.empty(0), np.empty((0, d)), np.empty((0, d)))
+    return [Trajectory("langevin", float(times[-1]), momentum.mass, no_flights,
                        final_q=qs[-1, r], final_p=ps[-1, r], times=times,
                        qs=qs[:, r], ps=ps[:, r])
             for r in range(R)]
@@ -685,13 +744,12 @@ def time_average(traj: Trajectory, f, order: int = 5):
 
     # split each segment into panels of length <= 0.5 so the fixed-order
     # rule stays accurate on long flights
-    seg = traj.segments
-    dur = seg.duration
+    _, dur, q0, p0 = traj.flights
     k = np.maximum(np.ceil(dur / 0.5).astype(int), 1)
     sub = np.repeat(dur / k, k)
     # panel j of a segment starts at (d / n) * j, j counted within the segment
     start = sub * (np.arange(sub.size) - np.repeat(np.cumsum(k) - k, k))
-    q0, p0 = np.repeat(seg.q0, k, axis=0), np.repeat(seg.p0, k, axis=0)
+    q0, p0 = np.repeat(q0, k, axis=0), np.repeat(p0, k, axis=0)
     if traj.flow is None:
         v = p0 / traj.mass
         position = lambda s: q0 + s[:, None] * v

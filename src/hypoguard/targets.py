@@ -9,6 +9,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -70,14 +71,34 @@ class TargetModel:
     def marginal_var(self, coord: int = 0) -> float:
         return float(self.stationary_cov()[coord, coord])
 
+    @functools.cached_property
+    def _position_factor(self) -> np.ndarray:
+        """Cholesky factor of ``stationary_cov()``, computed on first use and
+        kept read-only: every exact draw from this target reuses it."""
+        chol = np.linalg.cholesky(self.stationary_cov())
+        chol.flags.writeable = False
+        return chol
+
     def sample_position(self, rng: np.random.Generator, size: int | None = None):
         """Exact draw from nu* (quadratic potentials only)."""
-        cov = self.stationary_cov()
-        chol = np.linalg.cholesky(cov)
+        chol = self._position_factor
         n = 1 if size is None else size
         z = rng.standard_normal((n, self.dim))
         qs = z @ chol.T
         return qs[0] if size is None else qs
+
+    @functools.cached_property
+    def hessian_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of the constant Hessian, as
+        ``np.linalg.eigh`` returns them, computed on first use and kept
+        read-only: the modes of the exact Hamiltonian flow, which every
+        exact-HHMC replica on this target reuses."""
+        if self.hessian is None:
+            raise ValueError(f"target '{self.name}' has no constant Hessian")
+        modes = tuple(np.linalg.eigh(self.hessian))
+        for a in modes:
+            a.flags.writeable = False
+        return modes
 
 
 @dataclass(frozen=True)

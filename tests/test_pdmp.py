@@ -168,7 +168,7 @@ def test_thinned_clock_has_exact_hazard(q, v, floats):
     # the flight crosses all three critical points of the double well; the
     # kit's clock runs on (q, v) as Python floats, as every 1-D thinned run
     # does, or as (1,) arrays, as d > 1 targets do
-    first_jump = _flight_state("flip", lambda v, w: (v * w).tolist(), None, WELL,
+    first_jump = _flight_state("flip", lambda v, w: (v * w).tolist(), (None, None), WELL,
                                MomentumModel(kind="rademacher"), 5, floats)[1]
     grad = WELL.gradient(np.array([q]))
     qv, vv = (q, v) if floats else (np.array([q]), np.array([v]))

@@ -1,5 +1,6 @@
 """Event-time inversion, thinning exactness, reflections, flows, and moments."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -32,11 +33,11 @@ from hypoguard import (
     simulate_zigzag,
     stationary_expectation_1d,
     time_average,
+    validation,
 )
 from hypoguard.samplers import (
     HamiltonianFlow,
     Trajectory,
-    _tables,
     export_csv,
     replica_seed,
     stream_rng,
@@ -192,7 +193,7 @@ class TestStreams:
 class TestHamiltonianFlow:
     def test_energy_conserved(self):
         H = np.array([[2.0, 0.5], [0.5, 1.0]])
-        flow = HamiltonianFlow(H, mass=1.5)
+        flow = HamiltonianFlow(np.linalg.eigh(H), mass=1.5)
         q0 = np.array([1.0, -0.5])
         p0 = np.array([0.3, 0.7])
 
@@ -207,7 +208,7 @@ class TestHamiltonianFlow:
     def test_matches_harmonic_closed_form(self):
         # 1-D: q(t) = q0 cos(wt) + (p0/(m w)) sin(wt), w = sqrt(h/m)
         h, m = 2.0, 0.5
-        flow = HamiltonianFlow(np.array([[h]]), mass=m)
+        flow = HamiltonianFlow(np.linalg.eigh(np.array([[h]])), mass=m)
         w = math.sqrt(h / m)
         q0, p0, t = 1.2, -0.4, 0.9
         q, p = flow(np.array([[q0]]), np.array([[p0]]), np.array([t]))
@@ -222,7 +223,7 @@ class TestHamiltonianFlow:
     def test_position_is_the_flow_position_bit_for_bit(self, d):
         rng = np.random.default_rng(d)
         A = rng.standard_normal((d, d))
-        flow = HamiltonianFlow(A @ A.T + d * np.eye(d), mass=1.3)
+        flow = HamiltonianFlow(np.linalg.eigh(A @ A.T + d * np.eye(d)), mass=1.3)
         q0, p0 = rng.standard_normal((2, 7, d))
         for t in (0.0, 0.37, 12.9):
             assert np.array_equal(flow.positions(q0[0], p0[0])(t), flow(q0[0], p0[0], t)[0])
@@ -234,7 +235,7 @@ class TestHamiltonianFlow:
     def test_hessian_not_positive_definite_rejected(self, H):
         # a zero or negative mode has no normalisable Gibbs measure
         with pytest.raises(ValueError, match="positive definite"):
-            HamiltonianFlow(H, mass=1.0)
+            HamiltonianFlow(np.linalg.eigh(H), mass=1.0)
 
 
 def per_event_exact_hhmc(target, momentum, resample_rate, T, seed, q0=None, p0=None):
@@ -252,7 +253,7 @@ def per_event_exact_hhmc(target, momentum, resample_rate, T, seed, q0=None, p0=N
     d = target.dim
     durations = draws(lambda n: rng_dur.exponential(size=n).tolist())
     refreshes = draws(lambda n: momentum.sample(rng_refresh, n * d).reshape(n, d))
-    flow = HamiltonianFlow(target.hessian, momentum.mass)
+    flow = HamiltonianFlow(np.linalg.eigh(target.hessian), momentum.mass)
     segments, events, t = [], [], 0.0
     while True:
         tau = min(next(durations) / resample_rate, T - t)
@@ -263,8 +264,11 @@ def per_event_exact_hhmc(target, momentum, resample_rate, T, seed, q0=None, p0=N
             break
         q, p = flow.positions(q, p)(tau), next(refreshes)
         events.append((t, "hhmc-resample"))
-    t0s, taus, qs, ps = zip(*segments)
-    return (*_tables(d, (t0s, taus, qs, ps), tuple(zip(*events))), q, p)
+    times, kinds = zip(*events) if events else ((), ())
+    flights = np.rec.fromarrays([np.array(col) for col in zip(*segments)], dtype=[
+        ("t0", float), ("duration", float), ("q0", float, (d,)), ("p0", float, (d,))])
+    return (flights, np.rec.fromarrays([np.array(times, dtype=float), np.array(kinds, dtype="U13")],
+                                       names="time,kind"), q, p)
 
 
 class TestExactHHMCOracle:
@@ -334,6 +338,60 @@ class TestExactHHMCOracle:
         for fn in (np.cos, np.sin):
             each = np.array([[fn(np.array([x]))[0] for x in row] for row in th])
             assert np.array_equal(fn(th), each)
+
+
+def single_draw_flight_times(seed, rate, T):
+    """Exact HHMC's flight starts and durations as the single-draw loop
+    makes them: the reference of the block form in ``simulate_hhmc``."""
+    rng = stream_rng(seed, "duration")
+    starts, taus, t = [], [], 0.0
+    while t < T:
+        tau = min(rng.exponential() / rate, T - t)
+        starts.append(t)
+        taus.append(tau)
+        t += tau
+    return starts, taus
+
+
+class TestHHMCFlightTimes:
+    """The flight starts of exact HHMC, one cumulative sum per 64-draw block,
+    against the single-draw loop, bit for bit."""
+
+    ISO = builtin_target("gaussian_iso", dim=1, h=1.7)
+    MOMENTUM = MomentumModel(kind="gaussian")
+
+    def _assert_loop(self, seed, rate, T):
+        traj = simulate_hhmc(self.ISO, self.MOMENTUM, rate, T, seed)
+        starts, taus = single_draw_flight_times(seed, rate, T)
+        t0, duration = traj.flights[:2]
+        assert t0.tolist() == starts and duration.tolist() == taus
+        assert traj.events.time.tolist() == starts[1:]
+        return len(taus)
+
+    @pytest.mark.parametrize("rate", [1e-3, 1.0, 1e3])
+    def test_random_horizons(self, rate):
+        rng = np.random.default_rng(int(rate * 1e3))
+        for _ in range(4):
+            seed = int(rng.integers(2**31))
+            first = stream_rng(seed, "duration").exponential() / rate
+            # below the first flight's end, then across at least three blocks
+            assert self._assert_loop(seed, rate, first * rng.uniform(0.01, 0.99)) == 1
+            T = 200.0 / rate * rng.uniform(1.0, 1.5)
+            assert self._assert_loop(seed, rate, T) > 3 * 64
+            T = math.exp(rng.uniform(-5.0, 5.0)) / rate
+            self._assert_loop(seed, rate, T)
+
+    def test_a_cut_flight_that_ends_below_the_horizon(self):
+        # t + (T - t) can round below T when t < T / 2: the loop then makes
+        # one more flight, and so must the block form
+        seed, rate = 12, 0.01  # t2 > t1, and t1's bits round for some T
+        t1, t2 = (x / rate for x in stream_rng(seed, "duration").exponential(size=2))
+        hits = 0
+        for T in np.linspace(2.0 * t1, t1 + t2, 2000)[1:-1].tolist():
+            if t1 + (T - t1) < T:
+                hits += 1
+                assert self._assert_loop(seed, rate, T) == 3
+        assert hits > 0
 
 
 def test_init_stream_is_built_only_for_a_missing_start(monkeypatch):
@@ -802,14 +860,15 @@ def hand_made_trajectory(flow):
     t0 = np.concatenate([[0.0], np.cumsum(durations)[:-1]])
     # q0 and p0 of each segment in turn
     qp = rng.standard_normal((len(durations), 2, 2))
-    segments, events = _tables(2, (t0, durations, qp[:, 0], qp[:, 1]))
     return Trajectory(sampler="hhmc" if flow else "bps", horizon=float(sum(durations)),
-                      mass=1.3, segments=segments, events=events, flow=flow)
+                      mass=1.3, flights=(t0, np.array(durations), qp[:, 0], qp[:, 1]),
+                      flow=flow)
 
 
 @pytest.mark.parametrize("make", [
     lambda: hand_made_trajectory(None),
-    lambda: hand_made_trajectory(HamiltonianFlow(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.3)),
+    lambda: hand_made_trajectory(
+        HamiltonianFlow(np.linalg.eigh(np.array([[2.0, 0.5], [0.5, 1.0]])), 1.3)),
     lambda: simulate_zigzag(builtin_target("gaussian_iso", dim=1), T=50.0, seed=2),
     lambda: simulate_hhmc(builtin_target("gaussian_iso", dim=1),
                           MomentumModel(kind="gaussian"), resample_rate=0.3, T=50.0, seed=2),
@@ -825,6 +884,22 @@ def test_time_average_matches_per_segment_panels(make):
     assert time_average(traj, fs) == tuple(scalar)
     if not traj.discretized:
         assert scalar == [per_segment_time_average(traj, f) for f in fs]
+
+
+def test_record_arrays_are_built_on_first_read_and_kept(monkeypatch, std_config):
+    built, record_array = [], samplers._record_array
+    monkeypatch.setattr(samplers, "_record_array",
+                        lambda *columns: built.append(columns) or record_array(*columns))
+    for sampler in ("zigzag", "bps", "hhmc", "langevin"):
+        reps = validation.run_replicas(
+            dataclasses.replace(std_config, sampler=sampler, T=20.0, replicas=3))
+        assert len(reps["F"]) == 3
+    assert built == []
+    traj = simulate_zigzag(builtin_target("gaussian_iso", dim=2), 20.0, 3, 1.0)
+    assert built == []
+    segments, events = traj.segments, traj.events
+    assert len(built) == 2 and len(events) == len(segments) - 1 > 0
+    assert traj.segments is segments and traj.events is events and len(built) == 2
 
 
 class TestDoubleWellThinning:

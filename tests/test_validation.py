@@ -110,6 +110,25 @@ class TestEntropyRates:
             ) == math.inf
 
 
+    @pytest.mark.parametrize("delta_base, delta_alt", [(1e-4, 2e-4), (0.0011, 0.0013)])
+    def test_jump_rate_sliver_between_grid_points_is_infinite(self, std_target, delta_base,
+                                                               delta_alt):
+        # the alternative flips on (-delta_alt, -delta_base) where the base
+        # cannot: a set of positive mass narrower than the scan's grid step
+        # (2e-3) and containing none of its points
+        base, alt = (linear_tilt(std_target, d) for d in (delta_base, delta_alt))
+        assert jump_entropy_rate_zigzag(base, alt) == math.inf
+
+    def test_jump_rate_shared_zero_between_grid_points_is_finite(self, std_target):
+        # the zero of both flip rates sits between grid points, where the
+        # scan refines the grid, and the rates share it: no sliver, and the
+        # rate is the untilted scale oracle's (a tilt shifts both alike)
+        base = linear_tilt(std_target, 1e-4)
+        rate = jump_entropy_rate_zigzag(base, scale_potential(base, 1.2))
+        untilted = jump_entropy_rate_zigzag(std_target, scale_potential(std_target, 1.2))
+        assert math.isfinite(rate) and rate == pytest.approx(untilted, rel=1e-6)
+
+
 class TestCoverage:
     def test_passes_at_small_scale(self, std_config):
         rep = coverage_experiment(small(std_config, replicas=30))
