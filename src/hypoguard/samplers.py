@@ -587,7 +587,8 @@ def simulate_hhmc(
                       final_q=q, final_p=p, flow=flow)
 
 
-def _flight_times(rng: np.random.Generator, rate: float, T: float) -> tuple:
+def _flight_times(rng: np.random.Generator, rate: float,
+                  T: float) -> tuple[np.ndarray, np.ndarray]:
     """Starts and durations, as (n,) arrays, of flights of Exp(rate)
     duration drawn from ``rng`` that tile [0, T], the last one cut at T:
     bit for bit those of the single-draw loop
