@@ -666,9 +666,15 @@ def simulate_langevin_batch(
     path that ``simulate_langevin`` gives for ``seeds[r]`` and that start.
     ``target.gradient`` is called on (R, d) batches, once per step plus once
     at the start: a step's closing half kick is the next step's opening one.
-    The path is stored time-major, as one (n + 1, R, d) array whose row k+1
-    each step writes in place; replica r's trajectory holds the (n + 1, d)
-    view ``qs[:, r]``.
+    A step from (q, p), with kick = (step/2) grad V(q) and noise row z, is
+    opened = p - kick and mixed = c1 opened + z, the rows of one (2, R, d)
+    pair, so one multiply and one divide give both half drifts
+    (step/2) pair / m; then q' = (q + drift[0]) + drift[1], kick' =
+    (step/2) grad V(q') and p' = mixed - kick'.  These are the IEEE
+    operations of the one-replica splitting in its order, nine NumPy calls
+    besides the gradient.  The path is stored time-major, as one
+    (n + 1, R, d) array whose row k+1 each step writes in place; replica
+    r's trajectory holds the (n + 1, d) view ``qs[:, r]``.
     """
     _check_params(T=T, step=step, gamma=gamma)
     R, d = len(seeds), target.dim
@@ -685,6 +691,8 @@ def simulate_langevin_batch(
     # overhead per operation on small arrays
     half, m, c1 = np.array(0.5 * step), np.array(momentum.mass), np.array(c1)
     noise = np.empty((min(_NOISE_BLOCK, n_steps), R, d))
+    pair, drift = np.empty((2, 2, R, d))
+    (opened, mixed), (first_drift, second_drift) = pair, drift
     gradient = target.gradient
     kick = half * gradient(q)
     for k in range(0, n_steps, _NOISE_BLOCK):
@@ -696,12 +704,13 @@ def simulate_langevin_batch(
             block[:, r] = rng.standard_normal((size, d))
         block *= c2  # in place: no second block is held
         for z, q_next, p_next in zip(block, qs[k + 1:k + 1 + size], ps[k + 1:k + 1 + size]):
-            p = p - kick
-            q = q + half * p / m
-            p = c1 * p + z
-            q = np.add(q, half * p / m, out=q_next)
+            np.subtract(p, kick, out=opened)
+            np.multiply(c1, opened, out=mixed)
+            np.add(mixed, z, out=mixed)
+            np.divide(np.multiply(half, pair, out=drift), m, out=drift)
+            q = np.add(np.add(q, first_drift, out=q_next), second_drift, out=q_next)
             kick = half * gradient(q)
-            p = np.subtract(p, kick, out=p_next)
+            p = np.subtract(mixed, kick, out=p_next)
     no_flights = (np.empty(0), np.empty(0), np.empty((0, d)), np.empty((0, d)))
     return [Trajectory("langevin", float(times[-1]), momentum.mass, no_flights,
                        final_q=qs[-1, r], final_p=ps[-1, r], times=times,

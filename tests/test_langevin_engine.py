@@ -28,7 +28,7 @@ from hypoguard import (
     simulate_langevin,
     time_average,
 )
-from hypoguard.samplers import replica_seed, simulate_langevin_batch, stream_rng
+from hypoguard.samplers import _NOISE_BLOCK, replica_seed, simulate_langevin_batch, stream_rng
 from hypoguard.validation import _LANGEVIN_CHUNK, run_replicas
 
 ISO = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
@@ -145,14 +145,14 @@ def test_one_chunk_of_paths_at_a_time(monkeypatch):
 WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
 
 
-def batch_from(target, replicas, T, seed=4):
+def batch_from(target, replicas, T, seed=4, step=0.01):
     """simulate_langevin_batch of ``replicas`` replicas from drawn starts,
     with the seeds and starts it was given."""
     seeds = [replica_seed(seed, r) for r in range(replicas)]
     rng = np.random.default_rng(seed)
     q0, p0 = rng.standard_normal((2, replicas, target.dim))
     mom = MomentumModel(kind="gaussian", mass=1.2, beta=target.beta)
-    return simulate_langevin_batch(target, mom, 1.3, T, 0.01, seeds, q0, p0), seeds, q0, p0
+    return simulate_langevin_batch(target, mom, 1.3, T, step, seeds, q0, p0), seeds, q0, p0
 
 
 def test_batch_follows_the_former_loop_replica_by_replica():
@@ -164,6 +164,20 @@ def test_batch_follows_the_former_loop_replica_by_replica():
         assert traj.qs.shape == traj.ps.shape == (2501, 1) and traj.times.shape == (2501,)
         assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
         assert np.array_equal(traj.final_q, qs[-1]) and np.array_equal(traj.final_p, ps[-1])
+
+
+@pytest.mark.parametrize("T, n_steps", [(0.125, 1), (128.0, _NOISE_BLOCK), (128.125, 1025)])
+def test_noise_block_edges_follow_the_former_loop(T, n_steps):
+    # one step, one full noise block and one step past it, on a step that
+    # T / step counts exactly: the stacked buffers carry nothing across a
+    # block
+    assert _NOISE_BLOCK == 1024
+    trajs, seeds, q0, p0 = batch_from(WELL, 3, T=T, step=0.125)
+    mom = MomentumModel(kind="gaussian", mass=1.2, beta=WELL.beta)
+    for traj, seed, q, p in zip(trajs, seeds, q0, p0):
+        qs, ps = former_loop_from(WELL, mom, 1.3, T, 0.125, seed, q, p)
+        assert len(traj.times) == n_steps + 1 and traj.times[-1] == T
+        assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
 
 
 def test_one_gradient_per_step():
