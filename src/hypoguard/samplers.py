@@ -547,18 +547,22 @@ def simulate_hhmc(
     """Hybrid HMC: exact Hamiltonian flow (a phase-space rotation) for
     Exp(resample_rate) durations, then full momentum resample from rho*.
 
-    Only quadratic potentials have this exact flow, so any other target is
-    rejected, by name, before a stream is built.  The durations and the
-    resampled momenta do not depend on the state, so they are all drawn
-    first, and the positions then move by one recurrence per
-    eigen-coordinate.  At d = 1 this equals flowing one flight at a time bit
-    for bit; at d > 1 the positions differ from that by rounding only (about
-    3e-14 at d = 50).
+    Only quadratic potentials have this exact flow, and it keeps
+    exp(-beta (V + |p|^2 / 2m)) only with momenta from N(0, m/beta), so any
+    other target or momentum law is rejected, by name, before a stream is
+    built.  The durations and the resampled momenta do not depend on the
+    state, so they are all drawn first, and the positions then move by one
+    recurrence per eigen-coordinate.  At d = 1 this equals flowing one
+    flight at a time bit for bit; at d > 1 the positions differ from that by
+    rounding only (about 3e-14 at d = 50).
     """
     _check_params(T=T, resample_rate=resample_rate)
     if not target.is_quadratic:
         raise ValueError(f"target '{target.name}' is not quadratic: hybrid HMC runs "
                          "only its exact flow")
+    if momentum.kind != "gaussian":
+        raise ValueError(f"momentum law '{momentum.kind}' is not Gaussian: hybrid HMC "
+                         "resamples momenta from N(0, m/beta) only")
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, seed, q0, p0)
