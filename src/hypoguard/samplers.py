@@ -695,8 +695,10 @@ def simulate_langevin_batch(
     # overhead per operation on small arrays
     half, m, c1 = np.array(0.5 * step), np.array(momentum.mass), np.array(c1)
     noise = np.empty((min(_NOISE_BLOCK, n_steps), R, d))
-    pair, drift = np.empty((2, 2, R, d))
-    (opened, mixed), (first_drift, second_drift) = pair, drift
+    # c1 opened and q + drift[0] go to spare rows: an out= that is also an
+    # input takes about twice as long on a 1-element array (R = d = 1)
+    pair, drift, spare = np.empty((3, 2, R, d))
+    (opened, mixed), (first_drift, second_drift), (damped, midway) = pair, drift, spare
     gradient = target.gradient
     kick = half * gradient(q)
     for k in range(0, n_steps, _NOISE_BLOCK):
@@ -709,10 +711,9 @@ def simulate_langevin_batch(
         block *= c2  # in place: no second block is held
         for z, q_next, p_next in zip(block, qs[k + 1:k + 1 + size], ps[k + 1:k + 1 + size]):
             np.subtract(p, kick, out=opened)
-            np.multiply(c1, opened, out=mixed)
-            np.add(mixed, z, out=mixed)
+            np.add(np.multiply(c1, opened, out=damped), z, out=mixed)
             np.divide(np.multiply(half, pair, out=drift), m, out=drift)
-            q = np.add(np.add(q, first_drift, out=q_next), second_drift, out=q_next)
+            q = np.add(np.add(q, first_drift, out=midway), second_drift, out=q_next)
             kick = half * gradient(q)
             p = np.subtract(mixed, kick, out=p_next)
     no_flights = (np.empty(0), np.empty(0), np.empty((0, d)), np.empty((0, d)))
