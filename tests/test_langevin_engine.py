@@ -168,8 +168,8 @@ def test_batch_follows_the_former_loop_replica_by_replica():
 
 @pytest.mark.parametrize("T, n_steps", [(0.125, 1), (128.0, _NOISE_BLOCK), (128.125, 1025)])
 def test_noise_block_edges_follow_the_former_loop(T, n_steps):
-    # one step, one full noise block and one step past it, on a step that
-    # T / step counts exactly: the stacked buffers carry nothing across a
+    # one step, one full noise block and one step past it, with step 0.125
+    # so that T / step is exact: the stacked buffers carry nothing across a
     # block
     assert _NOISE_BLOCK == 1024
     trajs, seeds, q0, p0 = batch_from(WELL, 3, T=T, step=0.125)
