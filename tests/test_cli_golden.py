@@ -1,7 +1,8 @@
 """Pin the CLI output for accepted configs: the sha256 of stdout (and of the
 CSV export) of each call below must match ``data/cli_golden.json``.
 
-The calls run small configs (T = 20, 10 replicas) in-process.  Regenerate
+The calls run small configs (T = 20, 10 replicas; one HHMC export runs
+T = 150) in-process.  Regenerate
 the file only for a deliberate change of the output or of the seed contract:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -41,6 +42,8 @@ BPS = {**SMALL, "target": {"name": "gaussian_aniso", "H": [[2.0, 0.5], [0.5, 1.0
        "sampler": {"name": "bps", "refresh_rate": 0.5, "reflection_factor": 2.0}}
 SCALE = {**SMALL, "perturbation": {"kind": "scale", "factor": 1.2}}
 NO_SEED = {k: v for k, v in SMALL.items() if k != "seed"}
+# about 150 flights: the duration draws cross more than two blocks
+HHMC_LONG = {**SMALL, "sampler": {"name": "hhmc", "refresh_rate": 1.0}, "T": 150.0}
 LAB = {"dim": 4, "trials": 20, "lambda_grid_size": 10}
 
 # name -> (argv, config, environment)
@@ -54,6 +57,7 @@ CALLS = {
     "sample": (["sample"], SMALL, {}),
     "sample --seed": (["sample", "--seed", "7"], SMALL, {}),
     "sample csv": (["sample", "--format", "csv"], SMALL, {}),
+    "sample csv hhmc": (["sample", "--format", "csv"], HHMC_LONG, {}),
     "sample gaussian start": (["sample"], GAUSSIAN_START, {}),
     "sample langevin": (["sample"], LANGEVIN, {}),
     "sample bps aniso": (["sample"], BPS, {}),
