@@ -25,9 +25,9 @@ dimension.  A violated envelope is a hard error, never a silent
 acceptance.  In one dimension the jumps act on floats too: a flip is -p,
 and a bounce makes the IEEE operations of :func:`reflect` on 1-vectors.
 Hybrid HMC follows the exact Hamiltonian flow of a quadratic potential and
-refuses any other target; its flight starts come from one running sum per
-block of 64 duration draws, and its eigenbasis from the target, which
-computes it once.
+refuses any other target; its flights come from a loop over single
+duration draws, taken from blocks of 64, and its eigenbasis from the
+target, which computes it once.
 
 A :class:`Trajectory` keeps its flights and events as the columns the
 simulation collects; its ``segments`` and ``events`` record arrays are
@@ -548,13 +548,14 @@ def simulate_hhmc(
     Exp(resample_rate) durations, then full momentum resample from rho*.
 
     Only quadratic potentials have this exact flow, and it keeps
-    exp(-beta (V + |p|^2 / 2m)) only with momenta from N(0, m/beta), so any
-    other target or momentum law is rejected, by name, before a stream is
-    built.  The durations and the resampled momenta do not depend on the
-    state, so they are all drawn first, and the positions then move by one
-    recurrence per eigen-coordinate.  At d = 1 this equals flowing one
-    flight at a time bit for bit; at d > 1 the positions differ from that by
-    rounding only (about 3e-14 at d = 50).
+    exp(-beta (V + |p|^2 / 2m)) only with momenta from N(0, m/beta) at the
+    target's beta, so any other target, momentum law or momentum beta is
+    rejected, by name, before a stream is built.  The durations, one draw
+    per flight with the last flight cut at T, and the resampled momenta do
+    not depend on the state, so they are all drawn first, and the positions
+    then move by one recurrence per eigen-coordinate.  At d = 1 this equals
+    flowing one flight at a time bit for bit; at d > 1 the positions differ
+    from that by rounding only (about 3e-14 at d = 50).
     """
     _check_params(T=T, resample_rate=resample_rate)
     if not target.is_quadratic:
@@ -563,11 +564,23 @@ def simulate_hhmc(
     if momentum.kind != "gaussian":
         raise ValueError(f"momentum law '{momentum.kind}' is not Gaussian: hybrid HMC "
                          "resamples momenta from N(0, m/beta) only")
+    if momentum.beta != target.beta:
+        raise ValueError(f"momentum beta {momentum.beta} is not the target's beta {target.beta}")
     rng_dur = stream_rng(seed, "duration")
     rng_refresh = stream_rng(seed, "refresh")
     q, p = _initial_state(target, momentum, seed, q0, p0)
     m, d = momentum.mass, target.dim
-    starts, taus = _flight_times(rng_dur, resample_rate, T)
+    durations = _draws(lambda n: rng_dur.exponential(size=n).tolist())
+    starts, taus, t = [], [], 0.0
+    while t < T:
+        tau = next(durations) / resample_rate
+        # not min(), as in _simulate_pdmp; t + (T - t) may round below T, and
+        # then one more flight follows the cut one
+        tau = tau if tau < T - t else T - t
+        starts.append(t)
+        taus.append(tau)
+        t += tau
+    starts, taus = np.array(starts), np.array(taus)
     k = len(taus) - 1
     ps = np.concatenate([p[None], momentum.sample(rng_refresh, k * d).reshape(k, d)])
     # in eigen-coordinates y = q U each flight is y -> y cos(omega tau) + b
@@ -591,45 +604,6 @@ def simulate_hhmc(
                       final_q=q, final_p=p, flow=flow)
 
 
-def _flight_times(rng: np.random.Generator, rate: float,
-                  T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and durations, as (n,) arrays, of flights of Exp(rate)
-    duration drawn from ``rng`` that tile [0, T], the last one cut at T:
-    bit for bit those of the single-draw loop
-
-        t = 0.0
-        while t < T:
-            tau = min(rng.exponential() / rate, T - t)
-            (a flight of duration tau starts at t)
-            t += tau
-
-    The draws come in blocks of 64, equal to 64 single draws.  One
-    ``np.cumsum`` per block, a left-to-right float sum and so the bits of
-    ``t += tau``, gives the starts of the flights that the loop leaves
-    uncut; from the first flight it cuts at T (t + (T - t) may round below
-    T, so that one need not be the last), the draws left in the block take
-    the loop's own step.
-    """
-    starts, taus, t = [], [], 0.0
-    while t < T:
-        draws = rng.exponential(size=_DRAW_BLOCK) / rate
-        ends = np.cumsum(np.concatenate(([t], draws)))
-        begins = ends[:-1]
-        stops = ~((begins < T) & (draws <= T - begins))
-        n = int(stops.argmax()) if stops.any() else len(draws)
-        starts.append(begins[:n])
-        taus.append(draws[:n])
-        t = float(ends[n])
-        for tau in draws[n:].tolist():
-            if not t < T:
-                break
-            tau = min(tau, T - t)
-            starts.append([t])
-            taus.append([tau])
-            t += tau
-    return np.concatenate(starts), np.concatenate(taus)
-
-
 def simulate_langevin(
     target: TargetModel,
     momentum: MomentumModel,
@@ -646,8 +620,11 @@ def simulate_langevin(
     update over the full step, half drift, half kick (second-order weak
     splitting).  The output is discretized: its O(step^2) bias is not
     covered by the exact-process guarantees.  This is the one-replica case
-    of :func:`simulate_langevin_batch`.
+    of :func:`simulate_langevin_batch`.  The momentum law must have the
+    target's beta, the temperature of the OU noise.
     """
+    if momentum.beta != target.beta:
+        raise ValueError(f"momentum beta {momentum.beta} is not the target's beta {target.beta}")
     q, p = _initial_state(target, momentum, seed, q0, p0)
     return simulate_langevin_batch(target, momentum, gamma, T, step, [seed],
                                    q[None], p[None])[0]
@@ -681,6 +658,8 @@ def simulate_langevin_batch(
     r's trajectory holds the (n + 1, d) view ``qs[:, r]``.
     """
     _check_params(T=T, step=step, gamma=gamma)
+    if momentum.beta != target.beta:
+        raise ValueError(f"momentum beta {momentum.beta} is not the target's beta {target.beta}")
     R, d = len(seeds), target.dim
     q, p = _checked_start(q0, p0, (R, d))
     rngs = [stream_rng(seed, "noise") for seed in seeds]

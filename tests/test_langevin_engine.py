@@ -180,6 +180,27 @@ def test_noise_block_edges_follow_the_former_loop(T, n_steps):
         assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
 
 
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_momentum_beta_other_than_the_targets_rejected(monkeypatch, beta):
+    # before any stream is built: the OU update draws its noise at the
+    # momentum's beta, so with beta 0.5 on gaussian_iso (T = 500, 10 runs)
+    # E[q^2] read 1.91, not 1
+    from hypoguard import samplers
+
+    def no_stream(seed, name):
+        raise AssertionError(f"stream '{name}' built")
+
+    monkeypatch.setattr(samplers, "stream_rng", no_stream)
+    mom = MomentumModel(kind="gaussian", mass=1.2, beta=beta)
+    message = f"^momentum beta {beta} is not the target's beta 1.0"
+    for start in ({}, {"q0": np.array([0.4]), "p0": np.array([-1.0])}):
+        with pytest.raises(ValueError, match=message):
+            simulate_langevin(ISO, mom, 1.3, 1.0, 0.01, 9, **start)
+    with pytest.raises(ValueError, match=message):
+        simulate_langevin_batch(ISO, mom, 1.3, 1.0, 0.01, [9, 10], np.zeros((2, 1)),
+                                np.ones((2, 1)))
+
+
 def test_one_gradient_per_step():
     calls = []
 

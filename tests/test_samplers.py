@@ -281,14 +281,16 @@ class TestExactHHMCOracle:
         traj = simulate_hhmc(target, momentum, rate, T, seed, **start)
         return traj, per_event_exact_hhmc(target, momentum, rate, T, seed, **start)
 
-    @pytest.mark.parametrize("momentum, rate, T, min_events", [
-        (MomentumModel(kind="gaussian"), 1.0, 150.0, 65),
-        (MomentumModel(kind="gaussian", mass=2.5, beta=0.7), 0.37, 400.0, 65),
+    @pytest.mark.parametrize("target, momentum, rate, T, min_events", [
+        (ISO, MomentumModel(kind="gaussian"), 1.0, 150.0, 65),
+        (builtin_target("gaussian_iso", dim=1, h=1.7, beta=0.7),
+         MomentumModel(kind="gaussian", mass=2.5, beta=0.7), 0.37, 400.0, 65),
     ], ids=["gaussian", "gaussian-mass-rate"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_d1_is_the_per_event_loop_bit_for_bit(self, momentum, rate, T, min_events, seed):
+    def test_d1_is_the_per_event_loop_bit_for_bit(self, target, momentum, rate, T, min_events,
+                                                  seed):
         for start in ({}, {"q0": np.array([0.4]), "p0": np.array([-1.0])}):
-            traj, (segments, events, q, p) = self._pair(self.ISO, momentum, rate, T, seed,
+            traj, (segments, events, q, p) = self._pair(target, momentum, rate, T, seed,
                                                         **start)
             # more than one 64-row block of resampled momenta
             assert len(traj.events) >= min_events
@@ -315,6 +317,21 @@ class TestExactHHMCOracle:
         for start in ({}, {"q0": np.array([0.4]), "p0": np.array([-1.0])}):
             with pytest.raises(ValueError, match="^momentum law 'rademacher' is not Gaussian"):
                 simulate_hhmc(self.ISO, momentum, rate, T, seed, **start)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_momentum_beta_other_than_the_targets_rejected(self, monkeypatch, beta):
+        # before any stream is built: momenta from N(0, m/beta) with another
+        # beta than the target's keep another Gibbs measure; with beta 0.5
+        # on gaussian_iso (h = 1, T = 2000, 20 runs) E[q^2] read 2.00, not 1
+        def no_stream(seed, name):
+            raise AssertionError(f"stream '{name}' built")
+
+        monkeypatch.setattr(samplers, "stream_rng", no_stream)
+        momentum = MomentumModel(kind="gaussian", mass=1.3, beta=beta)
+        for start in ({}, {"q0": np.array([0.4]), "p0": np.array([-1.0])}):
+            with pytest.raises(ValueError, match=f"^momentum beta {beta} is not the target's "
+                                                 "beta 1.0"):
+                simulate_hhmc(self.ISO, momentum, 1.0, 20.0, 3, **start)
 
     @pytest.mark.parametrize("momentum", [MomentumModel(kind="gaussian"),
                                           MomentumModel(kind="gaussian", mass=2.0)])
@@ -358,7 +375,8 @@ class TestExactHHMCOracle:
 
 def single_draw_flight_times(seed, rate, T):
     """Exact HHMC's flight starts and durations as the single-draw loop
-    makes them: the reference of the block form in ``simulate_hhmc``."""
+    makes them: the reference of ``simulate_hhmc``'s loop over blocks of
+    duration draws."""
     rng = stream_rng(seed, "duration")
     starts, taus, t = [], [], 0.0
     while t < T:
@@ -370,8 +388,8 @@ def single_draw_flight_times(seed, rate, T):
 
 
 class TestHHMCFlightTimes:
-    """The flight starts of exact HHMC, one cumulative sum per 64-draw block,
-    against the single-draw loop, bit for bit."""
+    """The flight starts of exact HHMC, single draws taken from 64-draw
+    blocks, against the single-draw loop, bit for bit."""
 
     ISO = builtin_target("gaussian_iso", dim=1, h=1.7)
     MOMENTUM = MomentumModel(kind="gaussian")
@@ -399,7 +417,7 @@ class TestHHMCFlightTimes:
 
     def test_a_cut_flight_that_ends_below_the_horizon(self):
         # t + (T - t) can round below T when t < T / 2: the loop then makes
-        # one more flight, and so must the block form
+        # one more flight, and so must simulate_hhmc
         seed, rate = 12, 0.01  # t2 > t1, and t1's bits round for some T
         t1, t2 = (x / rate for x in stream_rng(seed, "duration").exponential(size=2))
         hits = 0
