@@ -211,7 +211,11 @@ def _stationarity_gate(config: ExperimentConfig, reps: dict) -> dict:
 
 def _bounds(config: ExperimentConfig):
     """(stats, dmu_norm, pair, N, der): the observable's statistics, the
-    start's ||dmu/dmu*|| and the Bernstein constants they give."""
+    start's ||dmu/dmu*|| and the Bernstein constants they give.  A check's
+    standard errors need two replicas at least, so fewer are rejected before
+    any is simulated."""
+    if config.replicas < 2:
+        raise ValueError(f"replicas must be >= 2, got {config.replicas}")
     stats, dmu_norm = config.observable.stats, config.dmu_norm
     return (stats, dmu_norm, *bernstein_from_hypo(config.hypo, stats, dmu_norm))
 
@@ -256,6 +260,9 @@ def tail_experiment(config: ExperimentConfig, r_grid=None) -> ValidationReport:
     if r_grid is None:
         r_minus, r_plus = confidence_radius(pair, pair, N, config.delta, config.T)
         r_grid = np.linspace(0.0, max(r_plus, r_minus), 10)
+    for r in r_grid:
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"grid point r={r} must be finite and >= 0")
     reps = config.averages
     dev = reps["F"] - stats.mean
     M = config.replicas
@@ -285,6 +292,8 @@ def mgf_experiment(config: ExperimentConfig, lambda_grid=None) -> ValidationRepo
         hi = 0.5 / pair.b if pair.b > 0 else 1.0
         lambda_grid = np.linspace(0.0, hi, 5)
     for lam in lambda_grid:
+        if not math.isfinite(lam):
+            raise ValueError(f"grid point lambda={lam} is not finite")
         if lam < 0.0:
             raise ValueError(f"grid point lambda={lam} is negative")
         if pair.b > 0 and lam * pair.b >= 1.0:

@@ -191,6 +191,35 @@ class TestMGF:
         assert all(type(row["passed"]) is bool for row in rows)
 
 
+class TestBadInputRejectedBeforeSimulating:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The configs run_replicas was called on."""
+        calls = []
+        monkeypatch.setattr(validation, "run_replicas", calls.append)
+        return calls
+
+    @pytest.mark.parametrize("r", [-0.5, math.nan, math.inf])
+    def test_tail_rejects_a_negative_or_non_finite_r(self, std_config, passes, r):
+        with pytest.raises(ValueError, match=f"^grid point r={r} must be finite and >= 0"):
+            tail_experiment(small(std_config, replicas=10), r_grid=[0.1, r])
+        assert passes == []
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_mgf_rejects_a_non_finite_lambda(self, std_config, passes, lam):
+        with pytest.raises(ValueError, match=f"^grid point lambda={lam} is not finite"):
+            mgf_experiment(small(std_config, replicas=10), lambda_grid=[0.0, lam])
+        assert passes == []
+
+    @pytest.mark.parametrize("replicas", [0, 1])
+    @pytest.mark.parametrize("check", [coverage_experiment, tail_experiment, mgf_experiment])
+    def test_fewer_than_two_replicas_rejected(self, std_config, passes, check, replicas):
+        # one replica has no standard error, and none divides by zero
+        with pytest.raises(ValueError, match=f"^replicas must be >= 2, got {replicas}$"):
+            check(small(std_config, replicas=replicas))
+        assert passes == []
+
+
 class TestSharedReplicaPass:
     CHECKS = (coverage_experiment, tail_experiment, mgf_experiment)
 
