@@ -54,10 +54,14 @@ CALLS = {
     "ci": (["ci"], SMALL, {}),
     "ci observable_stats": (["ci"], FROM_TARGET, {}),
     "ci HYPOGUARD_SEED": (["ci"], NO_SEED, {"HYPOGUARD_SEED": "5"}),
+    "ci bps aniso": (["ci"], BPS, {}),
+    "constants bps aniso": (["constants"], BPS, {}),
     "sample": (["sample"], SMALL, {}),
     "sample --seed": (["sample", "--seed", "7"], SMALL, {}),
     "sample csv": (["sample", "--format", "csv"], SMALL, {}),
     "sample csv hhmc": (["sample", "--format", "csv"], HHMC_LONG, {}),
+    "sample csv bps aniso": (["sample", "--format", "csv"], BPS, {}),
+    "sample csv langevin": (["sample", "--format", "csv"], LANGEVIN, {}),
     "sample gaussian start": (["sample"], GAUSSIAN_START, {}),
     "sample langevin": (["sample"], LANGEVIN, {}),
     "sample bps aniso": (["sample"], BPS, {}),
