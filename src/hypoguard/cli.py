@@ -372,13 +372,13 @@ def cmd_sample(args, cfg: dict, seed: int) -> tuple:
     if args.format == "csv":
         export_csv(traj, args.out)
         return None, 0
-    events = Counter(traj.events.kind.tolist())
+    events = Counter(traj.kinds)
     F_T, q_avg, q2_avg = time_average(traj, config.averaged_functions)
     return {
         "sampler": traj.sampler,
         "horizon": traj.horizon,
         "discretized": traj.discretized,
-        "segments": len(traj.segments) if not traj.discretized else int(len(traj.times) - 1),
+        "segments": len(traj.flights[0]) if not traj.discretized else int(len(traj.times) - 1),
         "events": events,
         "F_T": F_T, "q_avg": q_avg, "q2_avg": q2_avg,
         "final_q": [float(x) for x in traj.final_q],

@@ -29,15 +29,16 @@ refuses any other target; its flights come from a loop over single
 duration draws, taken from blocks of 64, and its eigenbasis from the
 target, which computes it once.
 
-A :class:`Trajectory` keeps its flights and events as the columns the
-simulation collects; its ``segments`` and ``events`` record arrays are
-built on first read, so averaging a path builds neither.
+A :class:`Trajectory` keeps its flights and events as the columns that
+package code reads; its ``segments`` and ``events`` record arrays, built on
+first read, are views for outside readers.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -150,14 +151,14 @@ class Trajectory:
     ``flights`` holds the columns of the flights: ``t0`` and ``duration`` of
     shape (n,), ``q0`` and ``p0`` of shape (n, d); on PDMP and exact-flow
     paths the flights tile [0, horizon].  ``kinds`` lists the kind of each
-    event (bounce | flip | refresh | hhmc-resample); event k ends flight k,
-    at time ``t0[k + 1]``, so the momenta on either side of it are
-    ``p0[k]`` and ``p0[k + 1]``.  ``segments`` (fields ``t0``, ``duration``,
-    ``q0``, ``p0``) and ``events`` (fields ``time``, ``kind``) are record
-    arrays of these columns, built on first read and then kept: the replica
-    engine reads the columns and builds neither.  Langevin trajectories, the
-    only discretized ones (``discretized``: ``times`` is set), store the
-    step grid in ``times``/``qs``/``ps`` and have no flights or events.
+    event (bounce | flip | refresh | hhmc-resample); event k ends flight k, at
+    time ``t0[k + 1]``, so the momenta on either side of it are ``p0[k]`` and
+    ``p0[k + 1]``.  Package code reads only these columns; ``segments``
+    (fields ``t0``, ``duration``, ``q0``, ``p0``) and ``events`` (``time``,
+    ``kind``) are record arrays of them for outside readers, built on first
+    read and kept.  Langevin trajectories, the only discretized ones
+    (``discretized``: ``times`` is set), store the step grid in
+    ``times``/``qs``/``ps`` and have no flights or events.
     """
 
     sampler: str
@@ -179,21 +180,13 @@ class Trajectory:
     @functools.cached_property
     def segments(self) -> np.recarray:
         d = np.shape(self.flights[2])[1]
-        return _record_array([("t0", float), ("duration", float), ("q0", float, (d,)),
-                              ("p0", float, (d,))], self.flights)
+        return np.rec.fromarrays(self.flights, dtype=[
+            ("t0", float), ("duration", float), ("q0", float, (d,)), ("p0", float, (d,))])
 
     @functools.cached_property
     def events(self) -> np.recarray:
-        return _record_array([("time", float), ("kind", "U13")],
-                             (self.flights[0][1:len(self.kinds) + 1], self.kinds))
-
-
-def _record_array(fields: list, columns: tuple) -> np.recarray:
-    """The record array with these fields, filled from their columns."""
-    table = np.empty(len(columns[0]), fields)
-    for name, column in zip(table.dtype.names, columns):
-        table[name] = column
-    return table.view(np.recarray)
+        return np.rec.fromarrays((self.flights[0][1:len(self.kinds) + 1], self.kinds),
+                                 dtype=[("time", float), ("kind", "U13")])
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,13 @@ def simulate_bps(
     Flight is q(t) = q + t p/m; bounces arrive at rate beta [(p/m).grad V]^+
     and reflect the momentum elastically in the gradient direction;
     refreshes arrive at rate ``refresh_rate`` and redraw p from rho*.
+    A Rademacher law is rejected unless d = 1, before a stream is built: a
+    bounce takes p off {-1, +1}^d, so the law would not stay invariant.
     """
+    if momentum.kind == "rademacher" and target.dim > 1:
+        raise ValueError(f"momentum law 'rademacher' is not invariant under a bounce in "
+                         f"dimension {target.dim}: BPS takes it only in dimension 1")
+
     def bounce(p, grad, i):
         # reflection is undefined at a critical point of V
         return reflect(p, grad, factor=reflection_factor) if np.any(grad) else None
@@ -706,22 +705,20 @@ def simulate_langevin_batch(
 # time averaging
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of the given order on [0, 1], read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    # map from [-1, 1] to [0, 1]
-    rule = 0.5 * (nodes + 1.0), 0.5 * weights
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+# 5-point Gauss-Legendre on [0, 1], exact to degree 9: NumPy's leggauss(5)
+# nodes x and weights w mapped as 0.5 * (x + 1.0) and 0.5 * w, bit for bit,
+# not the correctly rounded closed forms, which would move every F_T.
+_GL5_NODES = (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415,
+              0.9530899229693319)
+_GL5_WEIGHTS = (0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
+                0.23931433524968315, 0.11846344252809464)
 
 
-def time_average(traj: Trajectory, f, order: int = 5):
+def time_average(traj: Trajectory, f):
     """Time average (1/T) int_0^T f(Q_t) dt.
 
-    Flow segments are integrated with fixed-order Gauss-Legendre quadrature
-    (exact for polynomial f along linear flight up to degree 2*order-1);
+    Flights are integrated by 5-point Gauss-Legendre on panels of length
+    <= 0.5 (exact to degree 9 for polynomial f along linear flight);
     discretized trajectories use the trapezoid rule on the step grid.  ``f``
     (a function or an ``Observable``) maps position arrays of shape (n, d)
     to shape (n,), and the average is a float.  A tuple of such functions
@@ -734,10 +731,7 @@ def time_average(traj: Trajectory, f, order: int = 5):
                       / traj.times[-1]) for func in funcs]
         return tuple(avgs) if isinstance(f, tuple) else avgs[0]
 
-    nodes01, w01 = _gauss_legendre01(order)
-
-    # split each segment into panels of length <= 0.5 so the fixed-order
-    # rule stays accurate on long flights
+    # panels of length <= 0.5 keep the 5-point rule accurate on long flights
     _, dur, q0, p0 = traj.flights
     k = np.maximum(np.ceil(dur / 0.5).astype(int), 1)
     sub = np.repeat(dur / k, k)
@@ -752,7 +746,7 @@ def time_average(traj: Trajectory, f, order: int = 5):
 
     # each function's node sums, in the order a call with it alone makes them
     totals = [0.0] * len(funcs)
-    for x, w in zip(nodes01, w01):
+    for x, w in zip(_GL5_NODES, _GL5_WEIGHTS):
         q = position(start + x * sub)
         for j, func in enumerate(funcs):
             totals[j] += w * float(np.dot(sub, np.asarray(func(q), dtype=float)))
@@ -763,22 +757,18 @@ def time_average(traj: Trajectory, f, order: int = 5):
 def export_csv(traj: Trajectory, path) -> None:
     """Write the trajectory skeleton as CSV rows (t, q..., p..., event kind).
 
-    Flow trajectories emit one row per segment start plus the final state;
-    discretized trajectories emit one row per step.
+    Flow trajectories emit one row per flight start, event k on row k + 1,
+    plus the final state; discretized trajectories emit one row per step.
     """
-    def fmt(x):
-        return repr(float(x))
-
     if traj.discretized:
         rows = list(zip(traj.times, traj.qs, traj.ps))
     else:
-        seg = traj.segments
-        rows = [*zip(seg.t0, seg.q0, seg.p0), (traj.horizon, traj.final_q, traj.final_p)]
+        t0, _, q0, p0 = traj.flights
+        rows = [*zip(t0, q0, p0), (traj.horizon, traj.final_q, traj.final_p)]
     d = len(rows[0][1])
-    ev_by_time = dict(zip(traj.events.time.tolist(), traj.events.kind.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *[f"q{i}" for i in range(d)], *[f"p{i}" for i in range(d)],
                          "event"])
-        for t, q, p in rows:
-            writer.writerow([fmt(t), *map(fmt, q), *map(fmt, p), ev_by_time.get(float(t), "")])
+        for (t, q, p), kind in itertools.zip_longest(rows, ["", *traj.kinds], fillvalue=""):
+            writer.writerow([*(repr(float(x)) for x in (t, *q, *p)), kind])

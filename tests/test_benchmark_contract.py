@@ -229,6 +229,22 @@ def test_no_module_under_src_imports_scipy():
     assert found == set()
 
 
+def test_package_code_reads_the_flight_columns_only():
+    # a trajectory's ``segments`` and ``events`` record arrays are views for
+    # outside readers (the tracer, the workloads, tests): no module under
+    # src/ reads an attribute of either name outside the Trajectory class
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Trajectory"
+                  for n in ast.walk(node)}
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in ("segments", "events")
+                  and id(n) not in inside]
+    assert found == []
+
+
 def test_no_dead_private_helpers():
     # a module-level ``_name`` def or class must be referenced somewhere in
     # the package outside its own definition, or it is dead code

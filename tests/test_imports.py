@@ -1,6 +1,8 @@
 """What a fresh interpreter loads: the lazy package surface, the modules each
-command imports, and the README quick start run as written."""
+command imports, the README quick start run as written, and the grammar of
+the oldest Python the package supports."""
 
+import ast
 import json
 import re
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 from test_cli_golden import CALLS
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # the reference config of ROADMAP and the benchmark: zig-zag on the 1-D
 # standard Gaussian, cos, lambda_q derived from the target
@@ -134,3 +137,16 @@ def test_every_command_runs_where_scipy_cannot_be_imported():
     assert {name: rec["exit"] for name, rec in records.items()} == dict.fromkeys(calls, 0)
     expected = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
     assert records["sample bps aniso"] == expected["sample bps aniso"]
+
+
+def test_every_source_file_parses_with_the_python_3_10_grammar():
+    # pyproject.toml sets requires-python >= 3.10 while CI runs one newer
+    # Python: no syntax added after 3.10 in the package, the tests, the
+    # benchmark or the demos (stdlib APIs added later are not checked here)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    paths = [path for folder in ("src", "tests", "perfbench", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

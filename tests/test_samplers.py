@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -690,6 +691,24 @@ class TestBounceElasticity:
                 np.linalg.norm(p0[k]), rel=1e-12
             )
 
+    @pytest.mark.parametrize("target", [
+        builtin_target("gaussian_iso", dim=2),
+        builtin_target("gaussian_aniso", H=[[1.0, 0.8], [0.8, 1.0]]),
+    ], ids=["iso", "aniso"])
+    def test_rademacher_law_rejected_above_dimension_one(self, monkeypatch, target):
+        # before any stream is built: a bounce takes p off {-1, +1}^2, so the
+        # law is not invariant; on the aniso target (refresh 0.5, T = 200,
+        # 600 replicas) E[q0 q1] read -2.530 +- 0.030, not -2.222
+        def no_stream(seed, name):
+            raise AssertionError(f"stream '{name}' built")
+
+        monkeypatch.setattr(samplers, "stream_rng", no_stream)
+        mom = MomentumModel(kind="rademacher")
+        for start in ({}, {"q0": np.array([0.4, -0.2]), "p0": np.array([1.0, -1.0])}):
+            with pytest.raises(ValueError, match="^momentum law 'rademacher' is not invariant "
+                                                 "under a bounce in dimension 2"):
+                simulate_bps(target, mom, 0.5, 50.0, 3, **start)
+
 
 @pytest.mark.parametrize("sampler", ["zigzag", "bps", "hhmc", "langevin"])
 def test_start_of_the_wrong_shape_is_rejected(sampler):
@@ -826,9 +845,26 @@ class TestTimeAveraging:
             simulate_hhmc(t, mom, resample_rate=1.0, T=50.0, seed=2),
         ):
             f = lambda q: np.cos(q[..., 0])
-            assert time_average(traj, f, order=5) == pytest.approx(
-                time_average(traj, f, order=10), abs=1e-10
+            assert time_average(traj, f) == pytest.approx(
+                per_segment_time_average(traj, f, order=10), abs=1e-10
             )
+
+    def test_rule_is_five_point_gauss_legendre_on_the_unit_interval(self):
+        # the literals are NumPy's leggauss(5) bits, within 8 ulp of the
+        # closed forms (not correctly rounded: the nodes are off by up to 2.1
+        # ulp, the weights by up to 6.9)
+        with mpmath.workdps(50):
+            inner = mpmath.sqrt(5 - 2 * mpmath.sqrt(mpmath.mpf(10) / 7)) / 3
+            outer = mpmath.sqrt(5 + 2 * mpmath.sqrt(mpmath.mpf(10) / 7)) / 3
+            w_inner = (322 + 13 * mpmath.sqrt(70)) / 900
+            w_outer = (322 - 13 * mpmath.sqrt(70)) / 900
+            nodes = [(1 + x) / 2 for x in (-outer, -inner, 0, inner, outer)]
+            weights = [w / 2 for w in (w_outer, w_inner, mpmath.mpf(128) / 225, w_inner, w_outer)]
+            for literals, exact in ((samplers._GL5_NODES, nodes),
+                                    (samplers._GL5_WEIGHTS, weights)):
+                assert len(literals) == 5
+                for lit, x in zip(literals, exact):
+                    assert type(lit) is float and abs(lit - x) <= 8 * math.ulp(lit), (lit, x)
 
     def test_linear_segment_average_exact(self):
         # zig-zag piece q(t) = q0 + v t: time averages of q are exact means
@@ -921,9 +957,9 @@ def test_time_average_matches_per_segment_panels(make):
 
 
 def test_record_arrays_are_built_on_first_read_and_kept(monkeypatch, std_config):
-    built, record_array = [], samplers._record_array
-    monkeypatch.setattr(samplers, "_record_array",
-                        lambda *columns: built.append(columns) or record_array(*columns))
+    built, fromarrays = [], np.rec.fromarrays
+    monkeypatch.setattr(np.rec, "fromarrays",
+                        lambda *args, **kw: built.append(args) or fromarrays(*args, **kw))
     for sampler in ("zigzag", "bps", "hhmc", "langevin"):
         reps = validation.run_replicas(
             dataclasses.replace(std_config, sampler=sampler, T=20.0, replicas=3))
@@ -1070,6 +1106,20 @@ def test_export_csv_round_trip(tmp_path):
     # numeric columns parse back to floats
     t0, q0, p0, _ = rows[1].split(",")
     float(t0), float(q0), float(p0)
+
+
+def test_export_csv_puts_event_k_on_the_row_of_flight_k_plus_one(tmp_path):
+    # two events at t = 1 (the flight between them has zero length) keep
+    # their own kinds: rows are matched to events by index, not by time
+    flights = (np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0]),
+               np.array([[0.0], [1.0], [1.0]]), np.array([[1.0], [-1.0], [0.5]]))
+    traj = Trajectory("bps", 2.0, 1.0, flights, ["bounce", "refresh"],
+                      final_q=np.array([1.5]), final_p=np.array([0.5]))
+    path = tmp_path / "traj.csv"
+    export_csv(traj, path)
+    rows = [row.split(",") for row in path.read_text().strip().split("\n")]
+    assert [row[0] for row in rows[1:]] == ["0.0", "1.0", "1.0", "2.0"]
+    assert [row[3] for row in rows[1:]] == ["", "bounce", "refresh", ""]
 
 
 def test_export_csv_langevin_writes_one_row_per_step(tmp_path):
