@@ -147,9 +147,9 @@ def optimal_eps(lambda_q: float, lambda_p: float, R0: float) -> float:
 def lambda_q_from_target(C_nu: float, kappa_p: float) -> float:
     """Position-direction constant lambda_q = 1 - (1 + kappa_p * C_nu)^(-1).
 
-    ``C_nu`` is the Poincare constant of the position marginal and
-    ``kappa_p`` the per-component second moment of the velocity (E[p_1^2]/m^2;
-    equal to 1 for zig-zag velocities, 1/(m*beta) for Gaussian momentum).
+    ``C_nu`` is the gap lambda of lambda Var f <= int |grad f|^2 dnu* on the
+    position marginal nu*, and ``kappa_p`` the second moment E[p_1^2]/m^2 of
+    a velocity component (1 for zig-zag, 1/(m*beta) for Gaussian momentum).
     """
     if not C_nu > 0.0:
         raise ValueError(f"C_nu must be > 0, got {C_nu}")
