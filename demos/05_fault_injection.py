@@ -4,39 +4,76 @@ The bouncy particle sampler must reflect momentum elastically:
 p -> p - 2 (p . n) n with n the unit gradient direction.  Dropping the
 factor 2 (projecting out the normal component instead of flipping it)
 produces a dynamics that still runs happily but no longer preserves the
-target.  The stationarity gate inside every validation experiment detects
-the drift in the second moment and fails the run.
+target.  The stationarity gate inside every validation experiment checks
+the Stein identity E[q V'(q)] = 1/beta, which needs only the gradient, so it
+fails the run on a Gaussian and on the double well alike.  On the well the
+radius at T = 150 is vacuous and both runs cover, so only the gate tells them
+apart.
 """
 
 import dataclasses
+import math
+
+import numpy as np
 
 from hypoguard import (
     ExperimentConfig,
     HypoParams,
+    Observable,
+    TargetModel,
     builtin_observable,
     builtin_target,
     coverage_experiment,
+    estimate_poincare_1d,
     lambda_q_from_target,
+    observable_stats_quadrature,
     optimal_eps,
 )
 
-target = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
-observable = builtin_observable("cos", target, omega=1.0)
-lambda_q = lambda_q_from_target(C_nu=target.poincare_const, kappa_p=1.0)
-hypo = HypoParams(lambda_p=1.0, lambda_q=lambda_q, R0=1.0,
-                  eps=optimal_eps(lambda_q, 1.0, 1.0))
 
-good = ExperimentConfig(
-    sampler="bps", target=target, observable=observable, hypo=hypo,
-    T=150.0, delta=0.1, replicas=60, seed=42,
-)
-bad = dataclasses.replace(good, reflection_factor=1.0)
+class ExactWell(TargetModel):
+    """A 1-D well V = (q^2 - 1)^2 / 4 with exact stationary starts, by
+    rejection from N(0, s^2), s = 1.5: the log acceptance ratio
+    -beta V(q) + q^2 / (2 s^2) peaks at log M = 1 / (2 s^2) + 1 / (4 beta s^4)."""
 
-for label, cfg in (("factor 2 (correct)", good), ("factor 1 (buggy)", bad)):
-    rep = coverage_experiment(cfg)
-    gate = rep.details["stationarity"]["checks"]["q_second_moment"]
-    print(f"{label}:")
-    print(f"  E[q^2] observed {gate['observed']:.3f}, expected {gate['expected']:.3f} "
-          f"(+-{3 * gate['std_error']:.3f})")
-    print(f"  stationarity gate: {'PASS' if gate['passed'] else 'FAIL'}, "
-          f"experiment: {'PASS' if rep.passed else 'FAIL'}\n")
+    def sample_position(self, rng, size=None):
+        s = 1.5
+        log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * self.beta * s ** 4)
+        while True:
+            q = s * rng.standard_normal()
+            if math.log(rng.random()) <= (-self.beta * (q * q - 1.0) ** 2 / 4.0
+                                          + q * q / (2.0 * s * s) - log_m):
+                return np.array([q])
+
+
+def bps_config(target, observable, replicas, seed):
+    """A BPS coverage config with lambda_q from the target's Poincare constant."""
+    lambda_q = lambda_q_from_target(C_nu=target.poincare_const, kappa_p=1.0 / target.beta)
+    hypo = HypoParams(lambda_p=1.0, lambda_q=lambda_q, R0=1.0,
+                      eps=optimal_eps(lambda_q, 1.0, 1.0))
+    return ExperimentConfig(sampler="bps", target=target, observable=observable, hypo=hypo,
+                            T=150.0, delta=0.1, replicas=replicas, seed=seed)
+
+
+gaussian = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
+well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+well = ExactWell(**{**{f.name: getattr(well, f.name) for f in dataclasses.fields(well)},
+                    "poincare_const": estimate_poincare_1d(well)})
+cos = lambda q: np.cos(np.asarray(q)[..., 0])
+
+settings = (bps_config(gaussian, builtin_observable("cos", gaussian, omega=1.0), 60, 42),
+            bps_config(well, Observable("cos(q0)", cos, observable_stats_quadrature(cos, well)),
+                       450, 7))
+for good in settings:
+    bad = dataclasses.replace(good, reflection_factor=1.0)
+    print(f"== {good.target.name}, beta {good.target.beta}, {good.replicas} replicas ==")
+    for label, cfg in (("factor 2 (correct)", good), ("factor 1 (buggy)", bad)):
+        rep = coverage_experiment(cfg)
+        gate = rep.details["stationarity"]["checks"]["mean_q_dV"]
+        print(f"{label}:")
+        print(f"  E[q V'] observed {gate['observed']:.3f}, expected {gate['expected']:.3f} "
+              f"(+-{3 * gate['std_error']:.3f})")
+        print(f"  coverage {rep.details['coverage']:.3f} (required "
+              f"{rep.details['required']:.3f}{', bound vacuous' if rep.vacuous else ''}), "
+              f"stationarity gate: {'PASS' if gate['passed'] else 'FAIL'}, "
+              f"experiment: {'PASS' if rep.passed else 'FAIL'}\n")

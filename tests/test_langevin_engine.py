@@ -56,10 +56,9 @@ def one_by_one(cfg):
             p0 = cfg.momentum().sample(rng, cfg.target.dim)
         traj = simulate_langevin(cfg.target, cfg.momentum(), cfg.gamma, cfg.T, cfg.step, seed,
                                  q0=q0, p0=p0)
-        rows.append([time_average(traj, g) for g in (cfg.observable, lambda q: q[..., 0],
-                                                     lambda q: q[..., 0] ** 2)])
-    F, q_avg, q2_avg = np.array(rows).T
-    return {"F": F, "q_avg": q_avg, "q2_avg": q2_avg}
+        rows.append([time_average(traj, g) for g in cfg.averaged_functions])
+    F, dV, q_dV = np.array(rows).T
+    return {"F": F, "dV": dV, "q_dV": q_dV}
 
 
 @pytest.mark.parametrize("cfg", [
@@ -69,14 +68,14 @@ def one_by_one(cfg):
 ], ids=["iso", "tilt-gaussian-start", "two-chunks"])
 def test_batch_equals_one_by_one_in_1d(cfg):
     batch, single = run_replicas(cfg), one_by_one(cfg)
-    for key in ("F", "q_avg", "q2_avg"):
+    for key in ("F", "dV", "q_dV"):
         assert np.array_equal(batch[key], single[key]), key
 
 
 def test_batch_matches_one_by_one_at_d3():
     cfg = config(ANISO, 10, observable=builtin_observable("cos", ANISO, coord=1))
     batch, single = run_replicas(cfg), one_by_one(cfg)
-    for key in ("F", "q_avg", "q2_avg"):
+    for key in ("F", "dV", "q_dV"):
         assert np.allclose(batch[key], single[key], rtol=0.0, atol=1e-12), key
 
 

@@ -13,6 +13,7 @@ from scipy import integrate
 from hypoguard import (
     ExperimentConfig,
     ObservableStats,
+    TargetModel,
     builtin_observable,
     builtin_target,
     coverage_experiment,
@@ -152,6 +153,60 @@ class TestCoverage:
         assert cfg.dmu_norm > 1.0
         rep = coverage_experiment(cfg)
         assert rep.passed
+
+
+class ExactWell(TargetModel):
+    """A target whose stationary starts are exact draws by rejection from
+    N(0, s^2), s = 1.5: the log acceptance ratio -beta V(q) + q^2 / (2 s^2)
+    of V = (q^2 - 1)^2 / 4 peaks at q^2 = 1 + 1 / (beta s^2), at log M =
+    1 / (2 s^2) + 1 / (4 beta s^4)."""
+
+    def sample_position(self, rng, size=None):
+        s = 1.5
+        log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * self.beta * s ** 4)
+        while True:
+            q = s * rng.standard_normal()
+            if math.log(rng.random()) <= (-self.beta * (q * q - 1.0) ** 2 / 4.0
+                                          + q * q / (2.0 * s * s) - log_m):
+                return np.array([q])
+
+
+class TestStationarityGateOnTheWell:
+    """The Stein gate on double_well at beta = 1.5, from exact starts: 450
+    replicas, T = 150, seed 7.  Observed z-scores of E[q V'] = 1/beta:
+    zig-zag +0.79 and BPS -0.02 (|z| of E[V'] = 0 at most 0.41); BPS with
+    reflection factor 1.8 +6.75 and 1 +47.7; zig-zag simulated at beta 1.6
+    -5.4 and at 1.4 +7.4, while its start and the gate keep 1.5."""
+
+    WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+
+    @pytest.fixture(scope="class")
+    def well_config(self, std_config):
+        well = ExactWell(**{f.name: getattr(self.WELL, f.name)
+                            for f in dataclasses.fields(self.WELL)})
+        return small(std_config, target=well, replicas=450, seed=7)
+
+    @staticmethod
+    def gate(config):
+        return validation._stationarity_gate(config, validation.run_replicas(config))
+
+    @pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+    def test_correct_samplers_pass(self, well_config, sampler):
+        gate = self.gate(small(well_config, sampler=sampler))
+        assert gate["checked"] and gate["passed"]
+
+    @pytest.mark.parametrize("factor", [1.0, 1.8])
+    def test_inelastic_bps_fails(self, well_config, factor):
+        gate = self.gate(small(well_config, sampler="bps", reflection_factor=factor))
+        assert gate["checked"] and not gate["checks"]["mean_q_dV"]["passed"]
+
+    @pytest.mark.parametrize("beta", [1.4, 1.6])
+    def test_zigzag_at_the_wrong_beta_fails(self, well_config, monkeypatch, beta):
+        simulate, wrong = validation.simulate_zigzag, dataclasses.replace(self.WELL, beta=beta)
+        monkeypatch.setattr(validation, "simulate_zigzag",
+                            lambda target, *args, **kw: simulate(wrong, *args, **kw))
+        gate = self.gate(well_config)
+        assert gate["checked"] and not gate["checks"]["mean_q_dV"]["passed"]
 
 
 class TestTail:
