@@ -212,10 +212,20 @@ class TestStationarityGateOnTheWell:
 class TestTail:
     def test_passes_at_small_scale(self, std_config):
         rep = tail_experiment(small(std_config, replicas=60))
-        assert rep.passed
+        assert rep.passed and not rep.vacuous
         assert len(rep.details["grid"]) == 20  # 10 radii x 2 signs
         for row in rep.details["grid"]:
             assert row["empirical"] <= row["bound"] + 3.0 * row["std_error"] + 1e-12
+
+
+    @pytest.mark.parametrize("T, r_grid", [(20.0, [0.1, 0.5]), (150.0, [0.0, 1.7])],
+                             ids=["bounds-at-least-1", "r-0-and-beyond-sup-norm"])
+    def test_grid_that_no_sampler_can_fail_is_vacuous(self, std_config, T, r_grid):
+        # every row has a bound >= 1 (at T = 20: 1.251 and 1.133; at r = 0
+        # always) or an r above the sup norm 1.61, which no deviation reaches
+        rep = tail_experiment(small(std_config, T=T, replicas=10), r_grid=r_grid)
+        assert rep.details["violations"] == 0
+        assert rep.vacuous and not rep.passed
 
 
 class TestMGF:
