@@ -168,17 +168,20 @@ def gaussian_chi_square_norm(mu0: float, s2: float, sigma2: float) -> float:
         raise ValueError("variances must be > 0")
     if s2 >= 2.0 * sigma2:
         raise ValueError(f"||dmu/dmu*|| diverges: initial variance {s2} >= 2 * {sigma2}")
-    # int mu(x)^2 / mu*(x) dx via Gaussian integral algebra
-    a = 1.0 / s2 - 1.0 / (2.0 * sigma2)
+    d = 2.0 * sigma2 - s2
+    if d == math.inf:
+        raise ValueError(f"||dmu/dmu*|| overflows: 2 * target variance {sigma2} is not finite")
+    # int mu^2 / mu* = sigma2 / sqrt(s2 d) exp(mu0^2 / d), with no cancellation;
+    # sqrt(s2) sqrt(d), since s2 d underflows to 0 where s2 is subnormal
     try:
-        val = (math.sqrt(sigma2) / (math.sqrt(2.0 * math.pi) * s2) * math.sqrt(math.pi / a)
-               * math.exp(mu0 * mu0 * (1.0 / (s2 * s2 * a) - 1.0 / s2)))
+        val = sigma2 / (math.sqrt(s2) * math.sqrt(d)) * math.exp(mu0 * mu0 / d)
     except OverflowError:
         val = math.inf
     if val == math.inf:
         raise ValueError(f"||dmu/dmu*|| overflows: initial mean {mu0} is too far out for "
                          f"variance {s2} against {sigma2}")
-    return math.sqrt(val)
+    # the norm is at least 1 (Cauchy-Schwarz); rounding can leave it an ulp below
+    return max(1.0, math.sqrt(val))
 
 
 def gaussian_start(target, initial: tuple[float, float]) -> tuple[float, float]:

@@ -297,6 +297,39 @@ def test_chi_square_norm_oracle():
         )
 
 
+def test_chi_square_norm_meets_a_50_digit_oracle():
+    # sigma2 / sqrt(s2 d) exp(mu0^2 / d), d = 2 sigma2 - s2, at 50 digits, on
+    # random starts and on starts far narrower than the target, down to a
+    # subnormal s2: the former 1 / (s2 s2 a) - 1 / s2 form lost 1.6e-11 of
+    # the norm, divided by zero at s2 = 1e-300 and gave NaN at 1e-310
+    rng = np.random.default_rng(32)
+    cases = []
+    for _ in range(2000):
+        sigma2 = math.exp(rng.uniform(-5.0, 5.0))
+        cases.append((rng.uniform(-3.0, 3.0) * math.sqrt(sigma2),
+                      rng.uniform(1e-3, 1.999) * sigma2, sigma2))
+    cases += [(0.0, 1e-300, 1.0), (0.0, 1e-310, 1.0), (0.5, 5e-324, 1.0), (-2.0, 1e-320, 3.0)]
+    with mpmath.workdps(50):
+        for mu0, s2, sigma2 in cases:
+            d = 2 * mpmath.mpf(sigma2) - s2
+            square = sigma2 / mpmath.sqrt(s2 * d) * mpmath.exp(mpmath.mpf(mu0) ** 2 / d)
+            if square > sys.float_info.max:
+                with pytest.raises(ValueError, match="overflows"):
+                    gaussian_chi_square_norm(mu0, s2, sigma2)
+                continue
+            exact = mpmath.sqrt(square)
+            assert abs(gaussian_chi_square_norm(mu0, s2, sigma2) - exact) <= 1e-13 * exact, (
+                mu0, s2, sigma2)
+
+
+def test_chi_square_norm_of_the_target_itself_is_not_below_1():
+    # the norm is at least 1; sigma2 / (sqrt(sigma2) sqrt(sigma2)) rounds
+    # below 1 for a quarter of the variances, which bernstein_from_hypo rejects
+    rng = np.random.default_rng(33)
+    for sigma2 in np.exp(rng.uniform(-700.0, 700.0, 2000)).tolist():
+        assert 1.0 <= gaussian_chi_square_norm(0.0, sigma2, sigma2) <= 1.0 + 2e-16, sigma2
+
+
 def test_chi_square_norm_diverges():
     with pytest.raises(ValueError):
         gaussian_chi_square_norm(0.0, 2.0, 1.0)  # s^2 >= 2 sigma^2
@@ -310,6 +343,13 @@ def test_chi_square_norm_that_overflows_is_a_value_error(mu0):
     with pytest.raises(ValueError, match=r"^\|\|dmu/dmu\*\|\| overflows: initial mean"):
         gaussian_chi_square_norm(mu0, 0.5, 1.0)
     assert math.isfinite(gaussian_chi_square_norm(32.62, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("sigma2", [1e308, math.inf])
+def test_chi_square_norm_of_a_target_variance_that_overflows_is_a_value_error(sigma2):
+    # 2 sigma2 - s2 is not finite: the closed form would give 0
+    with pytest.raises(ValueError, match=r"^\|\|dmu/dmu\*\|\| overflows: 2 \* target variance"):
+        gaussian_chi_square_norm(0.0, 1.0, sigma2)
 
 
 def test_momentum_models():
