@@ -130,8 +130,39 @@ def _checked(block: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except AdmissibilityError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {block}: {exc}") from exc
+
+
+def _finite(fields: str, **values) -> None:
+    """Reject a value derived from the config ``fields`` that overflowed to
+    inf: the strict JSON of a report cannot hold it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} = {value} is not finite for config fields {fields}")
+
+
+def _bound_fields(cfg: dict, *more: str) -> str:
+    """The config fields the Bernstein constants come from, and ``more``."""
+    names = ["hypo", "observable_stats" if "observable_stats" in cfg else "observable",
+             "dmu_norm" if "dmu_norm" in cfg else "initial", *more]
+    return f"{', '.join(names[:-1])} and {names[-1]}"
+
+
+def _constants(cfg: dict, hypo, stats, dmu_norm: float) -> tuple:
+    """(pair, N, derived constants) of ``bernstein_from_hypo``, all finite."""
+    fields = _bound_fields(cfg)
+    pair, N, der = _checked(fields, bernstein_from_hypo, hypo, stats, dmu_norm)
+    _finite(fields, v=pair.v, b=pair.b, N=N, **vars(der))
+    return pair, N, der
+
+
+def _radius(cfg: dict, pair, N: float, delta: float, T: float) -> tuple:
+    """(r_minus, r_plus) of ``confidence_radius``, both finite."""
+    fields = _bound_fields(cfg, "T", "delta")
+    radii = _checked(fields, confidence_radius, pair, pair, N, delta, T)
+    _finite(fields, r_minus=radii[0], r_plus=radii[1])
+    return radii
 
 
 def _reject_nonfinite(node, path: str) -> None:
@@ -267,7 +298,7 @@ def _bernstein(cfg: dict, eps_flag: str | None = None) -> tuple:
         dmu_norm = _field(cfg, "dmu_norm", ">= 1", 1.0)
     else:
         dmu_norm = _checked("initial", start_norm, _stats_target(cfg), initial)
-    return (hypo, stats, dmu_norm, *bernstein_from_hypo(hypo, stats, dmu_norm))
+    return (hypo, stats, dmu_norm, *_constants(cfg, hypo, stats, dmu_norm))
 
 
 def _experiment_config(cfg: dict, seed: int):
@@ -295,8 +326,11 @@ def _experiment_config(cfg: dict, seed: int):
         initial=_initial(cfg),
         **knobs,
     )
-    # the bounds need a finite chi-square norm of the start: 1-D, var < 2 sigma^2
+    # the bounds need a finite chi-square norm of the start: 1-D, var < 2 sigma^2,
+    # and finite constants and radii, all checked before any replica is simulated
     _checked("initial", lambda: config.dmu_norm)
+    pair, N, _ = _constants(cfg, config.hypo, config.observable.stats, config.dmu_norm)
+    _radius(cfg, pair, N, config.delta, config.T)
     return config
 
 
@@ -327,7 +361,7 @@ def cmd_constants(args, cfg: dict, seed: int) -> tuple:
 def cmd_ci(args, cfg: dict, seed: int) -> tuple:
     _, stats, _, pair, N, _ = _bernstein(cfg)
     delta, T = _field(cfg, "delta", "in (0, 1)"), _field(cfg, "T", "> 0")
-    r_minus, r_plus = confidence_radius(pair, pair, N, delta, T)
+    r_minus, r_plus = _radius(cfg, pair, N, delta, T)
     report = {"T": T, "delta": delta, "N": N, "r_minus": r_minus, "r_plus": r_plus,
               "v_minus": pair.v, "b_minus": pair.b, "v_plus": pair.v, "b_plus": pair.b}
     return {"report": report, "vacuous": stats.vacuous(r_minus, r_plus)}, 0

@@ -628,6 +628,92 @@ def test_any_invalid_leaf_exits_2(mutation):
 
 
 # ---------------------------------------------------------------------------
+# any config within the field rules: ci and constants exit 0 with strict JSON, or 2
+
+
+# magnitudes log-uniform over the positive doubles, subnormals included
+magnitudes = st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp).filter(bool)
+signed = st.one_of(magnitudes, magnitudes.map(float.__neg__), st.just(0.0))
+below_1 = st.floats(math.log(5e-324), 0.0).map(math.exp).filter(lambda x: 0.0 < x < 1.0)
+# each built-in observable's parameters, with their values
+BUILTIN_OBSERVABLES = {"sin": {"omega": signed}, "cos": {"omega": signed},
+                       "indicator": {"a": signed, "b": signed}, "clipped_coord": {"L": magnitudes}}
+
+
+@st.composite
+def closed_form_configs(draw):
+    """A ci/constants config whose every numeric field is drawn within its
+    rule: a magnitude of any size, signed where the rule allows a sign."""
+    hypo = {"lambda_p": draw(magnitudes), "R0": draw(st.one_of(magnitudes, st.just(0.0))),
+            "eps": draw(st.one_of(st.just("auto"), below_1))}
+    if draw(st.booleans()):
+        hypo["lambda_q"] = draw(st.one_of(below_1, st.just(1.0)))
+    else:
+        hypo["lambda_q_from"] = {"C_nu": draw(magnitudes), "kappa_p": draw(magnitudes)}
+    target = draw(st.sampled_from(["gaussian_iso", "gaussian_aniso", "double_well"]))
+    params = {"gaussian_iso": {"dim": st.integers(1, 3), "h": magnitudes},
+              "gaussian_aniso": {"H": magnitudes.map(lambda h: [[h]])},
+              "double_well": {"poincare_const": magnitudes}}[target]
+    cfg = {"hypo": hypo, "T": draw(magnitudes), "delta": draw(below_1),
+           "target": {"name": target, "beta": draw(magnitudes),
+                      **{key: draw(value) for key, value in params.items()}}}
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(BUILTIN_OBSERVABLES)))
+        cfg["observable"] = {"name": name, **{key: draw(value) for key, value
+                                              in BUILTIN_OBSERVABLES[name].items()}}
+    else:
+        cfg["observable_stats"] = {"mean": draw(signed),
+                                   "variance": draw(st.one_of(magnitudes, st.just(0.0))),
+                                   "sup_norm": draw(st.one_of(magnitudes, st.just(0.0)))}
+    start = draw(st.sampled_from(["stationary", "initial", "dmu_norm"]))
+    if start == "initial":
+        cfg["initial"] = {"kind": "gaussian", "mean": draw(signed), "var": draw(magnitudes)}
+    elif start == "dmu_norm":
+        cfg["dmu_norm"] = draw(st.one_of(st.just(1.0), magnitudes.map(lambda x: 1.0 + x)))
+    return cfg
+
+
+@pytest.mark.parametrize("command, edits, message", [
+    # r_plus = inf, which json.dumps(allow_nan=False) refused
+    ("ci", {"T": 1e-310}, "r_minus = inf is not finite for config fields "
+                          "hypo, observable, initial, T and delta"),
+    # 2 N / delta overflows
+    ("ci", {"dmu_norm": 1e308}, "r_minus = inf is not finite for config fields "
+                                "hypo, observable, dmu_norm, T and delta"),
+    # v = inf, which BernsteinPair refused with a ValueError
+    *[(command, {"hypo.lambda_p": 1e-320}, "invalid hypo, observable and initial: variance "
+                                           "proxy v must be finite") for command in ("ci", "constants")],
+    # ((lambda_q + 1) eps - lambda_p) ** 2 in lambda_of_eps raised OverflowError
+    *[(command, {"hypo": {"lambda_p": 1e300, "lambda_q": 0.5, "R0": 0.0, "eps": 0.1}},
+       "invalid hypo, observable and initial: (34,") for command in ("ci", "constants")],
+    # alpha = inf reached the JSON
+    ("constants", {"hypo": {"lambda_p": 1e-310, "lambda_q": 1.0, "R0": 1.0, "eps": "auto"},
+                   "observable": {"name": "clipped_coord", "L": 1e-200}},
+     "alpha = inf is not finite for config fields hypo, observable and initial"),
+    # after simulating every replica
+    ("validate", {"T": 1e-310}, "r_minus = inf is not finite for config fields "
+                                "hypo, observable, initial, T and delta"),
+])
+def test_overflowing_bound_exits_2_naming_its_fields(tmp_path, command, edits, message):
+    argv = ["validate", "coverage"] if command == "validate" else [command]
+    with mock.patch("hypoguard.validation.run_replicas", side_effect=AssertionError):
+        code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json")
+    assert code == 2 and err.startswith(f"config error: {message}"), err
+
+
+@settings(max_examples=400)
+@given(closed_form_configs(), st.sampled_from(["ci", "constants"]))
+def test_closed_form_commands_exit_0_with_strict_json_or_2(cfg, command):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run_inprocess([command], cfg, Path(tmp))
+    assert code in (0, 2)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(token))
+
+
+# ---------------------------------------------------------------------------
 # every key the CLI accepts acts: it changes the output, or it exits 2
 
 
