@@ -80,6 +80,8 @@ def gaussian_iso(**params) -> GaussianIso:
     beta = float(params.get("beta", 1.0))
     if h <= 0 or beta <= 0 or dim < 1 or dim != int(dim):
         raise ValueError("gaussian_iso requires h > 0, beta > 0 and an integer dim >= 1")
+    if (1.0 / h) / beta == math.inf:
+        raise ValueError(f"the variance 1 / (beta h) overflows for beta = {beta}, h = {h}")
     return GaussianIso(dim=int(dim), h=h, beta=beta)
 
 

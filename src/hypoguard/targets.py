@@ -200,7 +200,7 @@ def builtin_target(name: str, **params) -> TargetModel:
         evals = np.linalg.eigvalsh(H)
         if evals[0] <= 0:
             raise ValueError("H must be positive definite")
-        if 1.0 / float(evals[0]) / beta == math.inf:  # the covariance (beta H)^-1 overflows
+        if (1.0 / float(evals[0])) / beta == math.inf:
             raise ValueError(f"the largest variance 1 / (beta h_min) overflows for "
                              f"beta = {beta}, h_min = {evals[0]}")
         return TargetModel(

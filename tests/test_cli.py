@@ -693,8 +693,13 @@ def closed_form_configs(draw):
     # after simulating every replica
     ("validate", {"T": 1e-310}, "r_minus = inf is not finite for config fields "
                                 "hypo, observable, initial, T and delta"),
+    # the start was drawn at q = inf, a ValueError traceback
+    ("sample", {"target": {"name": "gaussian_iso", "h": 1e-308, "beta": 0.5}},
+     "invalid target: the variance 1 / (beta h) overflows"),
+    ("sample", {"target": {"name": "gaussian_aniso", "H": [[1e-308]], "beta": 0.5}},
+     "invalid target: the largest variance 1 / (beta h_min) overflows"),
 ])
-def test_overflowing_bound_exits_2_naming_its_fields(tmp_path, command, edits, message):
+def test_overflow_exits_2_naming_its_fields(tmp_path, command, edits, message):
     argv = ["validate", "coverage"] if command == "validate" else [command]
     with mock.patch("hypoguard.validation.run_replicas", side_effect=AssertionError):
         code, err = run_config(argv, edited(SMALL, edits), tmp_path / "cfg.json")
