@@ -23,7 +23,9 @@ envelope of the rate, certified by the target's Hessian bound on a sliding
 window, up to the next refresh, by :func:`sample_by_thinning` in every
 dimension.  A violated envelope is a hard error, never a silent
 acceptance.  In one dimension the jumps act on floats too: a flip is -p,
-and a bounce makes the IEEE operations of :func:`reflect` on 1-vectors.
+and a bounce makes the IEEE operations of :func:`reflect` on 1-vectors;
+the target's gradient and Hessian bound see one reused 1-element array
+per trajectory, read at once into a float.
 Hybrid HMC follows the exact Hamiltonian flow of a quadratic potential and
 refuses any other target; its flights come from a loop over single
 duration draws, taken from blocks of 64, and its eigenbasis from the
@@ -348,9 +350,10 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jumps: tuple,
     (d,) arrays and on Python floats: the momentum after clock i fires, or
     None where the jump is undefined, in which case the momentum is
     refreshed.  grad V is evaluated once per event point and shared by the
-    next clocks and the jump.  The refresh time, drawn first, ends the
-    clocks' horizon (a later jump is never used); the two streams are
-    separate, so the order of the draws changes no quadratic-target path.
+    next clocks and the jump: a (d,) array, or a Python float in the float
+    state.  The refresh time, drawn first, ends the clocks' horizon (a later
+    jump is never used); the two streams are separate, so the order of the
+    draws changes no quadratic-target path.
     :func:`_flight_state` builds the clocks and holds the state on (d,)
     arrays, or on Python floats, with the same bits, for every target in one
     dimension.  The flights are kept as columns and the events as their
@@ -410,8 +413,10 @@ def _flight_state(clock: str, slopes: Callable, jumps: tuple, target: TargetMode
     On floats (every target in one dimension) the affine slope is a + b s,
     a = v grad V(q) and b = v (h v) for the 1 x 1 Hessian h, and the reach
     is beta sqrt(v^2 v^2); the gradient and the Hessian bound still act on
-    1-element arrays, as user callables expect, and the jump is the float
-    map of ``jumps``.
+    1-element arrays, as user callables expect: one array per trajectory,
+    refilled before each call, whose gradient is read at once into the
+    float that ``gradient(q)`` returns and ``first_jump`` and the jump take.
+    The jump is the float map of ``jumps``.
     """
     quadratic = target.is_quadratic
     if not quadratic and target.hessian_bound is None:
@@ -447,26 +452,34 @@ def _flight_state(clock: str, slopes: Callable, jumps: tuple, target: TargetMode
 
         return (gradient, first_jump, jumps[0], lambda rng: momentum.sample(rng, target.dim),
                 lambda q, p: (q, p))
+    # the one position array of this trajectory, refilled before each call
+    # of the gradient or the Hessian bound and read at once into a float
+    position = np.empty(1)
+
+    def gradient_at(q):
+        position[0] = q
+        return float(gradient(position)[0])
+
     if quadratic:
         h = float(target.hessian[0, 0])
 
-        def first_jump(q, v, grad, horizon):
-            g = float(grad[0])
+        def first_jump(q, v, g, horizon):
             return invert_affine_rate(beta * (v * g), beta * (v * (h * v)), next(exponentials)), 0
     else:
-        def first_jump(q, v, grad, horizon):
-            g0, speed2 = float(grad[0]), v * v
+        def first_jump(q, v, g0, horizon):
+            speed2 = v * v
             speed, reach = math.sqrt(speed2), beta * math.sqrt(speed2 * speed2)
 
             def slope(s):
-                return beta * (v * (g0 if s == 0.0 else float(gradient(np.array([q + s * v]))[0])))
+                return beta * (v * (g0 if s == 0.0 else gradient_at(q + s * v)))
 
             def lipschitz(t, w):
-                return reach * hessian_bound(np.array([q + t * v]), speed * w)
+                position[0] = q + t * v
+                return reach * hessian_bound(position, speed * w)
 
             return sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng_clock, horizon), 0
 
-    return (lambda q: target.gradient(np.array([q])), first_jump, jumps[1], momentum.draw,
+    return (gradient_at, first_jump, jumps[1], momentum.draw,
             lambda q, p: (float(q[0]), float(p[0])))
 
 
@@ -496,9 +509,8 @@ def simulate_bps(
         # reflection is undefined at a critical point of V
         return reflect(p, grad, factor=reflection_factor) if np.any(grad) else None
 
-    def bounce_float(p, grad, i):
-        # the IEEE operations of bounce on the 1-vectors [p] and grad
-        g = float(grad[0])
+    def bounce_float(p, g, i):
+        # the IEEE operations of bounce on the 1-vectors [p] and [g]
         if g == 0.0:
             return None
         g2 = g * g
@@ -712,6 +724,9 @@ _GL5_NODES = (0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415,
               0.9530899229693319)
 _GL5_WEIGHTS = (0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
                 0.23931433524968315, 0.11846344252809464)
+# time_average evaluates as many quadrature nodes per call as fit this many
+# position entries (128 KiB), and one node per call on longer paths
+_NODE_BLOCK = 2**14
 
 
 def time_average(traj: Trajectory, f):
@@ -723,7 +738,11 @@ def time_average(traj: Trajectory, f):
     (a function or an ``Observable``) maps position arrays of shape (n, d)
     to shape (n,), and the average is a float.  A tuple of such functions
     gives a tuple of their averages from one pass over the path, each equal
-    bit for bit to the average of that function alone.
+    bit for bit to the average of that function alone.  On flights the five
+    nodes are evaluated in groups, as many per call as fit ``_NODE_BLOCK``
+    position entries (at least one): each function is called once per
+    group, and each node's sum is one ``np.dot`` on its contiguous slice,
+    added in node order, so the grouping changes no bit.
     """
     funcs = f if isinstance(f, tuple) else (f,)
     if traj.discretized:
@@ -740,16 +759,23 @@ def time_average(traj: Trajectory, f):
     q0, p0 = np.repeat(q0, k, axis=0), np.repeat(p0, k, axis=0)
     if traj.flow is None:
         v = p0 / traj.mass
-        position = lambda s: q0 + s[:, None] * v
+        position = lambda s: q0 + s[..., None] * v
     else:
         position = traj.flow.positions(q0, p0)
 
+    # as many nodes per call as fit _NODE_BLOCK position entries, at least one
+    n, d = q0.shape
+    group = min(len(_GL5_NODES), max(1, _NODE_BLOCK // (n * d)))
     # each function's node sums, in the order a call with it alone makes them
     totals = [0.0] * len(funcs)
-    for x, w in zip(_GL5_NODES, _GL5_WEIGHTS):
-        q = position(start + x * sub)
+    for g in range(0, len(_GL5_NODES), group):
+        nodes = np.array(_GL5_NODES[g:g + group])
+        # node by node, the positions of a call with that node alone
+        q = position(start + nodes[:, None] * sub).reshape(-1, d)
         for j, func in enumerate(funcs):
-            totals[j] += w * float(np.dot(sub, np.asarray(func(q), dtype=float)))
+            values = np.asarray(func(q), dtype=float)
+            for i, w in enumerate(_GL5_WEIGHTS[g:g + group]):
+                totals[j] += w * float(np.dot(sub, values[i * n:(i + 1) * n]))
     avgs = [total / traj.horizon for total in totals]
     return tuple(avgs) if isinstance(f, tuple) else avgs[0]
 

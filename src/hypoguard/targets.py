@@ -46,7 +46,9 @@ class TargetModel:
     constant Hessian for quadratic potentials (enables exact event-time
     inversion and exact Hamiltonian flow); ``hessian_bound(center, radius)``
     returns a bound on the Hessian operator norm over the given ball and is
-    required for thinning with non-quadratic potentials.
+    required for thinning with non-quadratic potentials.  In one dimension
+    zig-zag and BPS pass both callables one reused 1-element array per
+    trajectory: they may return it, but must not keep it.
     """
 
     name: str
@@ -179,12 +181,15 @@ def builtin_target(name: str, **params) -> TargetModel:
         law = gaussian_iso(**params)
         dim, h, beta = law.dim, law.h, law.beta
         H = h * np.eye(dim)
+        # a 0-d factor gives the IEEE products of the Python float h, with
+        # less overhead per call on a 1-element array
+        h0 = np.array(h)
         return TargetModel(
             name="gaussian_iso",
             dim=dim,
             beta=beta,
             potential=lambda q: 0.5 * h * np.sum(np.square(q), axis=-1),
-            gradient=lambda q: h * np.asarray(q, dtype=float),
+            gradient=lambda q: h0 * np.asarray(q, dtype=float),
             poincare_const=beta * h,
             hessian=H,
         )

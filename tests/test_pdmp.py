@@ -172,6 +172,8 @@ def test_thinned_clock_has_exact_hazard(q, v, floats):
                                MomentumModel(kind="rademacher"), 5, floats)[1]
     grad = WELL.gradient(np.array([q]))
     qv, vv = (q, v) if floats else (np.array([q]), np.array([v]))
+    # the float kit takes grad V(q) as a Python float
+    grad = float(grad[0]) if floats else grad
     arrivals = [first_jump(qv, vv, grad, math.inf)[0] for _ in range(5000)]
     cdf = lambda s: 1.0 - np.exp(-well_hazard(q, v, np.asarray(s, dtype=float)))
     assert sps.kstest(arrivals, cdf).pvalue > 1e-3

@@ -956,6 +956,113 @@ def test_time_average_matches_per_segment_panels(make):
         assert scalar == [per_segment_time_average(traj, f) for f in fs]
 
 
+def panel_count(traj):
+    """The number of quadrature panels time_average lays on a flow path."""
+    return int(np.maximum(np.ceil(traj.flights[1] / 0.5), 1).sum())
+
+
+H3 = np.array([[2.0, 0.5, 0.0], [0.5, 1.5, -0.3], [0.0, -0.3, 1.0]])
+
+
+@pytest.mark.parametrize("target", [
+    builtin_target("gaussian_iso", dim=1, h=1.3), builtin_target("gaussian_aniso", H=H3)],
+    ids=["d1", "d3"])
+def test_node_groups_never_change_a_bit(monkeypatch, target):
+    # every group size from 1 to 5 occurs: 5 nodes as 1+1+1+1+1, 2+2+1, 3+2,
+    # 4+1 and 5; one node per call is the layout of the per-node reference
+    mom = MomentumModel(kind="gaussian", mass=1.7)
+    d = target.dim
+    rows = []
+    fs = (lambda q: rows.append(len(q)) or np.cos(q[:, 0]),
+          lambda q: np.sum(q * target.gradient(q), axis=1),
+          lambda q: q[:, -1] ** 2)
+    for traj in (simulate_zigzag(target, 60.0, 3, 0.5),
+                 simulate_bps(target, mom, 1.0, 60.0, 3),
+                 simulate_hhmc(target, mom, 0.5, 60.0, 3)):
+        n = panel_count(traj)
+        reference = per_segment_time_average(traj, fs[0])
+        outcomes = set()
+        for group in range(1, 6):
+            monkeypatch.setattr(samplers, "_NODE_BLOCK", group * n * d)
+            rows.clear()
+            outcomes.add((time_average(traj, fs), time_average(traj, fs[0])))
+            sizes = [group] * (5 // group) + [5 % group] * (5 % group > 0)
+            assert rows == [k * n for k in sizes] * 2
+        # one outcome over all group sizes, and the tuple's first entry is the
+        # single function's average
+        assert len(outcomes) == 1
+        (tuple_avg, single), = outcomes
+        assert tuple_avg[0] == single == reference
+
+
+def test_no_call_at_d50_gets_more_than_the_node_block():
+    H = 2.0 * np.eye(50) - 0.9 * (np.eye(50, k=1) + np.eye(50, k=-1))
+    target = builtin_target("gaussian_aniso", H=H)
+    mom = MomentumModel(kind="gaussian")
+    shapes, groups = [], set()
+    f = lambda q: shapes.append(q.shape) or q[:, 0]
+    for T in (2.0, 20.0, 200.0):
+        for traj in (simulate_zigzag(target, T, 5, 1.0), simulate_bps(target, mom, 1.0, T, 5),
+                     simulate_hhmc(target, mom, 0.5, T, 5)):
+            n = panel_count(traj)
+            shapes.clear()
+            time_average(traj, f)
+            assert sum(rows for rows, _ in shapes) == 5 * n
+            for rows, d in shapes:
+                # whole nodes: one, or as many as fit the block
+                assert d == 50 and rows % n == 0
+                assert rows == n or rows * d <= samplers._NODE_BLOCK
+            groups.add(len(shapes))
+    # paths in one call and paths at one node per call
+    assert {1, 5} <= groups
+
+
+def test_reused_position_array_is_safe():
+    # a gradient that returns its argument, the array the kit refills: its
+    # paths are those of gaussian_iso at h = 1, whose gradient multiplies
+    echo = TargetModel(name="echo", dim=1, beta=1.0,
+                       potential=lambda q: 0.5 * np.sum(np.square(q), axis=-1),
+                       gradient=lambda q: q, poincare_const=1.0, hessian=np.array([[1.0]]))
+    iso = builtin_target("gaussian_iso", dim=1, h=1.0)
+    mom = MomentumModel(kind="gaussian", mass=1.7)
+    for seed in (1, 2):
+        pairs = [(simulate_zigzag(t, 200.0, seed, 0.5), simulate_bps(t, mom, 1.0, 200.0, seed))
+                 for t in (echo, iso)]
+        for traj, traj_iso in zip(*pairs):
+            assert len(traj.kinds) > 64 and traj.kinds == traj_iso.kinds
+            for col, col_iso in zip(traj.flights, traj_iso.flights):
+                assert np.array_equal(col, col_iso)
+            assert np.array_equal(traj.final_q, traj_iso.final_q)
+            assert np.array_equal(traj.final_p, traj_iso.final_p)
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+@pytest.mark.parametrize("thinned", [False, True], ids=["quadratic", "thinned"])
+def test_float_kit_calls_the_target_on_one_float_array(sampler, thinned):
+    base = (builtin_target("double_well", beta=1.5, poincare_const=1.0) if thinned
+            else builtin_target("gaussian_iso", dim=1, h=1.3))
+    args = {"gradient": [], "hessian_bound": []}
+
+    def spy(name):
+        fn = getattr(base, name)
+        return lambda q, *rest: args[name].append(q) or fn(q, *rest)
+
+    target = dataclasses.replace(
+        base, gradient=spy("gradient"),
+        hessian_bound=spy("hessian_bound") if thinned else None)
+    traj = (simulate_zigzag(target, 100.0, 4, 0.5, np.array([0.9]))
+            if sampler == "zigzag"
+            else simulate_bps(target, MomentumModel(kind="gaussian", beta=target.beta), 1.0,
+                              100.0, 4, np.array([0.9])))
+    assert len(traj.kinds) > 64
+    calls = args["gradient"] + args["hessian_bound"]
+    assert len(args["gradient"]) > len(traj.kinds) and bool(args["hessian_bound"]) == thinned
+    for q in calls:
+        assert type(q) is np.ndarray and q.dtype == np.float64 and q.shape == (1,)
+    # one array for the whole trajectory
+    assert all(q is calls[0] for q in calls)
+
+
 def test_record_arrays_are_built_on_first_read_and_kept(monkeypatch, std_config):
     built, fromarrays = [], np.rec.fromarrays
     monkeypatch.setattr(np.rec, "fromarrays",
