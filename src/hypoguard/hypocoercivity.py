@@ -110,10 +110,15 @@ class ObservableStats:
 def lambda_of_eps(params: HypoParams) -> float:
     """Lambda(eps), the smallest eigenvalue of the 2x2 coercivity matrix.
 
-    May be <= 0; callers decide admissibility.
+    May be <= 0; callers decide admissibility.  A discriminant beyond the
+    float range raises ``OverflowError`` naming Lambda(eps) and its inputs.
     """
     eps, lambda_q, lambda_p, R0 = params.eps, params.lambda_q, params.lambda_p, params.R0
-    disc = ((lambda_q + 1.0) * eps - lambda_p) ** 2 + (eps * R0) ** 2
+    try:
+        disc = ((lambda_q + 1.0) * eps - lambda_p) ** 2 + (eps * R0) ** 2
+    except OverflowError as exc:
+        raise OverflowError(f"Lambda(eps) overflows for eps = {eps}, lambda_q = {lambda_q}, "
+                            f"lambda_p = {lambda_p} and R0 = {R0}") from exc
     return 0.5 * ((lambda_q - 1.0) * eps + lambda_p - math.sqrt(disc))
 
 

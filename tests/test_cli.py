@@ -698,7 +698,8 @@ def test_closed_form_commands_exit_0_with_strict_json_or_2(cfg, command):
       for command in ("ci", "constants")],
     # ((lambda_q + 1) eps - lambda_p) ** 2 in lambda_of_eps raised OverflowError
     *[(command, {"hypo": {"lambda_p": 1e300, "lambda_q": 0.5, "R0": 0.0, "eps": 0.1}},
-       "invalid hypo, observable and initial: ") for command in ("ci", "constants")],
+       "invalid hypo, observable and initial: Lambda(eps) overflows for eps = 0.1, "
+       "lambda_q = 0.5, lambda_p = 1e+300 and R0 = 0.0") for command in ("ci", "constants")],
     # alpha = inf reached the JSON
     ("constants", {"hypo": {"lambda_p": 1e-310, "lambda_q": 1.0, "R0": 1.0, "eps": "auto"},
                    "observable": {"name": "clipped_coord", "L": 1e-200}},
