@@ -7,19 +7,19 @@ functions
 
 its one-sided Legendre transform psi*, and the inverse of psi*.  All three
 have closed forms and are implemented exactly; no series expansions are used
-near the pole lam -> 1/b.
+near the pole lam -> 1/b.  A pair is a :class:`BernsteinPair`, an immutable
+named tuple ``(v, b)`` checked on every construction path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = ["BernsteinPair", "psi", "psi_star", "psi_star_inv"]
 
 
-@dataclass(frozen=True)
-class BernsteinPair:
+class BernsteinPair(namedtuple("BernsteinPair", "v b")):
     """Variance proxy ``v`` and scale ``b`` of a sub-gamma moment bound.
 
     ``v`` controls the Gaussian regime of the tail, ``b`` the exponential
@@ -27,23 +27,24 @@ class BernsteinPair:
     ``v == b == 0`` is degenerate and rejected by :func:`psi_star`.
     """
 
-    v: float
-    b: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's, and so _replace, skips __new__
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.v < math.inf:
-            raise ValueError(f"variance proxy v must be finite and >= 0, got {self.v}")
-        if not 0.0 <= self.b < math.inf:
-            raise ValueError(f"scale b must be finite and >= 0, got {self.b}")
+    def __new__(cls, v: float, b: float):
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"variance proxy v must be finite and >= 0, got {v}")
+        if not 0.0 <= b < math.inf:
+            raise ValueError(f"scale b must be finite and >= 0, got {b}")
+        return tuple.__new__(cls, (v, b))
 
 
 def psi(pair: BernsteinPair, lam: float) -> float:
     """Evaluate psi_{v,b}(lam) = lam^2 v / (2 (1 - lam b)).
 
     Returns ``inf`` for lam*b >= 1 (the bound is vacuous there); raises on
-    negative lam.
+    a negative or NaN lam.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if pair.b > 0.0 and lam * pair.b >= 1.0:
         return math.inf
@@ -56,20 +57,23 @@ def psi_star(pair: BernsteinPair, r: float) -> float:
         psi*(r) = sup_{0 <= lam < 1/b} { lam r - psi(lam) }
                 = 2 r^2 / ( v (1 + sqrt(1 + 2 b r / v))^2 ).
 
-    The v = 0 edge is the analytic limit r/b (the closed form is 0/0 there).
+    The v = 0 edge is the analytic limit r/b (the closed form is 0/0 there),
+    and r = inf the limit inf (the closed form is inf/inf, or 0*inf at b = 0).
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError(f"deviation r must be >= 0, got {r}")
     if pair.v == 0.0:
         if pair.b == 0.0:
             raise ValueError("degenerate Bernstein pair: v = b = 0")
         return r / pair.b
+    if r == math.inf:
+        return math.inf
     root = math.sqrt(1.0 + 2.0 * pair.b * r / pair.v)
     return 2.0 * r * r / (pair.v * (1.0 + root) ** 2)
 
 
 def psi_star_inv(pair: BernsteinPair, eta: float) -> float:
     """Inverse of the Legendre transform: sqrt(2 v eta) + b eta."""
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     return math.sqrt(2.0 * pair.v * eta) + pair.b * eta

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .hypocoercivity import ObservableStats
 
@@ -57,14 +57,11 @@ def _check_params(kind: str, name: str, params: dict, takes: dict) -> None:
                              f"or a list of them, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GaussianIso:
-    """The law of ``gaussian_iso``, N(0, I / (beta h)) on R^dim."""
+class GaussianIso(namedtuple("GaussianIso", "dim h beta")):
+    """The law of ``gaussian_iso``, N(0, I / (beta h)) on R^dim, an immutable
+    named tuple; :func:`gaussian_iso` checks its parameters."""
 
-    dim: int
-    h: float
-    beta: float
-
+    __slots__ = ()
     is_quadratic = True
 
     def marginal_var(self, coord: int = 0) -> float:

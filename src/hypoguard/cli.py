@@ -153,7 +153,7 @@ def _constants(cfg: dict, hypo, stats, dmu_norm: float) -> tuple:
     """(pair, N, derived constants) of ``bernstein_from_hypo``, all finite."""
     fields = _bound_fields(cfg)
     pair, N, der = _checked(fields, bernstein_from_hypo, hypo, stats, dmu_norm)
-    _finite(fields, v=pair.v, b=pair.b, N=N, **vars(der))
+    _finite(fields, v=pair.v, b=pair.b, N=N, **der._asdict())
     return pair, N, der
 
 

@@ -67,6 +67,7 @@ def min_time_for_radius(
 ) -> float:
     """Smallest T at which the one-sided confidence radius drops to ``r``:
     T = log(2N/delta) / psi*(r).  Exact inverse of :func:`confidence_radius`.
+    ``inf`` where psi*(r) underflows to 0: the horizon is beyond the float range.
     """
     if not r > 0.0:
         raise ValueError(f"no finite horizon reaches radius r = {r}")
@@ -74,7 +75,8 @@ def min_time_for_radius(
         raise ValueError(f"N must be >= 1, got {N}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return math.log(2.0 * N / delta) / psi_star(pair, r)
+    rate = psi_star(pair, r)
+    return math.log(2.0 * N / delta) / rate if rate > 0.0 else math.inf
 
 
 def eta_T(c: float, dmu_norm: float, rel_entropy: float, T: float) -> float:

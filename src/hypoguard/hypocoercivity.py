@@ -10,13 +10,16 @@ yields a coercivity constant Lambda(eps), the smallest eigenvalue of
 
 This module computes, in closed form, Lambda(eps), the admissible eps range,
 the eps maximizing Lambda, and the explicit (v, b, N, alpha) constants used
-by the confidence interval and UQ bounds for a bounded observable.
+by the confidence interval and UQ bounds for a bounded observable.  Its
+records (:class:`HypoParams`, :class:`DerivedConstants`,
+:class:`ObservableStats`) are immutable named tuples, checked on every
+construction path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bernstein import BernsteinPair
 
@@ -43,64 +46,57 @@ class AdmissibilityError(ValueError):
     """Raised when Lambda(eps) <= 0, i.e. the parameter set is inadmissible."""
 
 
-@dataclass(frozen=True)
-class HypoParams:
+class HypoParams(namedtuple("HypoParams", "lambda_p lambda_q R0 eps")):
     """Hypocoercivity constants (lambda_p, lambda_q, R0) and the inner-product
     parameter eps."""
 
-    lambda_p: float
-    lambda_q: float
-    R0: float
-    eps: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's, and so _replace, skips __new__
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lambda_p < math.inf:
-            raise ValueError(f"lambda_p must be finite and > 0, got {self.lambda_p}")
-        if not (0.0 < self.lambda_q <= 1.0):
-            raise ValueError(f"lambda_q must be in (0, 1], got {self.lambda_q}")
-        if not 0.0 <= self.R0 < math.inf:
-            raise ValueError(f"R0 must be finite and >= 0, got {self.R0}")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must be in (0, 1), got {self.eps}")
+    def __new__(cls, lambda_p: float, lambda_q: float, R0: float, eps: float):
+        if not 0.0 < lambda_p < math.inf:
+            raise ValueError(f"lambda_p must be finite and > 0, got {lambda_p}")
+        if not (0.0 < lambda_q <= 1.0):
+            raise ValueError(f"lambda_q must be in (0, 1], got {lambda_q}")
+        if not 0.0 <= R0 < math.inf:
+            raise ValueError(f"R0 must be finite and >= 0, got {R0}")
+        if not (0.0 < eps < 1.0):
+            raise ValueError(f"eps must be in (0, 1), got {eps}")
+        return tuple.__new__(cls, (lambda_p, lambda_q, R0, eps))
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(namedtuple("DerivedConstants", "Lambda c C alpha")):
     """Constants of the modified inner product: Lambda(eps), the norm
     equivalence factors c = sqrt(1-eps) <= 1 <= C = sqrt(1+eps), and the
     Poincare constant alpha = (1+eps)/Lambda(eps)."""
 
-    Lambda: float
-    c: float
-    C: float
-    alpha: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ObservableStats:
+class ObservableStats(namedtuple("ObservableStats", "mean variance sup_norm")):
     """Mean, variance and sup norm of the centered observable f - mean."""
 
-    mean: float
-    variance: float
-    sup_norm: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's, and so _replace, skips __new__
 
-    def __post_init__(self) -> None:
+    def __new__(cls, mean: float, variance: float, sup_norm: float):
         # plain floats keep every bound derived from the stats, and so every
         # report, JSON-serialisable when a caller passes NumPy scalars
-        for name in ("mean", "variance", "sup_norm"):
-            value = float(getattr(self, name))
+        values = []
+        for name, value in zip(cls._fields, (mean, variance, sup_norm)):
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if not self.variance >= 0.0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-        if not self.sup_norm >= 0.0:
-            raise ValueError(f"sup_norm must be >= 0, got {self.sup_norm}")
+            values.append(value)
+        mean, variance, sup_norm = values
+        if not variance >= 0.0:
+            raise ValueError(f"variance must be >= 0, got {variance}")
+        if not sup_norm >= 0.0:
+            raise ValueError(f"sup_norm must be >= 0, got {sup_norm}")
         # bounded centered observable: Var <= ||f - mean||_inf^2
-        if self.variance > self.sup_norm**2 * (1.0 + 1e-12) + 1e-300:
-            raise ValueError(
-                f"variance {self.variance} exceeds sup_norm^2 = {self.sup_norm**2}"
-            )
+        if variance > sup_norm**2 * (1.0 + 1e-12) + 1e-300:
+            raise ValueError(f"variance {variance} exceeds sup_norm^2 = {sup_norm**2}")
+        return tuple.__new__(cls, values)
 
     def vacuous(self, *radii: float) -> bool:
         """Whether every radius is at or above ||f - mean||_inf, a bound on |F_T - mean|."""

@@ -76,6 +76,21 @@ def test_non_finite_pair_rejected(field, value):
         BernsteinPair(**{"v": 1.0, "b": 1.0, field: value})
 
 
+@pytest.mark.parametrize("func, name", [(psi, "lambda"), (psi_star, "deviation r"),
+                                        (psi_star_inv, "eta")])
+@pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
+def test_negative_or_nan_argument_rejected_by_name(func, name, value):
+    # NaN passes a check written as x < 0, and every result would be NaN
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}"):
+        func(BernsteinPair(v=2.0, b=1.0), value)
+
+
+@pytest.mark.parametrize("v, b", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+def test_psi_star_at_infinity_is_infinite(v, b):
+    # the closed form is inf/inf, or 0*inf at b = 0; the limit is inf
+    assert psi_star(BernsteinPair(v=v, b=b), math.inf) == math.inf
+
+
 def test_psi_star_matches_legendre_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(50):

@@ -93,6 +93,26 @@ def test_uq_bias_bound_infinite_eta():
     assert uq_bias_bound(PAIR, PAIR, math.inf) == (math.inf, math.inf)
 
 
+def test_nan_radius_and_rate_rejected():
+    with pytest.raises(ValueError, match="^deviation r must be >= 0, got nan"):
+        concentration_bound(PAIR, 0.9, 1.0, math.nan, 10.0)
+    with pytest.raises(ValueError, match="^eta must be >= 0, got nan"):
+        uq_bias_bound(PAIR, PAIR, math.nan)
+
+
+def test_infinite_radius_has_zero_tail_and_zero_horizon():
+    assert concentration_bound(BernsteinPair(v=1.0, b=1.0), 0.9, 1.0, math.inf, 10.0) == 0.0
+    assert concentration_bound(BernsteinPair(v=1.0, b=0.0), 0.9, 1.0, math.inf, 10.0) == 0.0
+    assert min_time_for_radius(PAIR, 1.2, 0.1, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("r", [1e-155, 1e-162, 1e-165, 1e-170, 1e-200])
+def test_horizon_beyond_the_float_range_is_infinite(r):
+    # psi*(r) ~ r^2 / (2v) underflows to 0 below r ~ 1e-162: the horizon is
+    # inf, on the safe side, not a ZeroDivisionError
+    assert min_time_for_radius(BernsteinPair(v=1.0, b=1.0), 1.2, 0.1, r) == math.inf
+
+
 def test_transient_term_limits():
     p = HypoParams(lambda_p=1.0, lambda_q=0.5, R0=0.0, eps=0.5)
     d = derived_constants(p)

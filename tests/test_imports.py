@@ -34,33 +34,50 @@ def run_python(code: str) -> str:
     return res.stdout
 
 
-def loaded_after(argv: list, cfg: dict, tmp_path) -> set:
-    """The modules a fresh interpreter holds after ``cli.main(argv)`` on ``cfg``."""
+def loaded_after(argv: list, cfg: dict, tmp_path, since_import: bool = False) -> set:
+    """The modules a fresh interpreter holds after ``cli.main(argv)`` on ``cfg``;
+    with ``since_import``, only those loaded from ``import hypoguard.cli`` on,
+    so that what the environment's site hooks load does not count."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = ("import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
             "from hypoguard.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({[*argv, '--config', str(path)]!r})\n"
             "assert code == 0, code\n"
-            "print(json.dumps(sorted(sys.modules)))\n")
+            f"print(json.dumps(sorted(set(sys.modules) - before if {since_import} "
+            "else sys.modules)))\n")
     return set(json.loads(run_python(code)))
 
 
+# every built-in observable, from the stationary start and from a Gaussian
+# one, whose norm is a closed form too
+OBSERVABLES = [{"name": "cos", "omega": 1.0}, {"name": "sin", "omega": 1.0},
+               {"name": "indicator", "a": -0.5, "b": 0.5}, {"name": "clipped_coord", "L": 1.0}]
+STARTS = ({}, {"initial": {"kind": "gaussian", "mean": 0.5, "var": 0.5}})
+
+
 @pytest.mark.parametrize("command", ["ci", "constants"])
-@pytest.mark.parametrize("observable", [
-    {"name": "cos", "omega": 1.0},
-    {"name": "sin", "omega": 1.0},
-    {"name": "indicator", "a": -0.5, "b": 0.5},
-    {"name": "clipped_coord", "L": 1.0},
-], ids=lambda obs: obs["name"])
+@pytest.mark.parametrize("observable", OBSERVABLES, ids=lambda obs: obs["name"])
 def test_closed_form_commands_load_neither_numpy_nor_scipy(tmp_path, command, observable):
-    # from the stationary start and from a Gaussian one, whose norm is a closed form too
-    for start in ({}, {"initial": {"kind": "gaussian", "mean": 0.5, "var": 0.5}}):
+    for start in STARTS:
         cfg = dict(REFERENCE, observable=observable, **start)
         modules = loaded_after([command], cfg, tmp_path)
         assert not {"numpy", "scipy"} & modules, start
         assert not SIMULATING & modules, start
+
+
+@pytest.mark.parametrize("command", ["ci", "constants"])
+@pytest.mark.parametrize("observable", OBSERVABLES, ids=lambda obs: obs["name"])
+def test_closed_form_commands_load_neither_dataclasses_nor_inspect(tmp_path, command, observable):
+    # the closed-form records are named tuples: building a frozen dataclass
+    # type would load dataclasses, and with it inspect (about 9 ms a process)
+    for start in STARTS:
+        cfg = dict(REFERENCE, observable=observable, **start)
+        modules = loaded_after([command], cfg, tmp_path, since_import=True)
+        assert "hypoguard.cli" in modules, start
+        assert not {"dataclasses", "inspect"} & modules, start
 
 
 @pytest.mark.parametrize("which", ["eigen", "perturb"])
