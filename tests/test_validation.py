@@ -366,6 +366,18 @@ def test_replica_pass_is_pinned_bit_for_bit(std_config, sampler):
     assert replica_digests(config) == golden[sampler]
 
 
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_well_replica_pass_is_pinned_bit_for_bit(std_config, sampler):
+    # double_well at beta 1.5 from exact stationary starts (40 replicas,
+    # T = 30, seed 7): every start is a rejection draw from the init stream,
+    # so a changed proposal, acceptance test or draw order moves a digest
+    well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+    well = ExactWell(**{f.name: getattr(well, f.name) for f in dataclasses.fields(well)})
+    config = small(std_config, sampler=sampler, target=well, replicas=40, T=30.0, seed=7)
+    golden = json.loads(REPLICA_GOLDEN.read_text())
+    assert replica_digests(config) == golden[f"well-{sampler}"]
+
+
 def test_gaussian_start_beyond_1d_rejected_before_simulating(std_config, monkeypatch):
     target = builtin_target("gaussian_iso", dim=2)
     cfg = small(std_config, target=target, observable=builtin_observable("cos", target),
