@@ -12,7 +12,6 @@ apart.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from hypoguard import (
     ExperimentConfig,
     HypoParams,
     Observable,
-    TargetModel,
     builtin_observable,
     builtin_target,
     coverage_experiment,
@@ -29,21 +27,6 @@ from hypoguard import (
     observable_stats_quadrature,
     optimal_eps,
 )
-
-
-class ExactWell(TargetModel):
-    """A 1-D well V = (q^2 - 1)^2 / 4 with exact stationary starts, by
-    rejection from N(0, s^2), s = 1.5: the log acceptance ratio
-    -beta V(q) + q^2 / (2 s^2) peaks at log M = 1 / (2 s^2) + 1 / (4 beta s^4)."""
-
-    def sample_position(self, rng, size=None):
-        s = 1.5
-        log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * self.beta * s ** 4)
-        while True:
-            q = s * rng.standard_normal()
-            if math.log(rng.random()) <= (-self.beta * (q * q - 1.0) ** 2 / 4.0
-                                          + q * q / (2.0 * s * s) - log_m):
-                return np.array([q])
 
 
 def bps_config(target, observable, replicas, seed):
@@ -57,8 +40,7 @@ def bps_config(target, observable, replicas, seed):
 
 gaussian = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
 well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
-well = ExactWell(**{**{f.name: getattr(well, f.name) for f in dataclasses.fields(well)},
-                    "poincare_const": estimate_poincare_1d(well)})
+well = dataclasses.replace(well, poincare_const=estimate_poincare_1d(well))
 cos = lambda q: np.cos(np.asarray(q)[..., 0])
 
 settings = (bps_config(gaussian, builtin_observable("cos", gaussian, omega=1.0), 60, 42),

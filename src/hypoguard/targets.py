@@ -82,7 +82,13 @@ class TargetModel:
         return chol
 
     def sample_position(self, rng: np.random.Generator, size: int | None = None):
-        """Exact draw from nu* (quadratic potentials only)."""
+        """Exact draw from nu*: one position of shape (dim,), or ``size`` of
+        them as shape (size, dim).  Gaussian for a quadratic potential; the
+        built-in ``double_well`` draws by rejection, and any other target has
+        no exact draw and raises, so its samplers need a given start."""
+        if self.hessian is None:
+            raise ValueError(f"target '{self.name}' has no exact stationary draw; "
+                             "pass a start position")
         chol = self._position_factor
         n = 1 if size is None else size
         z = rng.standard_normal((n, self.dim))
@@ -101,6 +107,31 @@ class TargetModel:
         for a in modes:
             a.flags.writeable = False
         return modes
+
+
+class _DoubleWell(TargetModel):
+    """The built-in double well, drawn exactly by rejection from N(0, s^2),
+    s = 1.5: in u = q^2 the log ratio -beta (u - 1)^2 / 4 + u / (2 s^2) of
+    exp(-beta V) to the proposal is concave, maximal at u = 1 + 1 / (beta s^2)
+    for all beta > 0, where it is log M = 1 / (2 s^2) + 1 / (4 beta s^4).  V is
+    read from the target: a log ratio above 0 raises, as does log M > 10."""
+
+    def sample_position(self, rng: np.random.Generator, size: int | None = None):
+        s = 1.5
+        log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * self.beta * s ** 4)
+        if log_m > 10.0:
+            raise ValueError(f"target '{self.name}' at beta {self.beta}: an exact draw "
+                             f"takes about exp({log_m:.4g}) proposals; pass a start position")
+        qs = []
+        while len(qs) < (1 if size is None else size):
+            q = s * rng.standard_normal()
+            ratio = q * q / (2.0 * s * s) - self.beta * float(self.potential(np.array([q]))) - log_m
+            if ratio > 1e-12:
+                raise ValueError(f"target '{self.name}': log acceptance ratio {ratio} "
+                                 f"at q = {q} exceeds the double-well envelope")
+            if math.log(rng.random()) <= ratio:
+                qs.append([q])
+        return np.array(qs[0]) if size is None else np.array(qs)
 
 
 @dataclass(frozen=True)
@@ -170,8 +201,8 @@ def builtin_target(name: str, **params) -> TargetModel:
 
     gaussian_iso(dim, h, beta): V = h|q|^2/2, Poincare constant beta*h.
     gaussian_aniso(H, beta): V = q^T H q / 2, Poincare constant beta*h_min.
-    double_well(beta, poincare_const): V = (q^2-1)^2/4 in 1-D; the Poincare
-        constant has no closed form and must be supplied (see
+    double_well(beta, poincare_const): V = (q^2-1)^2/4 in 1-D, drawn exactly;
+        the Poincare constant has no closed form and must be supplied (see
         :func:`estimate_poincare_1d` for a numerical estimate).
 
     Unknown names and parameters, and parameter values that are not finite,
@@ -242,7 +273,7 @@ def builtin_target(name: str, **params) -> TargetModel:
             c = abs(float(center[0]))
             return 3.0 * (c + radius) ** 2 + 1.0
 
-        return TargetModel(
+        return _DoubleWell(
             name="double_well",
             dim=1,
             beta=beta,

@@ -1,5 +1,6 @@
 """Target models, observables, and closed-form statistics vs quadrature oracles."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -7,10 +8,11 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from hypoguard import (
     MomentumModel,
+    TargetModel,
     builtin_observable,
     builtin_target,
     estimate_poincare_1d,
@@ -18,6 +20,7 @@ from hypoguard import (
     linear_tilt,
     observable_stats_quadrature,
     scale_potential,
+    simulate_bps,
     simulate_zigzag,
     stationary_expectation_1d,
 )
@@ -113,6 +116,83 @@ def test_aniso_sampling_matches_cov():
     rng = np.random.default_rng(10)
     qs = t.sample_position(rng, size=200_000)
     assert np.allclose(np.cov(qs.T), np.linalg.inv(H), atol=0.03)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5, 3.0, 6.0])
+def test_well_draws_meet_the_quadrature_cdf(beta):
+    # Kolmogorov-Smirnov on 20 000 exact draws against the Gibbs CDF, by
+    # quadrature on a grid of step 0.02 (linear interpolation moves it < 1e-4)
+    well = builtin_target("double_well", beta=beta, poincare_const=1.0)
+    expect = stationary_expectation_1d(well)
+    grid = np.linspace(-4.0, 4.0, 401)
+    cdf = [expect(lambda q, x=x: (q[:, 0] <= x).astype(float), points=(x,)) for x in grid]
+    qs = well.sample_position(np.random.default_rng(2019), size=20_000)
+    assert qs.shape == (20_000, 1)
+    assert stats.kstest(qs[:, 0], lambda x: np.interp(x, grid, cdf)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.5, 3.0, 6.0, 100.0])
+def test_well_envelope_peaks_where_its_closed_form_says(beta):
+    # the log acceptance ratio q^2 / (2 s^2) - beta V(q) - log M, s = 1.5, is
+    # at most 0 on a grid of step 1e-5, and 0 at its peak q^2 = 1 + 1 / (beta s^2)
+    s, well = 1.5, builtin_target("double_well", beta=beta, poincare_const=1.0)
+    log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * beta * s ** 4)
+    q = np.linspace(-8.0, 8.0, 1_600_001)
+    ratio = q * q / (2.0 * s * s) - beta * well.potential(q[:, None]) - log_m
+    peak = math.sqrt(1.0 + 1.0 / (beta * s * s))
+    assert ratio.max() <= 1e-12
+    assert abs(abs(q[np.argmax(ratio)]) - peak) <= 1e-5
+    at_peak = peak * peak / (2.0 * s * s) - beta * well.potential(np.array([peak])) - log_m
+    assert abs(at_peak) <= 1e-12
+
+
+def test_well_copies_draw_exactly_until_the_potential_breaks_the_envelope():
+    well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+    copy = dataclasses.replace(well, poincare_const=2.0)
+    draws = [t.sample_position(np.random.default_rng(5), size=50) for t in (well, copy)]
+    assert np.array_equal(*draws)
+    flat = dataclasses.replace(well, potential=lambda q: well.potential(q) / 2.0)
+    with pytest.raises(ValueError, match=r"^target 'double_well': log acceptance ratio "
+                                         r"\S+ at q = \S+ exceeds the double-well envelope$"):
+        flat.sample_position(np.random.default_rng(5), size=50)
+
+
+def test_well_too_cold_for_its_proposal_is_rejected_before_drawing():
+    # at beta 1e-3, log M = 49.6: a draw would take about 1e21 proposals
+    rng = np.random.default_rng(5)
+    well = builtin_target("double_well", beta=1e-3, poincare_const=1.0)
+    with pytest.raises(ValueError, match=r"^target 'double_well' at beta 0.001: an exact draw "
+                                         r"takes about exp\(49.6\) proposals; pass a start"):
+        well.sample_position(rng)
+    assert rng.random() == np.random.default_rng(5).random()
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_samplers_start_the_well_from_its_exact_draw(sampler):
+    # with no start given, q0 is the well's own draw from the init stream
+    well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+    traj = (simulate_zigzag(well, 20.0, 3, 1.0) if sampler == "zigzag" else
+            simulate_bps(well, MomentumModel(kind="gaussian", beta=1.5), 1.0, 20.0, 3))
+    assert traj.segments.q0[0].tolist() == well.sample_position(stream_rng(3, "init")).tolist()
+    assert np.all(np.isfinite(traj.segments.q0)) and len(traj.kinds) > 0
+
+
+WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+
+
+@pytest.mark.parametrize("target", [
+    scale_potential(WELL, 1.2),
+    linear_tilt(WELL, 0.3),
+    TargetModel(name="quartic", dim=1, beta=1.0, poincare_const=1.0,
+                potential=lambda q: np.asarray(q)[..., 0] ** 4 / 4.0,
+                gradient=lambda q: np.asarray(q, dtype=float) ** 3,
+                hessian_bound=lambda center, radius: 3.0 * (abs(center[0]) + radius) ** 2),
+], ids=lambda t: t.name)
+def test_a_target_without_an_exact_draw_asks_for_a_start(target):
+    with pytest.raises(ValueError, match=f"^target '{re.escape(target.name)}' has no exact "
+                                         "stationary draw; pass a start position$"):
+        simulate_zigzag(target, 5.0, 1, 1.0)
+    assert len(simulate_zigzag(target, 5.0, 1, 1.0, q0=[0.5]).kinds) > 0
 
 
 def test_double_well_requires_poincare():

@@ -13,7 +13,6 @@ from scipy import integrate
 from hypoguard import (
     ExperimentConfig,
     ObservableStats,
-    TargetModel,
     builtin_observable,
     builtin_target,
     coverage_experiment,
@@ -155,22 +154,6 @@ class TestCoverage:
         assert rep.passed
 
 
-class ExactWell(TargetModel):
-    """A target whose stationary starts are exact draws by rejection from
-    N(0, s^2), s = 1.5: the log acceptance ratio -beta V(q) + q^2 / (2 s^2)
-    of V = (q^2 - 1)^2 / 4 peaks at q^2 = 1 + 1 / (beta s^2), at log M =
-    1 / (2 s^2) + 1 / (4 beta s^4)."""
-
-    def sample_position(self, rng, size=None):
-        s = 1.5
-        log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * self.beta * s ** 4)
-        while True:
-            q = s * rng.standard_normal()
-            if math.log(rng.random()) <= (-self.beta * (q * q - 1.0) ** 2 / 4.0
-                                          + q * q / (2.0 * s * s) - log_m):
-                return np.array([q])
-
-
 class TestStationarityGateOnTheWell:
     """The Stein gate on double_well at beta = 1.5, from exact starts: 450
     replicas, T = 150, seed 7.  Observed z-scores of E[q V'] = 1/beta:
@@ -182,9 +165,7 @@ class TestStationarityGateOnTheWell:
 
     @pytest.fixture(scope="class")
     def well_config(self, std_config):
-        well = ExactWell(**{f.name: getattr(self.WELL, f.name)
-                            for f in dataclasses.fields(self.WELL)})
-        return small(std_config, target=well, replicas=450, seed=7)
+        return small(std_config, target=self.WELL, replicas=450, seed=7)
 
     @staticmethod
     def gate(config):
@@ -372,7 +353,6 @@ def test_well_replica_pass_is_pinned_bit_for_bit(std_config, sampler):
     # T = 30, seed 7): every start is a rejection draw from the init stream,
     # so a changed proposal, acceptance test or draw order moves a digest
     well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
-    well = ExactWell(**{f.name: getattr(well, f.name) for f in dataclasses.fields(well)})
     config = small(std_config, sampler=sampler, target=well, replicas=40, T=30.0, seed=7)
     golden = json.loads(REPLICA_GOLDEN.read_text())
     assert replica_digests(config) == golden[f"well-{sampler}"]
