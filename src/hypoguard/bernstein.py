@@ -14,6 +14,7 @@ named tuple ``(v, b)`` checked on every construction path.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 __all__ = ["BernsteinPair", "psi", "psi_star", "psi_star_inv"]
@@ -59,6 +60,9 @@ def psi_star(pair: BernsteinPair, r: float) -> float:
 
     The v = 0 edge is the analytic limit r/b (the closed form is 0/0 there),
     and r = inf the limit inf (the closed form is inf/inf, or 0*inf at b = 0).
+    Where r^2 or 2 b r / v overflows, the same form divided through by r,
+    2 r / (sqrt(v/r) + sqrt(v/r + 2b))^2, is taken below its rounding error
+    and clamped to the largest float: a finite value at or below psi*.
     """
     if not r >= 0.0:
         raise ValueError(f"deviation r must be >= 0, got {r}")
@@ -69,7 +73,12 @@ def psi_star(pair: BernsteinPair, r: float) -> float:
     if r == math.inf:
         return math.inf
     root = math.sqrt(1.0 + 2.0 * pair.b * r / pair.v)
-    return 2.0 * r * r / (pair.v * (1.0 + root) ** 2)
+    value = 2.0 * r * r / (pair.v * (1.0 + root) ** 2)
+    if root < math.inf and value < math.inf:
+        return value
+    scale = 2.0 / (math.sqrt(pair.v / r) + math.sqrt(pair.v / r + 2.0 * pair.b)) ** 2
+    # each of the few roundings is within 2^-53; 2^-48 covers them all
+    return min(r * scale, sys.float_info.max) * (1.0 - 2.0 ** -48)
 
 
 def psi_star_inv(pair: BernsteinPair, eta: float) -> float:

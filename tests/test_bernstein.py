@@ -1,13 +1,16 @@
 """Sub-gamma log-MGF algebra: closed forms against independent numeric oracles."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoguard import BernsteinPair, psi, psi_star, psi_star_inv
+from hypoguard import (BernsteinPair, concentration_bound, min_time_for_radius, psi, psi_star,
+                        psi_star_inv)
 
 
 def legendre_sup(pair: BernsteinPair, r: float) -> float:
@@ -89,6 +92,37 @@ def test_negative_or_nan_argument_rejected_by_name(func, name, value):
 def test_psi_star_at_infinity_is_infinite(v, b):
     # the closed form is inf/inf, or 0*inf at b = 0; the limit is inf
     assert psi_star(BernsteinPair(v=v, b=b), math.inf) == math.inf
+
+
+PAIRS = [(1.0, 1.0), (0.5, 0.9), (3.7, 0.01), (1e10, 0.0), (1e-3, 40.8), (7.14, 40.8)]
+
+
+@pytest.mark.parametrize("v, b", PAIRS)
+@pytest.mark.parametrize("r", [1e154, 1e155, 1e200, 1e308])
+def test_psi_star_past_overflow_meets_a_50_digit_oracle_from_below(v, b, r):
+    # the closed form's r^2 or 2 b r / v overflows here (it gave inf or nan)
+    with mpmath.workdps(50):
+        mv, mb, mr = mpmath.mpf(v), mpmath.mpf(b), mpmath.mpf(r)
+        exact = 2 * mr * mr / (mv * (1 + mpmath.sqrt(1 + 2 * mb * mr / mv)) ** 2)
+        got = psi_star(BernsteinPair(v, b), r)
+        assert math.isfinite(got) and got <= exact
+        if exact < sys.float_info.max:
+            assert got >= exact * (1 - mpmath.mpf(2) ** -45)
+        else:
+            assert got >= sys.float_info.max * (1 - 2.0 ** -45)
+
+
+def test_psi_star_keeps_the_closed_form_bits_in_the_normal_range():
+    for v, b in PAIRS + [(0.02, 0.0), (100.0, 50.0)]:
+        for r in np.geomspace(1e-150, 1e150, 601).tolist() + [0.0, 0.09, 1.434]:
+            closed = 2.0 * r * r / (v * (1.0 + math.sqrt(1.0 + 2.0 * b * r / v)) ** 2)
+            assert psi_star(BernsteinPair(v, b), r) == closed
+
+
+def test_bounds_past_overflow_are_not_nan():
+    pair = BernsteinPair(1.0, 1.0)
+    assert concentration_bound(pair, 0.9, 1.0, 1e308, 10.0) == 0.0
+    assert 0.0 < min_time_for_radius(pair, 1.26, 0.1, 1e308) < 1e-307
 
 
 def test_psi_star_matches_legendre_oracle():
