@@ -455,6 +455,8 @@ def linear_tilt(target: TargetModel, delta: float) -> TargetModel:
     """
     if target.dim != 1:
         raise ValueError("linear_tilt is 1-D only")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     base_pot, base_grad = target.potential, target.gradient
 
     return TargetModel(
@@ -473,8 +475,8 @@ def scale_potential(target: TargetModel, factor: float) -> TargetModel:
     """Alternative target with potential factor * V(q) (variance scaling for
     Gaussian bases); the Poincare constant, the Hessian and its bound scale
     by the same factor."""
-    if factor <= 0:
-        raise ValueError("factor must be > 0")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and > 0, got {factor}")
     base_pot, base_grad, base_bound = target.potential, target.gradient, target.hessian_bound
     return TargetModel(
         name=f"{target.name}*{factor}",

@@ -343,8 +343,8 @@ def girsanov_entropy_rate_langevin(base: TargetModel, alt: TargetModel, gamma: f
     quadrature against the alternative stationary density (1-D).
     """
     _check_rate_pair(base, alt)
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
 
     val = stationary_expectation_1d(alt)(
         lambda q: np.square(alt.gradient(q)[:, 0] - base.gradient(q)[:, 0]))

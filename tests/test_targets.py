@@ -195,6 +195,18 @@ def test_a_target_without_an_exact_draw_asks_for_a_start(target):
     assert len(simulate_zigzag(target, 5.0, 1, 1.0, q0=[0.5]).kinds) > 0
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
+def test_scale_potential_rejects_a_factor_not_finite_and_positive(factor):
+    with pytest.raises(ValueError, match=f"^factor must be finite and > 0, got {factor}$"):
+        scale_potential(WELL, factor)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_linear_tilt_rejects_a_delta_that_is_not_finite(delta):
+    with pytest.raises(ValueError, match=f"^delta must be finite, got {delta}$"):
+        linear_tilt(WELL, delta)
+
+
 def test_double_well_requires_poincare():
     with pytest.raises(ValueError):
         builtin_target("double_well", beta=1.0)

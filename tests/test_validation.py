@@ -44,6 +44,12 @@ class TestEntropyRates:
                     std_target.beta * delta * delta / (4.0 * gamma), rel=1e-6
                 )
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+    def test_girsanov_rejects_a_gamma_not_finite_and_positive(self, std_target, gamma):
+        alt = linear_tilt(std_target, 0.1)
+        with pytest.raises(ValueError, match=f"^gamma must be finite and > 0, got {gamma}$"):
+            girsanov_entropy_rate_langevin(std_target, alt, gamma)
+
     def test_girsanov_scale_quadrature_oracle(self, std_target):
         factor, gamma = 1.3, 1.0
         alt = scale_potential(std_target, factor)
