@@ -564,7 +564,8 @@ class TestFloatFlightsOracle:
     ANISO = builtin_target("gaussian_aniso", H=[[1.7]], beta=1.3)
     SCALED = scale_potential(builtin_target("gaussian_iso", dim=1, h=1.4), 0.6)
     START = {"q0": np.array([0.4]), "p0": np.array([-1.0])}
-    # thinned targets: sample_position is Gaussian-only, so starts are given
+    # thinned targets, from given starts on either side of the barrier (the
+    # tilted and scaled wells have no exact stationary draw)
     WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
     THINNED = {"well": WELL,
                "well-beta3": builtin_target("double_well", beta=3.0, poincare_const=1.0),
