@@ -336,32 +336,28 @@ def replica_digests(config) -> dict:
             for name, arr in validation.run_replicas(config).items()}
 
 
-# Langevin at the benchmark grid's shape: 10 replicas, T = 150, step 0.01
-REPLICA_PASSES = {"zigzag": {}, "hhmc": {}, "langevin": {"replicas": 10, "step": 0.01}}
+# Langevin at the benchmark grid's shape: 10 replicas, T = 150, step 0.01;
+# double_well at beta 1.5 from its exact starts: 40 replicas, T = 30, seed 7
+_WELL_PASS = {"target": builtin_target("double_well", beta=1.5, poincare_const=1.0),
+              "replicas": 40, "T": 30.0, "seed": 7}
+REPLICA_PASSES = {"zigzag": {}, "hhmc": {}, "langevin": {"replicas": 10, "step": 0.01},
+                  "well-zigzag": {"sampler": "zigzag", **_WELL_PASS},
+                  "well-bps": {"sampler": "bps", **_WELL_PASS}}
 
 
-@pytest.mark.parametrize("sampler", list(REPLICA_PASSES))
-def test_replica_pass_is_pinned_bit_for_bit(std_config, sampler):
+@pytest.mark.parametrize("name", list(REPLICA_PASSES))
+def test_replica_pass_is_pinned_bit_for_bit(std_config, name):
     # the reference config (200 replicas, T = 150, seed 42) from its
     # stationary start: exact HHMC's starts come from sample_position, which
     # no CLI golden reaches (its one HHMC config has a Gaussian start), and a
-    # reordered Langevin step that moves one bit fails here.
+    # reordered Langevin step that moves one bit fails here.  Each well start
+    # is a rejection draw from the init stream, so a changed proposal,
+    # acceptance test or draw order moves a digest.
     # Change the file only for a deliberate change of the paths or of the
     # seed contract
     golden = json.loads(REPLICA_GOLDEN.read_text())
-    config = small(std_config, sampler=sampler, **REPLICA_PASSES[sampler])
-    assert replica_digests(config) == golden[sampler]
-
-
-@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
-def test_well_replica_pass_is_pinned_bit_for_bit(std_config, sampler):
-    # double_well at beta 1.5 from exact stationary starts (40 replicas,
-    # T = 30, seed 7): every start is a rejection draw from the init stream,
-    # so a changed proposal, acceptance test or draw order moves a digest
-    well = builtin_target("double_well", beta=1.5, poincare_const=1.0)
-    config = small(std_config, sampler=sampler, target=well, replicas=40, T=30.0, seed=7)
-    golden = json.loads(REPLICA_GOLDEN.read_text())
-    assert replica_digests(config) == golden[f"well-{sampler}"]
+    config = small(std_config, **{"sampler": name, **REPLICA_PASSES[name]})
+    assert replica_digests(config) == golden[name]
 
 
 def test_gaussian_start_beyond_1d_rejected_before_simulating(std_config, monkeypatch):
