@@ -14,6 +14,7 @@ from hypoguard import (
     BernsteinPair,
     ExperimentConfig,
     HypoParams,
+    MomentumModel,
     ObservableStats,
     bernstein_from_hypo,
     builtin_observable,
@@ -134,7 +135,7 @@ def test_float_bounce_at_a_critical_point_and_at_an_underflowing_gradient(monkey
     # undefined, and a raise where g is not 0 but g * g underflows to 0
     jumps = []
     monkeypatch.setattr(samplers, "_simulate_pdmp", lambda *args: jumps.append(args[3]))
-    simulate_bps(GAUSS, samplers.MomentumModel(kind="gaussian"), 1.0, 1.0, 0)
+    simulate_bps(GAUSS, MomentumModel(kind="gaussian"), 1.0, 1.0, 0)
     bounce_float = jumps[0][1]
     assert bounce_float(1.0, 0.0, 0) is None
     assert bounce_float(1.0, -2.0, 0) == -1.0
