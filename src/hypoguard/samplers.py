@@ -25,7 +25,9 @@ dimension.  A violated envelope is a hard error, never a silent
 acceptance.  In one dimension the jumps act on floats too: a flip is -p,
 and a bounce makes the IEEE operations of :func:`reflect` on 1-vectors;
 the target's gradient and Hessian bound see one reused 1-element array
-per trajectory, read at once into a float.
+per trajectory, read at once into a float.  A thinned clock hands the
+gradient at its accepted proposal, the flight's end, to the loop, so each
+event point costs one gradient call.
 Hybrid HMC follows the exact Hamiltonian flow of a quadratic potential and
 refuses any other target; its flights come from a loop over single
 duration draws, taken from blocks of 64, and its eigenbasis from the
@@ -349,11 +351,13 @@ def _simulate_pdmp(sampler: str, clock: str, slopes: Callable, jumps: tuple,
     :func:`_flight_state`).  ``jumps`` holds the map ``jump(p, grad, i)`` on
     (d,) arrays and on Python floats: the momentum after clock i fires, or
     None where the jump is undefined, in which case the momentum is
-    refreshed.  grad V is evaluated once per event point and shared by the
-    next clocks and the jump: a (d,) array, or a Python float in the float
-    state.  The refresh time, drawn first, ends the clocks' horizon (a later
-    jump is never used); the two streams are separate, so the order of the
-    draws changes no quadratic-target path.
+    refreshed.  grad V is taken once per event point, by the kit's
+    ``gradient(q)``, and shared by the next clocks and the jump: a (d,)
+    array, or a Python float in the float state.  A thinned clock's kit
+    hands over the value its accepted proposal took at that very point
+    instead of evaluating it again.  The refresh time, drawn first, ends
+    the clocks' horizon (a later jump is never used); the two streams are
+    separate, so the order of the draws changes no quadratic-target path.
     :func:`_flight_state` builds the clocks and holds the state on (d,)
     arrays, or on Python floats, with the same bits, for every target in one
     dimension.  The flights are kept as columns and the events as their
@@ -417,6 +421,13 @@ def _flight_state(clock: str, slopes: Callable, jumps: tuple, target: TargetMode
     refilled before each call, whose gradient is read at once into the
     float that ``gradient(q)`` returns and ``first_jump`` and the jump take.
     The jump is the float map of ``jumps``.
+
+    On floats and on arrays a thinned clock hands its gradient over: a
+    finite thinning time lies below the flight's horizon, so the flight
+    ends at q + tau v, the very expression at which the accepted proposal's
+    slope evaluated grad V, and the next ``gradient(q)`` returns that value
+    without a call of the target's gradient.  Quadratic kits hand nothing
+    over: their clocks evaluate no gradient along the flight.
     """
     quadratic = target.is_quadratic
     if not quadratic and target.hessian_bound is None:
@@ -424,34 +435,59 @@ def _flight_state(clock: str, slopes: Callable, jumps: tuple, target: TargetMode
     rng_clock = stream_rng(seed, clock)
     exponentials = _draws(lambda n: rng_clock.exponential(size=n).tolist()) if quadratic else None
     beta, gradient, hessian_bound = target.beta, target.gradient, target.hessian_bound
-    if not floats:
-        hessian = target.hessian
+    # a thinned clock's grad V at its last slope evaluation, and after
+    # first_jump the winning clock's at its accepted proposal, or None
+    handed = None
 
-        def first_jump(q, v, grad, horizon):
-            if quadratic:
+    def handed_over(evaluate: Callable) -> Callable:
+        """The loop's ``gradient(q)`` on a thinned target: ``evaluate(q)``,
+        or the value that ``first_jump`` handed over, taken once."""
+        def at(q):
+            nonlocal handed
+            g, handed = handed, None
+            return evaluate(q) if g is None else g
+        return at
+
+    if not floats:
+        if quadratic:
+            hessian = target.hessian
+
+            def first_jump(q, v, grad, horizon):
                 taus = [invert_affine_rate(beta * a, beta * b, e) for a, b, e
                         in zip(slopes(v, grad), slopes(v, hessian @ v), exponentials)]
-            else:
+                tau = min(taus)
+                return tau, taus.index(tau)
+        else:
+            def first_jump(q, v, grad, horizon):
+                nonlocal handed
                 speed2 = float(np.dot(v, v))
                 speed = math.sqrt(speed2)
-                taus = []
+                taus, grads = [], []
                 # |u_i|^2 = slopes(v, v)_i for both direction maps, so reach = beta |u_i| |v|
                 for i, u2 in enumerate(slopes(v, v)):
                     reach = beta * math.sqrt(u2 * speed2)
 
                     def slope(s: float) -> float:
-                        return beta * slopes(v, grad if s == 0.0 else gradient(q + s * v))[i]
+                        nonlocal handed
+                        if s == 0.0:
+                            handed = None
+                            return beta * slopes(v, grad)[i]
+                        handed = gradient(q + s * v)
+                        return beta * slopes(v, handed)[i]
 
                     def lipschitz(t: float, w: float) -> float:
                         return reach * hessian_bound(q + t * v, speed * w)
 
                     taus.append(sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng_clock,
                                                    horizon))
-            tau = min(taus)
-            return tau, taus.index(tau)
+                    grads.append(handed)
+                tau = min(taus)
+                i = taus.index(tau)
+                handed = grads[i] if tau < math.inf else None
+                return tau, i
 
-        return (gradient, first_jump, jumps[0], lambda rng: momentum.sample(rng, target.dim),
-                lambda q, p: (q, p))
+        return (gradient if quadratic else handed_over(gradient), first_jump, jumps[0],
+                lambda rng: momentum.sample(rng, target.dim), lambda q, p: (q, p))
     # the one position array of this trajectory, refilled before each call
     # of the gradient or the Hessian bound and read at once into a float
     position = np.empty(1)
@@ -467,20 +503,29 @@ def _flight_state(clock: str, slopes: Callable, jumps: tuple, target: TargetMode
             return invert_affine_rate(beta * (v * g), beta * (v * (h * v)), next(exponentials)), 0
     else:
         def first_jump(q, v, g0, horizon):
+            nonlocal handed
             speed2 = v * v
             speed, reach = math.sqrt(speed2), beta * math.sqrt(speed2 * speed2)
 
             def slope(s):
-                return beta * (v * (g0 if s == 0.0 else gradient_at(q + s * v)))
+                nonlocal handed
+                if s == 0.0:
+                    handed = None
+                    return beta * (v * g0)
+                handed = gradient_at(q + s * v)
+                return beta * (v * handed)
 
             def lipschitz(t, w):
                 position[0] = q + t * v
                 return reach * hessian_bound(position, speed * w)
 
-            return sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng_clock, horizon), 0
+            tau = sample_by_thinning(slope, lipschitz, _THINNING_WINDOW, rng_clock, horizon)
+            if tau == math.inf:
+                handed = None
+            return tau, 0
 
-    return (gradient_at, first_jump, jumps[1], momentum.draw,
-            lambda q, p: (float(q[0]), float(p[0])))
+    return (gradient_at if quadratic else handed_over(gradient_at), first_jump, jumps[1],
+            momentum.draw, lambda q, p: (float(q[0]), float(p[0])))
 
 
 def simulate_bps(
@@ -506,8 +551,14 @@ def simulate_bps(
                          f"dimension {target.dim}: BPS takes it only in dimension 1")
 
     def bounce(p, grad, i):
-        # reflection is undefined at a critical point of V
-        return reflect(p, grad, factor=reflection_factor) if np.any(grad) else None
+        # reflection is undefined at a critical point of V, where reflect
+        # finds |grad|^2 = 0; a nonzero grad whose square underflows raises
+        try:
+            return reflect(p, grad, factor=reflection_factor)
+        except ValueError:
+            if np.any(grad):
+                raise
+            return None
 
     def bounce_float(p, g, i):
         # the IEEE operations of bounce on the 1-vectors [p] and [g]

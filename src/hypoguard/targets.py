@@ -203,7 +203,9 @@ def builtin_target(name: str, **params) -> TargetModel:
     gaussian_aniso(H, beta): V = q^T H q / 2, Poincare constant beta*h_min.
     double_well(beta, poincare_const): V = (q^2-1)^2/4 in 1-D, drawn exactly;
         the Poincare constant has no closed form and must be supplied (see
-        :func:`estimate_poincare_1d` for a numerical estimate).
+        :func:`estimate_poincare_1d` for a numerical estimate).  Its gradient
+        takes one (1,) position, as zig-zag and BPS pass it, on Python
+        floats, and an (n, 1) batch on arrays, with the same bits.
 
     Unknown names and parameters, and parameter values that are not finite,
     raise ``ValueError``.
@@ -266,6 +268,11 @@ def builtin_target(name: str, **params) -> TargetModel:
 
         def _grad(q):
             q = np.asarray(q, dtype=float)
+            if q.shape == (1,):
+                # one position, as zig-zag and BPS pass it, on Python floats:
+                # the IEEE operations of the batch formula (q**2 is q * q)
+                x = q.item()
+                return np.array([x * (x * x - 1.0)])
             return q * (q**2 - 1.0)
 
         def _hess_bound(center, radius):

@@ -316,6 +316,11 @@ def run_config(argv, cfg, config_path, env=None):
     return code, stderr.getvalue()
 
 
+def test_config_root_that_is_not_an_object_exits_2(tmp_path):
+    assert run_config(["ci"], [], tmp_path / "cfg.json") == (
+        2, "config error: config root must be a JSON object\n")
+
+
 def names_field(err, path):
     """Whether a config-error message names the dotted field or its block."""
     block = path.split(".")[0]

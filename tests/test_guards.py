@@ -34,6 +34,7 @@ from hypoguard import (
     uq_bias_bound,
 )
 from hypoguard import samplers, validation
+from hypoguard.operator_lab import LabProblem, verify_lambda_eig, verify_perturb_lemma
 from hypoguard.samplers import flip, invert_affine_rate, reflect
 
 PAIR = BernsteinPair(v=1.0, b=1.0)
@@ -117,6 +118,16 @@ CASES = [
                  "^clipped_coord requires L > 0$", id="clipped_coord-L"),
     pytest.param(lambda: girsanov_entropy_rate_langevin(GAUSS, HOT, 1.0), ValueError,
                  "^baseline and alternative must share beta$", id="entropy-rate-beta"),
+    pytest.param(lambda: verify_perturb_lemma(dim=1), ValueError,
+                 "^need dim >= 2 and trials >= 1$", id="verify_perturb_lemma-dim"),
+    pytest.param(lambda: verify_lambda_eig(trials=0), ValueError,
+                 "^need trials >= 1$", id="verify_lambda_eig-trials"),
+    *[pytest.param(LabProblem(A=np.diag(a), M=np.diag(m), alpha=1.0, x0=np.array([1.0, 0.0]))
+                   .self_audit, AssertionError, f"^{message}$", id=f"self_audit-{name}")
+      for name, a, m, message in [
+          ("M", [0.0, -1.0], [1.0, 0.0], "<M x0, x0> != 0"),
+          ("A", [1.0, -1.0], [0.0, 0.0], "A x0 != 0"),
+          ("gap", [0.0, 0.0], [0.0, 0.0], "spectral-gap hypothesis violated")]],
     pytest.param(lambda: validation.run_replicas(ExperimentConfig(
         sampler="gibbs", target=GAUSS, observable=builtin_observable("cos", GAUSS), hypo=HYPO,
         T=1.0, delta=0.1, replicas=2, seed=0)), ValueError, "^unknown sampler 'gibbs'$",
@@ -130,14 +141,22 @@ def test_guard_raises_its_message(call, error, message):
         call()
 
 
-def test_float_bounce_at_a_critical_point_and_at_an_underflowing_gradient(monkeypatch):
-    # the 1-D BPS bounce on floats: none at g = 0, where the reflection is
-    # undefined, and a raise where g is not 0 but g * g underflows to 0
+@pytest.mark.parametrize("kit", ["floats", "arrays"])
+def test_bounce_at_a_critical_point_and_at_an_underflowing_gradient(monkeypatch, kit):
+    # the BPS bounce on floats and on (d,) arrays: none at grad V = 0, where
+    # the reflection is undefined, a raise where grad V is not 0 but its
+    # square underflows to 0, and a NaN momentum from a NaN gradient
     jumps = []
     monkeypatch.setattr(samplers, "_simulate_pdmp", lambda *args: jumps.append(args[3]))
     simulate_bps(GAUSS, MomentumModel(kind="gaussian"), 1.0, 1.0, 0)
-    bounce_float = jumps[0][1]
-    assert bounce_float(1.0, 0.0, 0) is None
-    assert bounce_float(1.0, -2.0, 0) == -1.0
+    if kit == "floats":
+        bounce, p, zero = jumps[0][1], 1.0, 0.0
+        steep, tiny, nan = -2.0, 1e-200, math.nan
+    else:
+        bounce, p, zero = jumps[0][0], np.array([1.0, 0.5]), np.zeros(2)
+        steep, tiny, nan = np.array([-2.0, 0.0]), np.array([1e-200, 0.0]), np.array([math.nan, 0.0])
+    assert bounce(p, zero, 0) is None
+    assert np.array_equal(bounce(p, steep, 0), -1.0 if kit == "floats" else [-1.0, 0.5])
     with pytest.raises(ValueError, match="^degenerate gradient: reflection undefined$"):
-        bounce_float(1.0, 1e-200, 0)
+        bounce(p, tiny, 0)
+    assert np.all(np.isnan(bounce(p, nan, 0)))

@@ -37,6 +37,7 @@ from hypoguard import (
     simulate_zigzag,
     time_average,
 )
+from hypoguard import samplers
 from hypoguard.samplers import _flight_state
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "pdmp_golden.json"
@@ -147,6 +148,41 @@ def test_thinning_gradient_calls_per_event(sampler):
         traj = simulate_bps(target, MOM_WELL, refresh_rate=1.0, T=100.0, seed=11, q0=START)
     assert len(traj.events) > 50
     assert len(calls) <= 8 * len(traj.events)
+
+
+def recording(target):
+    """``target`` with a gradient that appends the bytes of each position it
+    is passed to the returned list."""
+    positions = []
+
+    def gradient(q):
+        positions.append(np.asarray(q, dtype=float).tobytes())
+        return target.gradient(q)
+
+    return dataclasses.replace(target, gradient=gradient), positions
+
+
+@pytest.mark.parametrize("sampler", ["zigzag", "bps"])
+def test_thinned_flights_take_no_gradient_twice_at_a_point(monkeypatch, sampler):
+    # an accepted thinning proposal ends the flight at q + tau v, where its
+    # slope took grad V: the kit hands that value to the loop's next gradient
+    # call, on floats and on (1,) arrays alike, so no call repeats the last
+    def run():
+        target, positions = recording(WELL)
+        if sampler == "zigzag":
+            traj = simulate_zigzag(target, T=100.0, seed=11, refresh_rate=0.5, q0=START)
+        else:
+            traj = simulate_bps(target, MOM_WELL, refresh_rate=1.0, T=100.0, seed=11, q0=START)
+        return traj, positions
+
+    traj, positions = run()
+    monkeypatch.setattr(samplers, "_flight_state", lambda *kit: _flight_state(*kit[:-1], False))
+    traj_arrays, positions_arrays = run()
+    assert sum(kind != "refresh" for kind in traj.kinds) > 25
+    assert np.array_equal(traj.flights[1], traj_arrays.flights[1])
+    assert len(positions) == len(positions_arrays)
+    for calls in (positions, positions_arrays):
+        assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 def well_hazard(q, v, s):

@@ -77,6 +77,24 @@ def test_batched_gradient_matches_rows(target):
         assert np.allclose(g, target.gradient(q), rtol=1e-14, atol=1e-14)
 
 
+WELL_1D = builtin_target("double_well", beta=1.5, poincare_const=1.0)
+
+
+@pytest.mark.parametrize("target", [WELL_1D, scale_potential(WELL_1D, 4.0),
+                                    linear_tilt(WELL_1D, 0.3)], ids=lambda t: t.name)
+def test_well_gradient_of_one_position_is_the_batch_formula_bit_for_bit(target):
+    # the well takes a (1,) position on Python floats and an (n, 1) batch on
+    # arrays: the same IEEE operations, so the same bits, signed zeros and
+    # NaN included
+    qs = [0.0, -0.0, 1.0, -1.0, 1e-160, 1e154, -1e200, math.inf, math.nan]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = target.gradient(np.array(qs)[:, None])
+        for q, row in zip(qs, batch):
+            one = target.gradient(np.array([q]))
+            assert one.shape == (1,)
+            assert one.tobytes() == row.tobytes(), q
+
+
 def test_tilt_and_scale_gradients():
     base = builtin_target("gaussian_iso", dim=1, h=1.0, beta=1.0)
     for alt in (linear_tilt(base, 0.3), scale_potential(base, 1.7)):
