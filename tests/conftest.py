@@ -2,9 +2,14 @@
 
 Property tests draw the same examples on every run (``derandomize``) and
 have no per-example deadline, whose timing on a loaded host would make
-them flaky.
+them flaky.  The report header names the Python and NumPy a run used: the
+digests in ``tests/data`` were recorded under NumPy 2.4.6, and NumPy does
+not promise the same streams and roundings across releases.
 """
 
+import platform
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -19,6 +24,10 @@ from hypoguard import (
 
 settings.register_profile("hypoguard", derandomize=True, deadline=None)
 settings.load_profile("hypoguard")
+
+
+def pytest_report_header(config):
+    return f"python {platform.python_version()}, numpy {np.__version__}"
 
 
 @pytest.fixture(scope="session")

@@ -108,10 +108,17 @@ def former_step_loop(target, momentum, gamma, T, step, seed):
     return qs, ps[-1]
 
 
-@pytest.mark.parametrize("target,exact", [(ISO, True), (ANISO, False)], ids=["iso", "aniso"])
-def test_simulate_langevin_follows_former_loop(target, exact):
+# the engine skips its divide by m at unit mass: each former-loop test runs
+# both branches, keeping the test ids it had with mass 1.2 alone
+@pytest.mark.parametrize("target,exact,mass", [
+    pytest.param(ISO, True, 1.2, id="iso"),
+    pytest.param(ANISO, False, 1.2, id="aniso"),
+    pytest.param(ISO, True, 1.0, id="iso-unit-mass"),
+    pytest.param(ANISO, False, 1.0, id="aniso-unit-mass"),
+])
+def test_simulate_langevin_follows_former_loop(target, exact, mass):
     # 2500 steps: more than two noise blocks
-    mom = MomentumModel(kind="gaussian", mass=1.2, beta=target.beta)
+    mom = MomentumModel(kind="gaussian", mass=mass, beta=target.beta)
     traj = simulate_langevin(target, mom, gamma=1.3, T=25.0, step=0.01, seed=9)
     qs, p = former_step_loop(target, mom, 1.3, 25.0, 0.01, 9)
     if exact:
@@ -144,13 +151,13 @@ def test_one_chunk_of_paths_at_a_time(monkeypatch):
 WELL = builtin_target("double_well", beta=1.5, poincare_const=1.0)
 
 
-def batch_from(target, replicas, T, seed=4, step=0.01):
+def batch_from(target, replicas, T, seed=4, step=0.01, mass=1.2):
     """simulate_langevin_batch of ``replicas`` replicas from drawn starts,
     with the seeds and starts it was given."""
     seeds = [replica_seed(seed, r) for r in range(replicas)]
     rng = np.random.default_rng(seed)
     q0, p0 = rng.standard_normal((2, replicas, target.dim))
-    mom = MomentumModel(kind="gaussian", mass=1.2, beta=target.beta)
+    mom = MomentumModel(kind="gaussian", mass=mass, beta=target.beta)
     return simulate_langevin_batch(target, mom, 1.3, T, step, seeds, q0, p0), seeds, q0, p0
 
 
@@ -165,18 +172,59 @@ def test_batch_follows_the_former_loop_replica_by_replica():
         assert np.array_equal(traj.final_q, qs[-1]) and np.array_equal(traj.final_p, ps[-1])
 
 
-@pytest.mark.parametrize("T, n_steps", [(0.125, 1), (128.0, _NOISE_BLOCK), (128.125, 1025)])
-def test_noise_block_edges_follow_the_former_loop(T, n_steps):
+EDGES = [(0.125, 1), (128.0, _NOISE_BLOCK), (128.125, 1025)]
+
+
+@pytest.mark.parametrize("T, n_steps, mass", [
+    *(pytest.param(T, n, 1.2, id=f"{T}-{n}") for T, n in EDGES),
+    *(pytest.param(T, n, 1.0, id=f"{T}-{n}-unit-mass") for T, n in EDGES),
+])
+def test_noise_block_edges_follow_the_former_loop(T, n_steps, mass):
     # one step, one full noise block and one step past it, with step 0.125
     # so that T / step is exact: the stacked buffers carry nothing across a
     # block
     assert _NOISE_BLOCK == 1024
-    trajs, seeds, q0, p0 = batch_from(WELL, 3, T=T, step=0.125)
-    mom = MomentumModel(kind="gaussian", mass=1.2, beta=WELL.beta)
+    trajs, seeds, q0, p0 = batch_from(WELL, 3, T=T, step=0.125, mass=mass)
+    mom = MomentumModel(kind="gaussian", mass=mass, beta=WELL.beta)
     for traj, seed, q, p in zip(trajs, seeds, q0, p0):
         qs, ps = former_loop_from(WELL, mom, 1.3, T, 0.125, seed, q, p)
         assert len(traj.times) == n_steps + 1 and traj.times[-1] == T
         assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
+
+
+@pytest.mark.parametrize("mass", [1.0, 1.2])
+def test_gradient_that_returns_its_argument_leaves_the_path(mass):
+    # TargetModel lets a gradient return its argument, here the path row
+    # just written: the kick goes to its own buffer, never into that row
+    rows = []
+
+    def gradient(q):
+        rows.append(q)
+        return q
+
+    own = dataclasses.replace(ISO, gradient=gradient)
+    trajs, seeds, q0, p0 = batch_from(own, 3, T=3.0, mass=mass)
+    assert all(np.shares_memory(row, trajs[0].qs) for row in rows[1:])
+    mom = MomentumModel(kind="gaussian", mass=mass, beta=ISO.beta)
+    for traj, seed, q, p in zip(trajs, seeds, q0, p0):
+        qs, ps = former_loop_from(own, mom, 1.3, 3.0, 0.01, seed, q, p)
+        assert np.array_equal(traj.qs, qs) and np.array_equal(traj.ps, ps)
+
+
+def test_no_seeds_build_no_stream_and_take_no_gradient(monkeypatch):
+    from hypoguard import samplers
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(samplers, "stream_rng", refuse)
+    idle = dataclasses.replace(ISO, gradient=refuse)
+    mom = MomentumModel(kind="gaussian", mass=1.2, beta=ISO.beta)
+    empty = np.empty((0, 1))
+    assert simulate_langevin_batch(idle, mom, 1.3, 150.0, 0.01, [], empty, empty) == []
+    # the start's shape is still checked first
+    with pytest.raises(ValueError, match=r"^initial position must have shape \(0, 1\)"):
+        simulate_langevin_batch(idle, mom, 1.3, 150.0, 0.01, [], np.zeros((1, 1)), empty)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0])
