@@ -108,8 +108,8 @@ def former_step_loop(target, momentum, gamma, T, step, seed):
     return qs, ps[-1]
 
 
-# the engine skips its divide by m at unit mass: each former-loop test runs
-# both branches, keeping the test ids it had with mass 1.2 alone
+# the engine skips its divide by m at unit mass, so the former-loop tests
+# run both masses
 @pytest.mark.parametrize("target,exact,mass", [
     pytest.param(ISO, True, 1.2, id="iso"),
     pytest.param(ANISO, False, 1.2, id="aniso"),
