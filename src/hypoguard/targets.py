@@ -110,25 +110,25 @@ class TargetModel:
 
 
 class _DoubleWell(TargetModel):
-    """The built-in double well, drawn exactly by rejection from N(0, s^2),
-    s = 1.5: in u = q^2 the log ratio -beta (u - 1)^2 / 4 + u / (2 s^2) of
-    exp(-beta V) to the proposal is concave, maximal at u = 1 + 1 / (beta s^2)
-    for all beta > 0, where it is log M = 1 / (2 s^2) + 1 / (4 beta s^4).  V is
-    read from the target: a log ratio above 0 raises, as does log M > 10."""
+    """The built-in double well, drawn exactly by rejection from N(0, s^2), s =
+    max(1.5, beta^(-1/4)): in u = q^2 the log ratio -beta (u - 1)^2 / 4 + u / (2 s^2)
+    of exp(-beta V) to the proposal is concave, maximal at u = 1 + 1 / (beta s^2),
+    where it is log M = 1 / (2 s^2) + 1 / (4 beta s^4); at least 0.71 of proposals are
+    kept.  V is read from the target: a log ratio not finite and at most 1e-12 raises."""
 
+    proposal_width = property(lambda self: max(1.5, self.beta ** -0.25))
+
+    @np.errstate(over="ignore")  # beta V overflows at the proposal's scale for beta < 1e-305
     def sample_position(self, rng: np.random.Generator, size: int | None = None):
-        s = 1.5
-        log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * self.beta * s ** 4)
-        if log_m > 10.0:
-            raise ValueError(f"target '{self.name}' at beta {self.beta}: an exact draw "
-                             f"takes about exp({log_m:.4g}) proposals; pass a start position")
+        s = self.proposal_width
+        log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * self.beta * (s * s * s * s))
         qs = []
         while len(qs) < (1 if size is None else size):
             q = s * rng.standard_normal()
             ratio = q * q / (2.0 * s * s) - self.beta * float(self.potential(np.array([q]))) - log_m
-            if ratio > 1e-12:
-                raise ValueError(f"target '{self.name}': log acceptance ratio {ratio} "
-                                 f"at q = {q} exceeds the double-well envelope")
+            if not -math.inf < ratio <= 1e-12:
+                raise ValueError(f"target '{self.name}' at beta {self.beta}: log acceptance ratio "
+                                 f"{ratio} at q = {q} is not a finite number at most 1e-12")
             if math.log(rng.random()) <= ratio:
                 qs.append([q])
         return np.array(qs[0]) if size is None else np.array(qs)

@@ -136,30 +136,34 @@ def test_aniso_sampling_matches_cov():
     assert np.allclose(np.cov(qs.T), np.linalg.inv(H), atol=0.03)
 
 
-@pytest.mark.parametrize("beta", [0.5, 1.5, 3.0, 6.0])
+@pytest.mark.parametrize("beta", [1e-4, 1e-3, 0.006, 0.05, 0.5, 1.5, 3.0, 6.0])
 def test_well_draws_meet_the_quadrature_cdf(beta):
     # Kolmogorov-Smirnov on 20 000 exact draws against the Gibbs CDF, by
-    # quadrature on a grid of step 0.02 (linear interpolation moves it < 1e-4)
+    # quadrature on a grid of step 0.02 s / 1.5 for proposal width s (linear
+    # interpolation moves it < 1e-4)
     well = builtin_target("double_well", beta=beta, poincare_const=1.0)
     expect = stationary_expectation_1d(well)
-    grid = np.linspace(-4.0, 4.0, 401)
+    grid = np.linspace(-4.0, 4.0, 401) * (well.proposal_width / 1.5)
     cdf = [expect(lambda q, x=x: (q[:, 0] <= x).astype(float), points=(x,)) for x in grid]
     qs = well.sample_position(np.random.default_rng(2019), size=20_000)
     assert qs.shape == (20_000, 1)
     assert stats.kstest(qs[:, 0], lambda x: np.interp(x, grid, cdf)).pvalue > 0.01
 
 
-@pytest.mark.parametrize("beta", [0.05, 0.5, 1.5, 3.0, 6.0, 100.0])
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.05, 0.5, 1.5, 3.0, 6.0, 100.0])
 def test_well_envelope_peaks_where_its_closed_form_says(beta):
-    # the log acceptance ratio q^2 / (2 s^2) - beta V(q) - log M, s = 1.5, is
-    # at most 0 on a grid of step 1e-5, and 0 at its peak q^2 = 1 + 1 / (beta s^2)
-    s, well = 1.5, builtin_target("double_well", beta=beta, poincare_const=1.0)
+    # the log acceptance ratio q^2 / (2 s^2) - beta V(q) - log M, s the well's
+    # proposal width, is at most 0 on a grid of step 1e-5 s / 1.5, and 0 at its
+    # peak q^2 = 1 + 1 / (beta s^2)
+    well = builtin_target("double_well", beta=beta, poincare_const=1.0)
+    s = well.proposal_width
+    assert s == max(1.5, beta ** -0.25)
     log_m = 1.0 / (2.0 * s * s) + 1.0 / (4.0 * beta * s ** 4)
-    q = np.linspace(-8.0, 8.0, 1_600_001)
+    q = np.linspace(-8.0, 8.0, 1_600_001) * (s / 1.5)
     ratio = q * q / (2.0 * s * s) - beta * well.potential(q[:, None]) - log_m
     peak = math.sqrt(1.0 + 1.0 / (beta * s * s))
     assert ratio.max() <= 1e-12
-    assert abs(abs(q[np.argmax(ratio)]) - peak) <= 1e-5
+    assert abs(abs(q[np.argmax(ratio)]) - peak) <= 1e-5 * s / 1.5
     at_peak = peak * peak / (2.0 * s * s) - beta * well.potential(np.array([peak])) - log_m
     assert abs(at_peak) <= 1e-12
 
@@ -170,19 +174,39 @@ def test_well_copies_draw_exactly_until_the_potential_breaks_the_envelope():
     draws = [t.sample_position(np.random.default_rng(5), size=50) for t in (well, copy)]
     assert np.array_equal(*draws)
     flat = dataclasses.replace(well, potential=lambda q: well.potential(q) / 2.0)
-    with pytest.raises(ValueError, match=r"^target 'double_well': log acceptance ratio "
-                                         r"\S+ at q = \S+ exceeds the double-well envelope$"):
+    with pytest.raises(ValueError, match=r"^target 'double_well' at beta 1.5: log acceptance "
+                                         r"ratio \S+ at q = \S+ is not a finite number at most "
+                                         r"1e-12$"):
         flat.sample_position(np.random.default_rng(5), size=50)
 
 
-def test_well_too_cold_for_its_proposal_is_rejected_before_drawing():
-    # at beta 1e-3, log M = 49.6: a draw would take about 1e21 proposals
-    rng = np.random.default_rng(5)
-    well = builtin_target("double_well", beta=1e-3, poincare_const=1.0)
-    with pytest.raises(ValueError, match=r"^target 'double_well' at beta 0.001: an exact draw "
-                                         r"takes about exp\(49.6\) proposals; pass a start"):
-        well.sample_position(rng)
-    assert rng.random() == np.random.default_rng(5).random()
+def counted(well, calls):
+    """A copy of ``well`` whose potential appends to ``calls`` once per call:
+    once per proposal of its exact draw."""
+    return dataclasses.replace(well, potential=lambda q: calls.append(q) or well.potential(q))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1e-300, 1e-6, 1e-3])
+def test_cold_well_draws_keep_most_proposals(beta):
+    # the width max(1.5, beta^(-1/4)) keeps over 0.71 of proposals; at a
+    # fixed width 1.5, beta 1e-3 kept about 1e-21 of them
+    calls = []
+    well = counted(builtin_target("double_well", beta=beta, poincare_const=1.0), calls)
+    qs = well.sample_position(np.random.default_rng(5), size=2000)
+    assert qs.shape == (2000, 1) and np.all(np.isfinite(qs))
+    assert len(calls) <= 2 * 2000
+
+
+def test_well_whose_potential_overflows_at_its_width_raises_on_the_first_proposal():
+    # at beta 5e-324, s^4 and beta V(q) overflow at q ~ s: no OverflowError, no hang
+    calls = []
+    well = builtin_target("double_well", beta=1.0, poincare_const=1.0)
+    tiny = counted(dataclasses.replace(well, beta=5e-324), calls)
+    with pytest.raises(ValueError, match=r"^target 'double_well' at beta 5e-324: log acceptance "
+                                         r"ratio -inf at q = \S+ is not a finite number"):
+        tiny.sample_position(np.random.default_rng(5))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("sampler", ["zigzag", "bps"])
