@@ -404,7 +404,10 @@ def stationary_expectation_1d(target: TargetModel) -> Callable[..., float]:
     quadrature on [-40, 40] (:func:`_kronrod_panels`), one call of g per panel:
     from 32 equal panels plus the breakpoints ``points`` (where g jumps or
     kinks), it bisects until the |K15 - G7| estimates sum to at most 1e-13 of
-    the integral of |g| against nu*, under a cap of 2000 panels."""
+    the integral of |g| against nu*, under a cap of 2000 panels.  A target
+    with mass beyond [-40, 40], where exp(-beta V(+-40)) is above 2^-52 of the
+    largest density value at the nodes of the 32 start panels, raises
+    ``ValueError`` before any integral is taken."""
     if target.dim != 1:
         raise ValueError(f"quadrature expectations are 1-D only, not dim {target.dim}")
 
@@ -416,6 +419,16 @@ def stationary_expectation_1d(target: TargetModel) -> Callable[..., float]:
                              f"on [-{_QUAD_LIM:g}, {_QUAD_LIM:g}]")
         return w
 
+    # nu* has no mass beyond the range: at +-40, exp(-beta V) is at most 2^-52
+    # of its largest value at the Kronrod nodes of the start partition
+    step = 2.0 * _QUAD_LIM / _QUAD_PANELS
+    nodes = (np.arange(-_QUAD_LIM + 0.5 * step, _QUAD_LIM, step)[:, None]
+             + 0.5 * step * np.array([s * _XGK[j] for s, j in _GK_NODES]))
+    ends, peak = density(np.array([[-_QUAD_LIM], [_QUAD_LIM]])), density(nodes.reshape(-1, 1))
+    if np.max(ends) > 2.0 ** -52 * np.max(peak):
+        raise ValueError(f"target '{target.name}': nu* has mass beyond [-{_QUAD_LIM:g}, "
+                         f"{_QUAD_LIM:g}], where exp(-beta V) at the ends is {ends.tolist()} "
+                         f"against {np.max(peak):.6g} inside")
     Z = _kronrod_panels(density, -_QUAD_LIM, _QUAD_LIM)
 
     def expect(g: Callable[[np.ndarray], np.ndarray], points=()) -> float:
@@ -501,22 +514,36 @@ def scale_potential(target: TargetModel, factor: float) -> TargetModel:
 # ---------------------------------------------------------------------------
 # Poincare-constant estimator (diagnostic)
 
+# the rise of beta V from its minimum to the ends of the grid: below the 18
+# of gaussian_iso at h = beta = 1 on [-6, 6], which keeps that grid
+_POINCARE_RISE = 16.0
+
 
 def estimate_poincare_1d(target: TargetModel) -> float:
     """Numerical estimate of the Poincare constant of nu* ~ exp(-beta V) in 1-D.
 
     Discretizes the Dirichlet form int |g'|^2 dnu* against int g^2 dnu* on a
-    uniform grid of 2000 points on [-6, 6] and returns the second-smallest
+    uniform grid of 2000 points on [-L, L] and returns the second-smallest
     generalized eigenvalue (the smallest is 0 for constants): the spectral
     gap, the convention of ``TargetModel.poincare_const`` (beta h for
-    ``gaussian_iso``).  That eigenvalue is found by Sturm-count bisection of
-    the symmetric tridiagonal form (:func:`_tridiagonal_eigenvalue`).  This
-    is an estimate, not a certified bound.
+    ``gaussian_iso``).  L doubles from 6 until beta (V(+-L) - min V) on the
+    grid is at least 16, so a wide law is not truncated to [-6, 6].  That
+    eigenvalue is found by Sturm-count bisection of the symmetric tridiagonal
+    form (:func:`_tridiagonal_eigenvalue`).  This is an estimate, not a
+    certified bound.
     """
     if target.dim != 1:
         raise ValueError("estimator is 1-D only")
-    n = 2000
-    x = np.linspace(-6.0, 6.0, n)
+    n, half = 2000, 6.0
+    while True:
+        x = np.linspace(-half, half, n)
+        u = target.beta * target.potential(x[:, None])
+        if np.min(u[[0, -1]]) - np.min(u) >= _POINCARE_RISE:
+            break
+        if 4.0 * half * half == math.inf:  # the next grid's q^2 would overflow
+            raise ValueError(f"target '{target.name}': beta (V(+-L) - min V) stays below "
+                             f"{_POINCARE_RISE:g} up to L = {half:.6g}")
+        half *= 2.0
     dx = x[1] - x[0]
     # stiffness K: sum w_mid (g_{k+1}-g_k)^2 / dx, tridiagonal, with w = exp(-beta V)
     # and w_mid its cell means; mass M: sum w_k g_k^2 dx, diagonal.  K g = lambda M g
@@ -524,7 +551,7 @@ def estimate_poincare_1d(target: TargetModel) -> float:
     # eigenvalue bisection finds at O(n) per Sturm count.  Its entries are ratios
     # of w, taken from differences of beta V, since w itself underflows where
     # beta V is large.
-    du = np.diff(target.beta * target.potential(x[:, None]))
+    du = np.diff(u)
     diag = np.zeros(n)
     diag[:-1] += 0.5 * (1.0 + np.exp(-du))  # w_mid[k] / w[k]
     diag[1:] += 0.5 * (1.0 + np.exp(du))  # w_mid[k] / w[k + 1]

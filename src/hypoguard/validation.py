@@ -380,6 +380,7 @@ def jump_entropy_rate_zigzag(base: TargetModel, alt: TargetModel) -> float:
     """
     _check_rate_pair(base, alt)
     beta = base.beta
+    expect = stationary_expectation_1d(alt)  # rejects an alternative wider than its range
 
     # absolute-continuity scan: the nu_alt mass where r = 0 < r_alt, for each
     # velocity.  That set changes only where a gradient changes sign, so the
@@ -400,7 +401,6 @@ def jump_entropy_rate_zigzag(base: TargetModel, alt: TargetModel) -> float:
         if max(np.sum(w[b]) for b in bad) / np.sum(w) > 1e-12:
             return math.inf
 
-    expect = stationary_expectation_1d(alt)
     total = 0.0
     for v in (-1.0, 1.0):
         def integrand(q: np.ndarray) -> np.ndarray:

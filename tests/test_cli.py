@@ -202,6 +202,16 @@ def test_uq_tilt_beyond_the_float_range_exits_2(tmp_path):
     assert "exceeds the float range" in err, err
 
 
+def test_uq_alternative_wider_than_the_quadrature_range_exits_2(tmp_path):
+    # N(-10, 1e4) has mass beyond [-40, 40]: quadrature there gave alt_mean -0.522
+    # against an exact -9.99993
+    cfg = edited(BASE_CONFIG, {"target.h": 1e-4, "observable": {"name": "clipped_coord", "L": 50},
+                               "perturbation": {"kind": "linear_tilt", "delta": 0.001}})
+    code, err = run_config(["validate", "uq"], cfg, tmp_path / "cfg.json")
+    assert code == 2 and err.startswith("config error: invalid perturbation: target "
+                                        "'gaussian_iso+tilt(0.001)': nu* has mass beyond"), err
+
+
 def test_uq_langevin_scale_on_a_stiff_gaussian_gets_its_entropy_rate(tmp_path):
     # N(0, 1/50) against the 1.01-scaled alternative: QUADPACK from one panel
     # on [-40, 40] saw none of the mass, reported rate 0 and bound 0, and exit 1

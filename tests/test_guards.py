@@ -4,6 +4,7 @@ A guard written ``not x >= 0`` (or ``not 0 < x <= 1``) also rejects NaN, so
 each of those is called with NaN too.
 """
 
+import dataclasses
 import math
 import re
 
@@ -114,6 +115,10 @@ CASES = [
                  "^quadrature expectations are 1-D only, not dim 2$", id="quadrature-dim"),
     pytest.param(lambda: estimate_poincare_1d(PLANE), ValueError,
                  "^estimator is 1-D only$", id="estimate_poincare_1d-dim"),
+    pytest.param(lambda: estimate_poincare_1d(dataclasses.replace(
+        GAUSS, potential=lambda q: np.tanh(np.square(q[..., 0])))), ValueError,
+        r"^target 'gaussian_iso': beta \(V\(\+-L\) - min V\) stays below 16 up to "
+        r"L = 1\.00559e\+154$", id="estimate_poincare_1d-bounded-potential"),
     pytest.param(lambda: builtin_observable("clipped_coord", GAUSS, L=0.0), ValueError,
                  "^clipped_coord requires L > 0$", id="clipped_coord-L"),
     pytest.param(lambda: girsanov_entropy_rate_langevin(GAUSS, HOT, 1.0), ValueError,

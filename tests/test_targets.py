@@ -27,6 +27,7 @@ from hypoguard import (
 from hypoguard.catalog import _normal_cdf, builtin_stats, gaussian_iso
 from hypoguard.samplers import stream_rng
 from hypoguard.targets import _tridiagonal_eigenvalue
+from hypoguard.validation import jump_entropy_rate_zigzag
 
 
 def finite_diff_grad(V, q, h=1e-6):
@@ -554,9 +555,11 @@ def test_rademacher_draw_takes_the_bits_of_integers(seed):
     assert draws == expected and set(draws) == {-1.0, 1.0}
 
 
-def test_poincare_estimate_gaussian():
-    # the estimator and builtin_target share one convention: the spectral gap
-    t = builtin_target("gaussian_iso", dim=1, h=2.0, beta=1.0)
+@pytest.mark.parametrize("h", [1e-4, 1e-2, 2.0, 50.0])
+def test_poincare_estimate_gaussian(h):
+    # the estimator and builtin_target share one convention: the spectral
+    # gap; on [-6, 6] alone, h = 1e-2 gave 0.0736 and h = 1e-4 gave 0.0685
+    t = builtin_target("gaussian_iso", dim=1, h=h, beta=1.0)
     assert estimate_poincare_1d(t) == pytest.approx(t.poincare_const, rel=1e-2)
 
 
@@ -584,6 +587,15 @@ def dense_poincare_1d(target, lo=-6.0, hi=6.0, n=2000):
 ], ids=lambda t: t.name)
 def test_poincare_estimate_matches_dense_solve(target):
     assert estimate_poincare_1d(target) == pytest.approx(dense_poincare_1d(target), rel=1e-9)
+
+
+def test_poincare_estimate_widens_its_grid_for_a_warm_well():
+    # at beta 1e-4, beta (V(+-L) - min V) first reaches 16 at L = 48; [-6, 6]
+    # alone gave 0.0691
+    well = builtin_target("double_well", beta=1e-4, poincare_const=1.0)
+    wide = dense_poincare_1d(well, -48.0, 48.0)
+    assert estimate_poincare_1d(well) == pytest.approx(wide, rel=1e-9)
+    assert wide == pytest.approx(0.01362, rel=1e-3)
 
 
 def test_poincare_estimate_where_the_density_underflows():
@@ -656,6 +668,25 @@ def test_narrow_gaussian_second_moment_meets_a_40_digit_oracle(h, mu):
                                 [centre - 0.5, centre, centre + 0.5])
         assert abs(oracle - (centre ** 2 + 1 / mpmath.mpf(h))) <= 1e-30
     assert abs(got - oracle) <= 1e-12
+
+
+WIDE = builtin_target("gaussian_iso", dim=1, h=1e-4, beta=1.0)
+WARM_WELL = builtin_target("double_well", beta=1e-6, poincare_const=1.0)
+
+
+@pytest.mark.parametrize("call,name", [
+    # on [-40, 40] these gave E q^2 = 522.0 (exact 1e4), a cos mean of 0.0177
+    # (exact 0) and E q^2 = 462.9 (676.3 on a wide grid)
+    (lambda: stationary_expectation_1d(WIDE)(lambda q: q[:, 0] * q[:, 0]), "gaussian_iso"),
+    (lambda: observable_stats_quadrature(lambda q: np.cos(q[:, 0]), WIDE), "gaussian_iso"),
+    (lambda: stationary_expectation_1d(WARM_WELL)(lambda q: q[:, 0] * q[:, 0]), "double_well"),
+    (lambda: jump_entropy_rate_zigzag(WIDE, linear_tilt(WIDE, 0.001)),
+     "gaussian_iso+tilt(0.001)"),
+], ids=["gaussian-q2", "gaussian-stats", "well-q2", "zigzag-entropy-rate"])
+def test_quadrature_rejects_a_law_with_mass_beyond_its_range(call, name):
+    with pytest.raises(ValueError, match=rf"^target '{re.escape(name)}': nu\* has mass beyond "
+                                         r"\[-40, 40\], where exp\(-beta V\) at the ends is"):
+        call()
 
 
 @pytest.mark.parametrize("integrand,shape", [
