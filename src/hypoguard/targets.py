@@ -201,7 +201,8 @@ def builtin_target(name: str, **params) -> TargetModel:
 
     gaussian_iso(dim, h, beta): V = h|q|^2/2, Poincare constant beta*h.
     gaussian_aniso(H, beta): V = q^T H q / 2, Poincare constant beta*h_min.
-    double_well(beta, poincare_const): V = (q^2-1)^2/4 in 1-D, drawn exactly;
+    double_well(beta, poincare_const): V = (q^2-1)^2/4 in 1-D, drawn exactly
+        by rejection from N(0, s^2), s = max(1.5, beta^(-1/4)), at every beta;
         the Poincare constant has no closed form and must be supplied (see
         :func:`estimate_poincare_1d` for a numerical estimate).  Its gradient
         takes one (1,) position, as zig-zag and BPS pass it, on Python
