@@ -114,7 +114,7 @@ class _DoubleWell(TargetModel):
     max(1.5, beta^(-1/4)): in u = q^2 the log ratio -beta (u - 1)^2 / 4 + u / (2 s^2)
     of exp(-beta V) to the proposal is concave, maximal at u = 1 + 1 / (beta s^2),
     where it is log M = 1 / (2 s^2) + 1 / (4 beta s^4); at least 0.71 of proposals are
-    kept.  V is read from the target: a log ratio not finite and at most 1e-12 raises."""
+    kept.  V is read from the target: a log ratio not in (-inf, 1e-12] raises."""
 
     proposal_width = property(lambda self: max(1.5, self.beta ** -0.25))
 
@@ -420,8 +420,8 @@ def stationary_expectation_1d(target: TargetModel) -> Callable[..., float]:
                              f"on [-{_QUAD_LIM:g}, {_QUAD_LIM:g}]")
         return w
 
-    # nu* has no mass beyond the range: at +-40, exp(-beta V) is at most 2^-52
-    # of its largest value at the Kronrod nodes of the start partition
+    # nu* has no mass beyond the range: exp(-beta V(+-40)) is at most 2^-52 of
+    # the largest value at the Kronrod nodes of the start partition
     step = 2.0 * _QUAD_LIM / _QUAD_PANELS
     nodes = (np.arange(-_QUAD_LIM + 0.5 * step, _QUAD_LIM, step)[:, None]
              + 0.5 * step * np.array([s * _XGK[j] for s, j in _GK_NODES]))
@@ -538,12 +538,15 @@ def estimate_poincare_1d(target: TargetModel) -> float:
     n, half = 2000, 6.0
     while True:
         x = np.linspace(-half, half, n)
-        u = target.beta * target.potential(x[:, None])
-        if np.min(u[[0, -1]]) - np.min(u) >= _POINCARE_RISE:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = target.beta * target.potential(x[:, None])
+        rise = np.min(u[[0, -1]]) - np.min(u)
+        if np.isfinite(rise) and rise >= _POINCARE_RISE:
             break
-        if 4.0 * half * half == math.inf:  # the next grid's q^2 would overflow
-            raise ValueError(f"target '{target.name}': beta (V(+-L) - min V) stays below "
-                             f"{_POINCARE_RISE:g} up to L = {half:.6g}")
+        # past L^2 = max float / 4, the next grid's q^2 would overflow
+        if not np.isfinite(rise) or 4.0 * half * half == math.inf:
+            raise ValueError(f"target '{target.name}': beta (V(+-L) - min V) is {rise:.6g} at "
+                             f"L = {half:.6g}, not a finite rise to {_POINCARE_RISE:g}")
         half *= 2.0
     dx = x[1] - x[0]
     # stiffness K: sum w_mid (g_{k+1}-g_k)^2 / dx, tridiagonal, with w = exp(-beta V)

@@ -117,8 +117,12 @@ CASES = [
                  "^estimator is 1-D only$", id="estimate_poincare_1d-dim"),
     pytest.param(lambda: estimate_poincare_1d(dataclasses.replace(
         GAUSS, potential=lambda q: np.tanh(np.square(q[..., 0])))), ValueError,
-        r"^target 'gaussian_iso': beta \(V\(\+-L\) - min V\) stays below 16 up to "
-        r"L = 1\.00559e\+154$", id="estimate_poincare_1d-bounded-potential"),
+        r"^target 'gaussian_iso': beta \(V\(\+-L\) - min V\) is 0 at L = 1\.00559e\+154, "
+        r"not a finite rise to 16$", id="estimate_poincare_1d-bounded-potential"),
+    pytest.param(lambda: estimate_poincare_1d(builtin_target(
+        "double_well", beta=1e-306, poincare_const=1.0)), ValueError,
+        r"^target 'double_well': beta \(V\(\+-L\) - min V\) is inf at L = \S+, "
+        r"not a finite rise to 16$", id="estimate_poincare_1d-overflowing-potential"),
     pytest.param(lambda: builtin_observable("clipped_coord", GAUSS, L=0.0), ValueError,
                  "^clipped_coord requires L > 0$", id="clipped_coord-L"),
     pytest.param(lambda: girsanov_entropy_rate_langevin(GAUSS, HOT, 1.0), ValueError,
